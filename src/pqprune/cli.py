@@ -48,8 +48,7 @@ def cmd_measure(args) -> int:
     print(f"gini_index = {_fmt(gini_index(values))}")
     print("r,eta_r,bound,satisfied")
     d = values.size
-    for r in range(1, d + 1):
-        eta = eta_r(values, norms.p, r)
+    for r, eta in enumerate(eta_r(values, norms.p).tolist(), 1):
         bound = pqi_lower_bound(d, index, eta, norms)
         print(f"{r},{_fmt(eta)},{_fmt(bound)},{str(r >= bound - 1e-9).lower()}")
     return EXIT_OK

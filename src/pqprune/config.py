@@ -73,6 +73,14 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _unique(key: str, items: list) -> list:
+    """`items`, if no entry repeats: two cells of one name would share a directory."""
+    repeated = sorted({str(x) for x in items if items.count(x) > 1})
+    if repeated:
+        raise ValueError(f"{key}: duplicate entries {', '.join(repeated)}")
+    return items
+
+
 def parse_config(text: str) -> ExperimentConfig:
     kv: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -119,7 +127,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
     kinds = take("algorithm.kinds")
     if kinds is not None:
-        cfg.algorithm_kinds = [k.strip() for k in kinds.split(",") if k.strip()]
+        cfg.algorithm_kinds = _unique(
+            "algorithm.kinds", [k.strip() for k in kinds.split(",") if k.strip()]
+        )
     cfg.iterations = int(take("algorithm.iterations", cfg.iterations))
     cfg.ratio = float(take("algorithm.ratio", cfg.ratio))
     cfg.sap = SapHyperParams(
@@ -138,7 +148,7 @@ def parse_config(text: str) -> ExperimentConfig:
     )
     seeds = take("seeds")
     if seeds is not None:
-        cfg.seeds = [int(s) for s in seeds.split(",") if s.strip()]
+        cfg.seeds = _unique("seeds", [int(s) for s in seeds.split(",") if s.strip()])
     cfg.output_dir = take("output_dir", cfg.output_dir)
     cfg.workers = int(take("workers", cfg.workers))
     if kv:

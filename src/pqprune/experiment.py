@@ -9,7 +9,6 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from . import nn
 from .config import ExperimentConfig, IdxPaths
@@ -156,6 +155,10 @@ def _config_key(rec: RunRecord) -> dict:
 def trajectory_stats(records: list[RunRecord]) -> dict:
     """Location of the mean retrained-index extremes and its rank agreement
     with the Gini trajectory."""
+    # Imported here: scipy.stats takes most of a second to import, and only
+    # `report` needs it.
+    from scipy.stats import spearmanr
+
     pqi = _mean_trajectory(records, "pqi_retrained")
     gini = _mean_trajectory(records, "gini_retrained")
     rho = spearmanr(pqi, gini).statistic

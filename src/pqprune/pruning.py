@@ -66,6 +66,13 @@ class PruningMask:
     def copy(self) -> "PruningMask":
         return PruningMask(self.index_map, self.flat.copy())
 
+    def without(self, drops) -> "PruningMask":
+        """One copy with the flat indices in every array of `drops` zeroed."""
+        out = self.copy()
+        for indices in drops:
+            out.flat[indices] = 0.0
+        return out
+
 
 @dataclass(frozen=True)
 class SapHyperParams:
@@ -122,13 +129,21 @@ class Group:
         return self.indices.size
 
 
-def partition(params: nn.NetworkParams, mask: PruningMask, scope: Scope) -> list[Group]:
+def partition(
+    params: nn.NetworkParams,
+    mask: PruningMask,
+    scope: Scope,
+    mags: np.ndarray | None = None,
+) -> list[Group]:
     """Split surviving weights into scope groups covering each entry once.
 
     Global: one group. Layer-wise: one group per weight matrix. Neuron-wise:
     one group per row of each weight matrix (fan-in of one output unit).
+    `mags` may pass in `nn.flatten_prunable(params)[0]` already computed.
     """
-    mags, index_map = nn.flatten_prunable(params)
+    if mags is None:
+        mags, _ = nn.flatten_prunable(params)
+    index_map = mask.index_map
     alive = mask.flat == 1.0
     groups = []
 
@@ -152,8 +167,8 @@ def partition(params: nn.NetworkParams, mask: PruningMask, scope: Scope) -> list
     return groups
 
 
-def magnitude_prune(group: Group, mask: PruningMask, count: int) -> PruningMask:
-    """New mask with the `count` smallest surviving magnitudes zeroed.
+def magnitude_prune(group: Group, count: int) -> np.ndarray:
+    """Flat indices of the `count` smallest surviving magnitudes in `group`.
 
     Ties break toward the lowest flat index. A count above the survivor
     total is clamped with a warning.
@@ -168,11 +183,8 @@ def magnitude_prune(group: Group, mask: PruningMask, count: int) -> PruningMask:
             group.label,
         )
         count = group.survivors
-    out = mask.copy()
-    if count:
-        order = np.argsort(group.magnitudes, kind="stable")
-        out.flat[group.indices[order[:count]]] = 0.0
-    return out
+    order = np.argsort(group.magnitudes, kind="stable")
+    return group.indices[order[:count]]
 
 
 def sap_prune_count(d: int, r: float, gamma: float, beta: float) -> int:
@@ -211,9 +223,9 @@ def sap_count(group: Group, hp: SapHyperParams) -> SapDecision:
     )
 
 
-def _surviving_index(params: nn.NetworkParams, mask: PruningMask, norms: NormPair):
-    """(pq_index, gini) of the surviving weight magnitudes; NaN if undefined."""
-    mags, _ = nn.flatten_prunable(params)
+def _surviving_index(mags: np.ndarray, mask: PruningMask, norms: NormPair):
+    """(pq_index, gini) of the surviving entries of the flat weight
+    magnitudes `mags`; NaN if undefined."""
     surv = mags[mask.flat == 1.0]
     try:
         return pq_index(surv, norms), gini_index(surv)
@@ -275,34 +287,27 @@ def run_pruning(
         }
     )
 
-    frozen = None
-    if alg.kind == "one_shot":
-        try:
-            frozen = nn.train(nn.rewind(params, mask), mask, train_data, cfg)
-        except nn.TrainingDivergedError as exc:
-            record.events.append(f"iteration 0: training diverged: {exc}")
-            record.completed = False
-            return record
-
     for t in range(alg.iterations + 1):
-        if alg.kind == "one_shot":
-            model = frozen
-        else:
+        if alg.kind != "one_shot" or t == 0:
             try:
                 model = nn.train(nn.rewind(params, mask), mask, train_data, cfg)
             except nn.TrainingDivergedError as exc:
                 record.events.append(f"iteration {t}: training diverged: {exc}")
                 record.completed = False
                 return record
-
+            mags, _ = nn.flatten_prunable(model)
+            acc_r, loss_r = nn.evaluate(model, mask, test_data)
+            pqi_r, gini_r = _surviving_index(mags, mask, index_norms)
+        else:
+            # One shot never retrains: this round's weights and mask are the
+            # ones last round's pruned metrics were taken under.
+            acc_r, loss_r, pqi_r, gini_r = acc_p, loss_p, pqi_p, gini_p
         d_t = mask.ones_count()
-        acc_r, loss_r = nn.evaluate(model, mask, test_data)
-        pqi_r, gini_r = _surviving_index(model, mask, index_norms)
 
-        next_mask = mask
+        drops = []
         group_logs = []
         c_total = 0
-        for group in partition(model, mask, scope):
+        for group in partition(model, mask, scope, mags):
             if group.survivors == 0:
                 continue  # exhausted in an earlier iteration
             entry = {"label": group.label, "d": group.survivors}
@@ -321,10 +326,11 @@ def run_pruning(
             entry["c"] = count
             group_logs.append(entry)
             c_total += count
-            next_mask = magnitude_prune(group, next_mask, count)
+            drops.append(magnitude_prune(group, count))
+        next_mask = mask.without(drops)
 
         acc_p, loss_p = nn.evaluate(model, next_mask, test_data)
-        pqi_p, _ = _surviving_index(model, next_mask, index_norms)
+        pqi_p, gini_p = _surviving_index(mags, next_mask, index_norms)
 
         record.iterations.append(
             IterationMetrics(

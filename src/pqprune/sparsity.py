@@ -110,23 +110,30 @@ def top_r_indices(w, r: int) -> np.ndarray:
     return order[:r]
 
 
-def eta_r(w, p: float, r: int) -> float:
+def eta_r(w, p: float, r: int | None = None):
     """Smallest eta with tail p-mass <= eta * head p-mass for the top-r set.
 
     Head is the r largest magnitudes (ties to the lowest index); returns the
     ratio of the remaining p-mass to the head p-mass. Zero when r = d.
+    With ``r=None`` returns the array of eta_r for every r = 1..d, from one
+    stable sort and two cumulative sums in O(d log d). The tail mass is
+    summed from the smallest entry up rather than taken as total minus
+    head, so it is exactly zero wherever only zeros remain.
     """
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
     w = _as_magnitudes(w)
+    if r is not None and not (1 <= r <= w.size):
+        raise ValueError(f"r must be in [1, {w.size}], got {r}")
     m = float(w.max())
     if m == 0.0:
         raise UndefinedIndexError("eta undefined for all-zero vector")
-    head = top_r_indices(w, r)
-    s = (w / m) ** p
-    head_mass = float(s[head].sum())
-    tail_mass = float(s.sum()) - head_mass
-    return max(tail_mass, 0.0) / head_mass
+    s = ((w / m) ** p)[top_r_indices(w, w.size)]
+    head = np.cumsum(s)
+    tail = np.zeros_like(s)
+    tail[:-1] = np.cumsum(s[:0:-1])[::-1]
+    curve = tail / head
+    return curve if r is None else float(curve[r - 1])
 
 
 def pqi_lower_bound(d: int, index_value: float, eta: float, norms: NormPair) -> float:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +77,24 @@ class TestConfig:
         with pytest.raises(ValueError, match="duplicate"):
             parse_config("model = MLP\nmodel = Linear\n")
 
+    def test_duplicate_seeds_rejected(self):
+        with pytest.raises(ValueError, match="seeds: duplicate entries 0"):
+            parse_config("seeds = 0,1,0\n")
+
+    def test_duplicate_algorithm_kinds_rejected(self):
+        with pytest.raises(ValueError, match="algorithm.kinds: duplicate entries sap"):
+            parse_config("algorithm.kinds = sap, lottery_ticket, sap\n")
+
+    def test_run_with_duplicate_seeds_exits_2(self, tmp_path, capsys):
+        # Two cells of one name used to collapse into one directory and
+        # exit 1 with no reason given.
+        cfg_path = tmp_path / "dup.cfg"
+        cfg_path.write_text(TINY_CONFIG.replace("seeds = 0,1", "seeds = 0,0") + "workers = 1\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "duplicate entries" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def run_cli(argv):
     return cli.main(argv)
@@ -112,6 +134,32 @@ class TestMeasureCommand:
         path.write_text("0\n0\n")
         assert run_cli(["measure", str(path)]) == 2
         assert "index undefined" in capsys.readouterr().err
+
+    def test_large_vector(self, tmp_path, capsys):
+        d = 100_000
+        values = np.random.default_rng(0).laplace(size=d)
+        path = tmp_path / "w.txt"
+        path.write_text("".join(f"{x!r}\n" for x in values.tolist()))
+        assert run_cli(["measure", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == d + 3
+        assert lines[2] == "r,eta_r,bound,satisfied"
+        assert [line.split(",")[0] for line in lines[3:]] == [str(r) for r in range(1, d + 1)]
+        assert all(line.endswith(",true") for line in lines[3:])
+        assert lines[-1].startswith(f"{d},0,")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    import pqprune
+
+    src = str(Path(pqprune.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, pqprune.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 class TestAuditCommand:

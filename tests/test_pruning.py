@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -73,12 +74,29 @@ class TestPartition:
             assert sorted(all_idx) == list(range(mask.index_map.total))
 
 
+def sequential_prune(group, mask, count):
+    """Reference step: a new mask per group with its `count` smallest
+    surviving magnitudes zeroed (ties to the lowest flat index, a count
+    above the survivors clamped with a warning)."""
+    if count > group.survivors:
+        logging.getLogger("pqprune.pruning").warning(
+            "prune count %d exceeds %d survivors in %s; clamping",
+            count, group.survivors, group.label,
+        )
+        count = group.survivors
+    out = mask.copy()
+    if count:
+        order = np.argsort(group.magnitudes, kind="stable")
+        out.flat[group.indices[order[:count]]] = 0.0
+    return out
+
+
 class TestMagnitudePrune:
     def test_smallest_two(self):
         params = single_row_params([0.5, 0.1, 0.3, 0.7])
         mask = PruningMask.all_ones(params)
         (group,) = partition(params, mask, Scope.GLOBAL)
-        out = magnitude_prune(group, mask, 2)
+        out = mask.without([magnitude_prune(group, 2)])
         assert list(out.flat) == [1.0, 0.0, 0.0, 1.0]
         assert list(mask.flat) == [1.0, 1.0, 1.0, 1.0]  # input untouched
 
@@ -87,14 +105,16 @@ class TestMagnitudePrune:
         mask = PruningMask.all_ones(params)
         mask.flat[1] = 0.0
         (group,) = partition(params, mask, Scope.GLOBAL)
-        out = magnitude_prune(group, mask, 1)
+        assert list(magnitude_prune(group, 1)) == [2]
+        out = mask.without([magnitude_prune(group, 1)])
         assert list(out.flat) == [1.0, 0.0, 0.0, 1.0]
 
     def test_tie_breaks_to_lowest_index(self):
         params = single_row_params([0.2, 0.2, 1.0])
         mask = PruningMask.all_ones(params)
         (group,) = partition(params, mask, Scope.GLOBAL)
-        out = magnitude_prune(group, mask, 1)
+        assert list(magnitude_prune(group, 1)) == [0]
+        out = mask.without([magnitude_prune(group, 1)])
         assert list(out.flat) == [0.0, 1.0, 1.0]
 
     def test_overlarge_count_clamped(self, caplog):
@@ -102,9 +122,40 @@ class TestMagnitudePrune:
         mask = PruningMask.all_ones(params)
         (group,) = partition(params, mask, Scope.GLOBAL)
         with caplog.at_level("WARNING"):
-            out = magnitude_prune(group, mask, 5)
+            out = mask.without([magnitude_prune(group, 5)])
         assert out.ones_count() == 0
         assert any("clamping" in m for m in caplog.messages)
+
+    @pytest.mark.parametrize("scope", list(Scope))
+    def test_one_pass_matches_sequential_oracle(self, scope, caplog):
+        rng = np.random.default_rng(11)
+        for trial in range(6):
+            params = nn.init_network(nn.mlp_spec(12, 3), seed=trial)
+            # Exact ties and zeros alongside the continuous weights.
+            params.weights[0][:, :4] = 0.25
+            params.weights[1][::3] = 0.0
+            mask = PruningMask.all_ones(params)
+            mask.flat[rng.random(mask.flat.size) < 0.3] = 0.0
+            groups = partition(params, mask, scope)
+            # 0, in range, or above the survivor count (clamped).
+            counts = [
+                int(rng.choice([0, rng.integers(0, g.survivors + 1), g.survivors + 3]))
+                for g in groups
+            ]
+            expected = mask
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                for group, count in zip(groups, counts):
+                    expected = sequential_prune(group, expected, count)
+                oracle_warnings = len(caplog.messages)
+                caplog.clear()
+                got = mask.without(magnitude_prune(g, c) for g, c in zip(groups, counts))
+                assert len(caplog.messages) == oracle_warnings
+            assert oracle_warnings == sum(c > g.survivors for g, c in zip(groups, counts))
+            np.testing.assert_array_equal(got.flat, expected.flat)
+            assert got.ones_count() == mask.ones_count() - sum(
+                min(c, g.survivors) for g, c in zip(groups, counts)
+            )
 
 
 class TestSapCount:
@@ -182,6 +233,19 @@ class TestRunPruning:
         for a, b in zip(rec.iterations, rec.iterations[1:]):
             assert a.acc_pruned == b.acc_retrained
             assert a.loss_pruned == b.loss_retrained
+
+    def test_one_shot_evaluates_once_per_round(self, monkeypatch):
+        specs, cfg, train, test = tiny_run_setup()
+        calls = []
+        evaluate = nn.evaluate
+        monkeypatch.setattr(nn, "evaluate", lambda *a: calls.append(1) or evaluate(*a))
+        rec = run_pruning(
+            AlgorithmSpec(kind="one_shot", iterations=4), Scope.NEURON_WISE, specs, cfg, train, test
+        )
+        assert len(calls) == len(rec.iterations) + 1
+        # The carried-over retrained index equals last round's pruned index.
+        for a, b in zip(rec.iterations, rec.iterations[1:]):
+            assert a.pqi_pruned == b.pqi_retrained
 
     def test_sap_replay_exact(self):
         specs, cfg, train, test = tiny_run_setup()

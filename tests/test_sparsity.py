@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -136,6 +137,70 @@ class TestEtaR:
             eta_r([1, 2], 0.5, 3)
         with pytest.raises(ValueError):
             eta_r([1, 2], 0.5, 0)
+
+
+def reference_eta_r(w, p, r, exact=False):
+    """eta_r for one r as first written: the p-mass of the top-r head, the
+    tail as total minus head. `exact` does the sums in rationals."""
+    w = np.abs(np.asarray(w, dtype=float))
+    s = (w / w.max()) ** p
+    head = top_r_indices(w, r)
+    if exact:
+        head_mass = sum(Fraction(x) for x in s[head])
+        return (sum(Fraction(x) for x in s) - head_mass) / head_mass
+    head_mass = float(s[head].sum())
+    tail_mass = float(s.sum()) - head_mass
+    return max(tail_mass, 0.0) / head_mass
+
+
+def tied_and_zero_vectors(seed, count, max_d):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d = int(rng.integers(1, max_d))
+        w = rng.laplace(size=d)
+        w[rng.random(d) < 0.3] = 0.0
+        w[rng.random(d) < 0.3] = w[0]
+        w[int(rng.integers(d))] = 1.5  # never all zero
+        yield w
+
+
+class TestEtaCurve:
+    @pytest.mark.parametrize("p", [0.25, 0.5, 1.0, 2.0])
+    def test_matches_per_r_reference(self, p):
+        # The reference takes the tail as total minus head, so its rounding
+        # error is relative to the total mass (1 + eta), not to eta: where
+        # only zeros remain it can leave ~1e-16 in place of 0.
+        for w in tied_and_zero_vectors(5, 60, 300):
+            curve = eta_r(w, p)
+            ref = np.array([reference_eta_r(w, p, r) for r in range(1, w.size + 1)])
+            assert curve.shape == (w.size,)
+            assert np.all(np.abs(curve - ref) <= 1e-12 * (1.0 + ref))
+
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_relative_error_against_exact_sums(self, p):
+        for w in tied_and_zero_vectors(6, 25, 60):
+            curve = eta_r(w, p)
+            for r in range(1, w.size + 1):
+                exact = reference_eta_r(w, p, r, exact=True)
+                if exact == 0:
+                    assert curve[r - 1] == 0.0
+                else:
+                    assert abs(Fraction(curve[r - 1]) / exact - 1) <= 1e-12
+
+    def test_full_r_exactly_zero(self):
+        for w in tied_and_zero_vectors(7, 40, 500):
+            for p in (0.5, 1.0):
+                assert eta_r(w, p)[-1] == 0.0
+                assert eta_r(w, p, w.size) == 0.0
+
+    def test_single_r_is_curve_entry(self):
+        w = [0.3, 0.0, 0.3, 2.0, 0.7]
+        curve = eta_r(w, 0.5)
+        assert [eta_r(w, 0.5, r) for r in range(1, 6)] == curve.tolist()
+
+    def test_all_zero_undefined(self):
+        with pytest.raises(UndefinedIndexError):
+            eta_r([0.0, 0.0], 0.5)
 
 
 class TestLowerBound:
