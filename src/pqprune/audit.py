@@ -11,7 +11,7 @@ rising_tide (adding a constant to unequal entries lowers it), cloning
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -75,22 +75,8 @@ class PropertyReport:
     def total_violations(self) -> int:
         return sum(r.violations for r in self.results)
 
-    def to_dict(self) -> dict:
-        return {
-            "measure": self.measure,
-            "results": [
-                {
-                    "property": r.property,
-                    "trials": r.trials,
-                    "violations": r.violations,
-                    "first_counterexample": r.first_counterexample,
-                }
-                for r in self.results
-            ],
-        }
-
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        return json.dumps(asdict(self), indent=indent)
 
 
 def _random_vector(rng: np.random.Generator, dims: tuple[int, int]) -> np.ndarray:

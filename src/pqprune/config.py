@@ -156,51 +156,5 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
-def serialize_config(cfg: ExperimentConfig) -> str:
-    lines = [
-        f"model = {cfg.model}",
-        f"scope = {cfg.scope.value}",
-    ]
-    if isinstance(cfg.dataset, SyntheticSpec):
-        ds = cfg.dataset
-        lines += [
-            "dataset.kind = synthetic",
-            f"dataset.n_samples = {ds.n_samples}",
-            f"dataset.n_features = {ds.n_features}",
-            f"dataset.n_classes = {ds.n_classes}",
-            f"dataset.class_separation = {ds.class_separation!r}",
-            f"dataset.seed = {ds.seed}",
-        ]
-    else:
-        ds = cfg.dataset
-        lines += [
-            "dataset.kind = idx",
-            f"dataset.train_images = {ds.train_images}",
-            f"dataset.train_labels = {ds.train_labels}",
-            f"dataset.test_images = {ds.test_images}",
-            f"dataset.test_labels = {ds.test_labels}",
-        ]
-    lines += [
-        f"algorithm.kinds = {','.join(cfg.algorithm_kinds)}",
-        f"algorithm.iterations = {cfg.iterations}",
-        f"algorithm.ratio = {cfg.ratio!r}",
-        f"sap.p = {cfg.sap.norms.p!r}",
-        f"sap.q = {cfg.sap.norms.q!r}",
-        f"sap.eta = {cfg.sap.eta!r}",
-        f"sap.gamma = {cfg.sap.gamma!r}",
-        f"sap.beta = {cfg.sap.beta!r}",
-        f"train.epochs = {cfg.train.epochs}",
-        f"train.batch_size = {cfg.train.batch_size}",
-        f"train.learning_rate = {cfg.train.learning_rate!r}",
-        f"train.momentum = {cfg.train.momentum!r}",
-        f"train.weight_decay = {cfg.train.weight_decay!r}",
-        f"train.nesterov = {str(cfg.train.nesterov).lower()}",
-        f"seeds = {','.join(str(s) for s in cfg.seeds)}",
-        f"output_dir = {cfg.output_dir}",
-        f"workers = {cfg.workers}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def load_config(path) -> ExperimentConfig:
     return parse_config(Path(path).read_text())

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import fcntl
 import json
-import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -131,23 +131,27 @@ def write_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path):
 
 @contextmanager
 def _dir_lock(directory: Path):
-    lock = directory / ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise RuntimeError(f"output directory {directory} is locked by another writer")
-    try:
-        os.close(fd)
+    """Exclusive flock on `directory/.lock` for the length of the block.
+
+    The kernel drops the lock when its holder exits, so a `.lock` file left
+    by a crashed writer blocks nobody. The file is never removed: unlinking
+    it would let two writers hold locks on two different files at once.
+    """
+    with open(directory / ".lock", "a") as f:
+        try:
+            fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise RuntimeError(
+                f"output directory {directory} is locked by another writer"
+            ) from None
         yield
-    finally:
-        lock.unlink(missing_ok=True)
 
 
 def write_run_record(rec: RunRecord, directory) -> None:
     """Write run.json (full record) and iterations.csv to `directory`.
 
-    Output bytes are deterministic for an identical record. Writers take an
-    exclusive lock file on the directory.
+    Output bytes are deterministic for an identical record. Writers hold an
+    exclusive flock on the directory's `.lock` file while they write.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)

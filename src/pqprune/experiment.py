@@ -5,7 +5,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -62,17 +64,12 @@ def run_cell(cfg: ExperimentConfig, alg: AlgorithmSpec, seed: int) -> RunRecord:
     return run_pruning(alg, cfg.scope, specs, train_cfg, train_data, test_data)
 
 
-def _cell_worker(args):
-    cfg, alg, seed, out_dir = args
-    record = run_cell(cfg, alg, seed)
-    write_run_record(record, Path(out_dir) / cell_name(alg.kind, seed))
-    return cell_name(alg.kind, seed), record
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir=None, workers=None) -> dict[str, RunRecord]:
     """Run every (seed x algorithm) cell, persist records, write summary.csv.
 
-    A cell that raises is marked failed and does not abort the others.
+    A cell that raises is marked failed and does not abort the others; the
+    failed cells are listed in failed_cells.txt, which a run without
+    failures removes.
     """
     out_dir = Path(out_dir if out_dir is not None else cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -84,37 +81,58 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, workers=None) -> dict[st
     ]
     results: dict[str, RunRecord] = {}
     failed: list[str] = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for (cfg_, alg, seed, _), outcome in zip(
-                jobs, pool.map(_try_cell, jobs)
-            ):
-                name = cell_name(alg.kind, seed)
-                if outcome is None:
-                    failed.append(name)
-                else:
-                    results[name] = outcome[1]
-    else:
-        for job in jobs:
-            outcome = _try_cell(job)
-            name = cell_name(job[1].kind, job[2])
-            if outcome is None:
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        outcomes = pool.map(_try_cell, jobs) if pool else map(_try_cell, jobs)
+        for (_, alg, seed, _), record in zip(jobs, outcomes):
+            name = cell_name(alg.kind, seed)
+            if record is None:
                 failed.append(name)
             else:
-                results[name] = outcome[1]
+                results[name] = record
+    failed_path = out_dir / "failed_cells.txt"
     if failed:
         log.warning("failed cells: %s", ", ".join(failed))
-        (out_dir / "failed_cells.txt").write_text("\n".join(failed) + "\n")
+        failed_path.write_text("\n".join(failed) + "\n")
+    else:
+        failed_path.unlink(missing_ok=True)
     (out_dir / "summary.csv").write_text(summarize_records(results))
     return results
 
 
-def _try_cell(args):
+def _try_cell(job) -> RunRecord | None:
+    """Run and persist one cell; None, with the traceback logged, if it raises."""
+    cfg, alg, seed, out_dir = job
+    name = cell_name(alg.kind, seed)
     try:
-        return _cell_worker(args)
+        record = run_cell(cfg, alg, seed)
+        write_run_record(record, Path(out_dir) / name)
     except Exception:
-        log.exception("cell %s failed", cell_name(args[1].kind, args[2]))
+        log.exception("cell %s failed", name)
         return None
+    return record
+
+
+def per_iteration(
+    runs: list[RunRecord], fields
+) -> Iterator[tuple[int, list[tuple[float, float]]]]:
+    """For each iteration t, the number of runs that reached t and the
+    (mean, sample std) of each field over them; the std is 0 for one run."""
+    for t in range(max(len(r.iterations) for r in runs)):
+        rows = [r.iterations[t] for r in runs if t < len(r.iterations)]
+        stats = []
+        for f in fields:
+            vals = np.array([getattr(it, f) for it in rows], dtype=float)
+            std = float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0
+            stats.append((float(vals.mean()), std))
+        yield len(rows), stats
+
+
+def _stat_columns(fields) -> list[str]:
+    return [f"{f}_{stat}" for f in fields for stat in ("mean", "std")]
+
+
+def _csv_cells(stats) -> list[str]:
+    return [format_value(x) for pair in stats for x in pair]
 
 
 def summarize_records(records: dict[str, RunRecord]) -> str:
@@ -128,21 +146,10 @@ def summarize_records(records: dict[str, RunRecord]) -> str:
         rec = records[name]
         if rec.completed:
             by_alg.setdefault(rec.config["algorithm"], []).append(rec)
-    header = ["algorithm", "t", "n_seeds"]
-    for f in SUMMARY_FIELDS:
-        header += [f"{f}_mean", f"{f}_std"]
-    lines = [",".join(header)]
+    lines = [",".join(["algorithm", "t", "n_seeds", *_stat_columns(SUMMARY_FIELDS)])]
     for alg in sorted(by_alg):
-        runs = by_alg[alg]
-        max_t = max(len(r.iterations) for r in runs)
-        for t in range(max_t):
-            rows = [r.iterations[t] for r in runs if t < len(r.iterations)]
-            out = [alg, str(t), str(len(rows))]
-            for f in SUMMARY_FIELDS:
-                vals = np.array([getattr(it, f) for it in rows], dtype=float)
-                std = float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0
-                out += [format_value(float(vals.mean())), format_value(std)]
-            lines.append(",".join(out))
+        for t, (n, stats) in enumerate(per_iteration(by_alg[alg], SUMMARY_FIELDS)):
+            lines.append(",".join([alg, str(t), str(n), *_csv_cells(stats)]))
     return "\n".join(lines) + "\n"
 
 
@@ -159,8 +166,10 @@ def trajectory_stats(records: list[RunRecord]) -> dict:
     # `report` needs it.
     from scipy.stats import spearmanr
 
-    pqi = _mean_trajectory(records, "pqi_retrained")
-    gini = _mean_trajectory(records, "gini_retrained")
+    pqi, gini = np.array([
+        [mean for mean, _ in stats]
+        for _, stats in per_iteration(records, ("pqi_retrained", "gini_retrained"))
+    ]).T
     rho = spearmanr(pqi, gini).statistic
     return {
         "pqi_argmin": int(np.nanargmin(pqi)),
@@ -169,23 +178,12 @@ def trajectory_stats(records: list[RunRecord]) -> dict:
     }
 
 
-def _mean_trajectory(records: list[RunRecord], field: str) -> np.ndarray:
-    max_t = max(len(r.iterations) for r in records)
-    out = []
-    for t in range(max_t):
-        vals = [
-            getattr(r.iterations[t], field)
-            for r in records
-            if t < len(r.iterations)
-        ]
-        out.append(float(np.mean(vals)))
-    return np.array(out)
-
-
 def write_report(run_dirs, out_dir) -> dict:
     """Emit the four per-iteration panel CSVs and trajectory_stats.json.
 
     All run dirs must share the same configuration apart from the seed.
+    As in summary.csv, only complete runs are aggregated; each incomplete
+    one is named in a warning.
     """
     records = [read_run_record(d) for d in run_dirs]
     if not records:
@@ -193,6 +191,12 @@ def write_report(run_dirs, out_dir) -> dict:
     keys = [_config_key(r) for r in records]
     if any(k != keys[0] for k in keys[1:]):
         raise ValueError("run directories have mixed configurations")
+    for d, rec in zip(run_dirs, records):
+        if not rec.completed:
+            log.warning("left out incomplete run %s", d)
+    records = [r for r in records if r.completed]
+    if not records:
+        raise ValueError("no complete runs")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -202,20 +206,10 @@ def write_report(run_dirs, out_dir) -> dict:
         "panel_pqi.csv": ("pqi_retrained", "pqi_pruned"),
         "panel_gini.csv": ("gini_retrained",),
     }
-    max_t = max(len(r.iterations) for r in records)
     for filename, fields in panels.items():
-        header = ["t"]
-        for f in fields:
-            header += [f"{f}_mean", f"{f}_std"]
-        lines = [",".join(header)]
-        for t in range(max_t):
-            rows = [r.iterations[t] for r in records if t < len(r.iterations)]
-            out = [str(t)]
-            for f in fields:
-                vals = np.array([getattr(it, f) for it in rows], dtype=float)
-                std = float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0
-                out += [format_value(float(vals.mean())), format_value(std)]
-            lines.append(",".join(out))
+        lines = [",".join(["t", *_stat_columns(fields)])]
+        for t, (_, stats) in enumerate(per_iteration(records, fields)):
+            lines.append(",".join([str(t), *_csv_cells(stats)]))
         (out_dir / filename).write_text("\n".join(lines) + "\n")
 
     stats = trajectory_stats(records)

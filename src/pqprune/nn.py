@@ -116,9 +116,6 @@ class NetworkParams:
     def num_weights(self) -> int:
         return sum(w.size for w in self.weights)
 
-    def num_params(self) -> int:
-        return self.num_weights() + sum(b.size for b in self.biases)
-
     def copy(self) -> "NetworkParams":
         return NetworkParams(
             self.specs,
@@ -261,7 +258,7 @@ def evaluate(params: NetworkParams, mask, data: Dataset) -> tuple[float, float]:
 
 
 class WeightIndexMap:
-    """Invertible map between flat prunable-weight positions and layer coords.
+    """Layout of the flat prunable-weight vector: each layer's slice of it.
 
     Flat order is layer-major, then row-major within each weight matrix.
     Biases are not prunable and do not appear.
@@ -273,23 +270,11 @@ class WeightIndexMap:
         self.offsets = np.concatenate([[0], np.cumsum(sizes)])
         self.total = int(self.offsets[-1])
 
-    def to_flat(self, layer: int, row: int, col: int) -> int:
-        rows, cols = self.shapes[layer]
-        return int(self.offsets[layer]) + row * cols + col
-
-    def from_flat(self, flat: int) -> tuple[int, int, int]:
-        if not (0 <= flat < self.total):
-            raise IndexError(f"flat index {flat} out of range")
-        layer = int(np.searchsorted(self.offsets, flat, side="right")) - 1
-        rem = flat - int(self.offsets[layer])
-        rows, cols = self.shapes[layer]
-        return layer, rem // cols, rem % cols
-
     def layer_slice(self, layer: int) -> slice:
         return slice(int(self.offsets[layer]), int(self.offsets[layer + 1]))
 
 
-def flatten_prunable(params: NetworkParams) -> tuple[np.ndarray, WeightIndexMap]:
-    """Absolute values of all weights as one flat vector, plus its index map."""
-    mags = np.concatenate([np.abs(w).ravel() for w in params.weights])
-    return mags, WeightIndexMap(params.weight_shapes)
+def flatten_prunable(params: NetworkParams) -> np.ndarray:
+    """Absolute values of all weights as one flat vector, in the order of
+    `WeightIndexMap(params.weight_shapes)`."""
+    return np.concatenate([np.abs(w).ravel() for w in params.weights])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -139,10 +139,10 @@ def partition(
 
     Global: one group. Layer-wise: one group per weight matrix. Neuron-wise:
     one group per row of each weight matrix (fan-in of one output unit).
-    `mags` may pass in `nn.flatten_prunable(params)[0]` already computed.
+    `mags` may pass in `nn.flatten_prunable(params)` already computed.
     """
     if mags is None:
-        mags, _ = nn.flatten_prunable(params)
+        mags = nn.flatten_prunable(params)
     index_map = mask.index_map
     alive = mask.flat == 1.0
     groups = []
@@ -272,14 +272,7 @@ def run_pruning(
             "index_p": index_norms.p,
             "index_q": index_norms.q,
             "seed": cfg.seed,
-            "train": {
-                "epochs": cfg.epochs,
-                "batch_size": cfg.batch_size,
-                "learning_rate": cfg.learning_rate,
-                "momentum": cfg.momentum,
-                "weight_decay": cfg.weight_decay,
-                "nesterov": cfg.nesterov,
-            },
+            "train": {k: v for k, v in asdict(cfg).items() if k != "seed"},
             "layers": [
                 {"in": s.in_size, "out": s.out_size, "activation": s.activation}
                 for s in layer_specs
@@ -295,7 +288,7 @@ def run_pruning(
                 record.events.append(f"iteration {t}: training diverged: {exc}")
                 record.completed = False
                 return record
-            mags, _ = nn.flatten_prunable(model)
+            mags = nn.flatten_prunable(model)
             acc_r, loss_r = nn.evaluate(model, mask, test_data)
             pqi_r, gini_r = _surviving_index(mags, mask, index_norms)
         else:

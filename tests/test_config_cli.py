@@ -7,18 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pqprune import cli
-from pqprune.config import (
-    ExperimentConfig,
-    IdxPaths,
-    load_config,
-    parse_config,
-    serialize_config,
-)
-from pqprune.data_io import SyntheticSpec
+from pqprune import cli, experiment
+from pqprune.config import ExperimentConfig, IdxPaths, parse_config
+from pqprune.data_io import SyntheticSpec, read_run_record, write_run_record
 from pqprune.experiment import trajectory_stats
-from pqprune.pruning import Scope
+from pqprune.nn import TrainConfig
+from pqprune.pruning import SapHyperParams, Scope
 from pqprune.records import IterationMetrics, RunRecord
+from pqprune.sparsity import NormPair
 
 TINY_CONFIG = """
 # desk config for fast tests
@@ -39,6 +35,24 @@ output_dir = runs
 """
 
 
+def tiny_config(dataset) -> ExperimentConfig:
+    """TINY_CONFIG built field by field; every other field at its default."""
+    return ExperimentConfig(
+        model="Linear",
+        scope=Scope.GLOBAL,
+        dataset=dataset,
+        algorithm_kinds=["sap", "lottery_ticket"],
+        iterations=3,
+        ratio=0.2,
+        sap=SapHyperParams(norms=NormPair(0.5, 1.0), eta=0.0, gamma=1.0, beta=0.9),
+        train=TrainConfig(epochs=2, batch_size=32, learning_rate=0.1, momentum=0.9,
+                          weight_decay=0.05, nesterov=True, seed=0),
+        seeds=[0, 1],
+        output_dir="runs",
+        workers=1,
+    )
+
+
 class TestConfig:
     def test_defaults_match_desk_analog(self):
         cfg = ExperimentConfig()
@@ -50,11 +64,13 @@ class TestConfig:
         assert cfg.ratio == 0.2
         assert cfg.seeds == [0, 1, 2, 3]
 
-    def test_round_trip_identity(self):
-        cfg = parse_config(TINY_CONFIG)
-        assert parse_config(serialize_config(cfg)) == cfg
+    def test_parse_builds_expected_config(self):
+        assert parse_config(TINY_CONFIG) == tiny_config(
+            SyntheticSpec(n_samples=200, n_features=8, n_classes=2,
+                          class_separation=5.0, seed=0)
+        )
 
-    def test_idx_dataset_round_trip(self):
+    def test_idx_dataset_parsed(self):
         text = TINY_CONFIG.replace(
             "dataset.kind = synthetic",
             "dataset.kind = idx\n"
@@ -65,9 +81,7 @@ class TestConfig:
             text = "\n".join(
                 l for l in text.splitlines() if not l.startswith(f"dataset.{key}")
             )
-        cfg = parse_config(text)
-        assert cfg.dataset == IdxPaths("a", "b", "c", "d")
-        assert parse_config(serialize_config(cfg)) == cfg
+        assert parse_config(text) == tiny_config(IdxPaths("a", "b", "c", "d"))
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
@@ -235,11 +249,58 @@ class TestRunAndReport:
         ]
         assert cli.main(["report", *dirs, "--out", str(tmp_path)]) == 2
 
+    def test_report_leaves_out_incomplete_runs(self, run_root, tmp_path, caplog):
+        out = run_root / "out"
+        diverged = diverged_copy(out / "sap_seed1", tmp_path / "sap_seed1", at=2)
+        alone, mixed = tmp_path / "alone", tmp_path / "mixed"
+        assert cli.main(["report", str(out / "sap_seed0"), "--out", str(alone)]) == 0
+        argv = ["report", str(out / "sap_seed0"), str(diverged), "--out", str(mixed)]
+        assert cli.main(argv) == 0
+        for panel in alone.iterdir():
+            assert (mixed / panel.name).read_bytes() == panel.read_bytes()
+        assert f"left out incomplete run {diverged}" in caplog.text
+
+    def test_report_without_complete_runs_exits_2(self, run_root, tmp_path, capsys):
+        out = run_root / "out"
+        dirs = [
+            str(diverged_copy(out / f"sap_seed{s}", tmp_path / f"sap_seed{s}", at=0))
+            for s in (0, 1)
+        ]
+        assert cli.main(["report", *dirs, "--out", str(tmp_path / "report")]) == 2
+        assert "no complete runs" in capsys.readouterr().err
+
+    def test_clean_rerun_removes_failed_cells(self, run_root, tmp_path, monkeypatch):
+        run_cell = experiment.run_cell
+
+        def fail_seed1(cfg, alg, seed):
+            if seed == 1:
+                raise RuntimeError("injected failure")
+            return run_cell(cfg, alg, seed)
+
+        argv = ["run", "--config", str(run_root / "exp.cfg"), "--out", str(tmp_path)]
+        monkeypatch.setattr(experiment, "run_cell", fail_seed1)
+        assert cli.main(argv) == 1
+        failed = (tmp_path / "failed_cells.txt").read_text()
+        assert failed == "sap_seed1\nlottery_ticket_seed1\n"
+        monkeypatch.undo()
+        assert cli.main(argv) == 0
+        assert not (tmp_path / "failed_cells.txt").exists()
+
     def test_env_var_output_root(self, run_root, tmp_path, monkeypatch):
         monkeypatch.setenv("PQI_PRUNE_OUT", str(tmp_path / "envout"))
         cfg_path = run_root / "exp.cfg"
         assert cli.main(["run", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "envout" / "summary.csv").exists()
+
+
+def diverged_copy(src, dst, at):
+    """A copy of the run in `src`, cut short as if training diverged at iteration `at`."""
+    rec = read_run_record(src)
+    rec.iterations = rec.iterations[:at]
+    rec.events.append(f"iteration {at}: training diverged: non-finite loss")
+    rec.completed = False
+    write_run_record(rec, dst)
+    return dst
 
 
 def synthetic_record(pqi_traj, gini_traj):

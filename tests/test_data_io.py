@@ -1,3 +1,5 @@
+import fcntl
+
 import numpy as np
 import pytest
 
@@ -157,9 +159,18 @@ class TestRunRecordIO:
     def test_lock_excludes_second_writer(self, tmp_path):
         target = tmp_path / "run"
         target.mkdir()
-        (target / ".lock").touch()
-        with pytest.raises(RuntimeError, match="locked"):
-            write_run_record(make_record(), target)
+        with open(target / ".lock", "a") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            with pytest.raises(RuntimeError, match="locked"):
+                write_run_record(make_record(), target)
+
+    def test_leftover_lock_file_does_not_block(self, tmp_path):
+        target = tmp_path / "run"
+        target.mkdir()
+        (target / ".lock").touch()  # as left by a writer that died
+        write_run_record(make_record(), target)
+        write_run_record(make_record(iterations=2), target)
+        assert read_run_record(target) == make_record(iterations=2)
 
     def test_missing_record_has_path_context(self, tmp_path):
         with pytest.raises(RuntimeError, match=str(tmp_path)):

@@ -33,11 +33,11 @@ class TestInit:
     def test_mlp_weight_count(self):
         params = nn.init_network(nn.mlp_spec(784, 10), seed=0)
         assert params.num_weights() == 784 * 128 + 128 * 256 + 256 * 10 == 135_680
-        assert params.num_params() == 136_074
+        assert params.num_weights() + sum(b.size for b in params.biases) == 136_074
 
     def test_linear_param_count(self):
         params = nn.init_network(nn.linear_spec(784, 10), seed=0)
-        assert params.num_params() == 7_850
+        assert params.num_weights() + sum(b.size for b in params.biases) == 7_850
 
     def test_biases_zero_and_snapshot_frozen(self):
         params = nn.init_network(toy_specs(), seed=0)
@@ -192,17 +192,22 @@ class TestGradients:
 class TestFlatten:
     def test_mlp_length(self):
         params = nn.init_network(nn.mlp_spec(784, 10), seed=0)
-        mags, index_map = nn.flatten_prunable(params)
-        assert mags.size == 135_680 == index_map.total
+        mags = nn.flatten_prunable(params)
+        assert mags.size == 135_680 == nn.WeightIndexMap(params.weight_shapes).total
 
     def test_round_trip(self):
+        # Layer-major, row-major: each layer's slice reshapes back to |W|.
         params = nn.init_network(toy_specs(), seed=10)
-        _, index_map = nn.flatten_prunable(params)
-        for flat in range(index_map.total):
-            assert index_map.to_flat(*index_map.from_flat(flat)) == flat
+        mags = nn.flatten_prunable(params)
+        index_map = nn.WeightIndexMap(params.weight_shapes)
+        for l, w in enumerate(params.weights):
+            layer = mags[index_map.layer_slice(l)]
+            assert np.array_equal(layer.reshape(w.shape), np.abs(w))
 
     def test_signed_weight_magnitude(self):
         params = nn.init_network(toy_specs(), seed=10)
         params.weights[1][2, 3] = -0.7
-        mags, index_map = nn.flatten_prunable(params)
-        assert mags[index_map.to_flat(1, 2, 3)] == pytest.approx(0.7)
+        mags = nn.flatten_prunable(params)
+        index_map = nn.WeightIndexMap(params.weight_shapes)
+        cols = params.weights[1].shape[1]
+        assert mags[index_map.layer_slice(1)][2 * cols + 3] == pytest.approx(0.7)
