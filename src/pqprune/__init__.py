@@ -12,7 +12,6 @@ from .nn import (
     init_network,
     linear_spec,
     mlp_spec,
-    rewind,
     train,
 )
 from .pruning import (

@@ -80,6 +80,8 @@ def cmd_audit(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
+    if args.workers < 0:
+        raise ValueError("--workers must be >= 1, or 0 to use the config's workers")
     out = args.out or os.environ.get("PQI_PRUNE_OUT") or cfg.output_dir
     workers = args.workers if args.workers else cfg.workers
     results = run_experiment(cfg, out_dir=out, workers=workers)

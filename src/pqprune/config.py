@@ -151,6 +151,8 @@ def parse_config(text: str) -> ExperimentConfig:
         cfg.seeds = _unique("seeds", [int(s) for s in seeds.split(",") if s.strip()])
     cfg.output_dir = take("output_dir", cfg.output_dir)
     cfg.workers = int(take("workers", cfg.workers))
+    if cfg.workers < 1:
+        raise ValueError("workers must be >= 1")
     if kv:
         raise ValueError(f"unknown config keys: {sorted(kv)}")
     return cfg

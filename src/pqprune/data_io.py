@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import fcntl
 import json
+import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -147,19 +148,32 @@ def _dir_lock(directory: Path):
         yield
 
 
+def write_text_atomic(path: Path, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then move it onto
+    `path` with os.replace. A writer that fails mid-write leaves the previous
+    complete file, never a truncated one."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_run_record(rec: RunRecord, directory) -> None:
     """Write run.json (full record) and iterations.csv to `directory`.
 
     Output bytes are deterministic for an identical record. Writers hold an
-    exclusive flock on the directory's `.lock` file while they write.
+    exclusive flock on the directory's `.lock` file while they write, and
+    each file is replaced whole (`write_text_atomic`).
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     with _dir_lock(directory):
-        (directory / "run.json").write_text(
-            json.dumps(rec.to_dict(), indent=2) + "\n"
+        write_text_atomic(
+            directory / "run.json", json.dumps(rec.to_dict(), indent=2) + "\n"
         )
-        (directory / "iterations.csv").write_text(rec.iterations_csv())
+        write_text_atomic(directory / "iterations.csv", rec.iterations_csv())
 
 
 def read_run_record(directory) -> RunRecord:

@@ -20,6 +20,7 @@ from .data_io import (
     load_idx,
     read_run_record,
     write_run_record,
+    write_text_atomic,
 )
 from .pruning import AlgorithmSpec, run_pruning
 from .records import RunRecord, format_value
@@ -69,7 +70,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, workers=None) -> dict[st
 
     A cell that raises is marked failed and does not abort the others; the
     failed cells are listed in failed_cells.txt, which a run without
-    failures removes.
+    failures removes. With workers > 1, a worker that dies (killed, or
+    exiting without returning) breaks its pool: its own cell and every cell
+    still pending in that pool fail, and summary.csv covers the cells that
+    completed.
     """
     out_dir = Path(out_dir if out_dir is not None else cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -79,12 +83,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, workers=None) -> dict[st
         for alg in cfg.algorithms()
         for seed in cfg.seeds
     ]
+    names = [cell_name(alg.kind, seed) for _, alg, seed, _ in jobs]
     results: dict[str, RunRecord] = {}
     failed: list[str] = []
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        outcomes = pool.map(_try_cell, jobs) if pool else map(_try_cell, jobs)
-        for (_, alg, seed, _), record in zip(jobs, outcomes):
-            name = cell_name(alg.kind, seed)
+        if pool:
+            futures = [pool.submit(_try_cell, job) for job in jobs]
+            outcomes = map(_cell_result, names, futures)
+        else:
+            outcomes = map(_try_cell, jobs)
+        for name, record in zip(names, outcomes):
             if record is None:
                 failed.append(name)
             else:
@@ -92,10 +100,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, workers=None) -> dict[st
     failed_path = out_dir / "failed_cells.txt"
     if failed:
         log.warning("failed cells: %s", ", ".join(failed))
-        failed_path.write_text("\n".join(failed) + "\n")
+        write_text_atomic(failed_path, "\n".join(failed) + "\n")
     else:
         failed_path.unlink(missing_ok=True)
-    (out_dir / "summary.csv").write_text(summarize_records(results))
+    write_text_atomic(out_dir / "summary.csv", summarize_records(results))
     return results
 
 
@@ -110,6 +118,16 @@ def _try_cell(job) -> RunRecord | None:
         log.exception("cell %s failed", name)
         return None
     return record
+
+
+def _cell_result(name: str, future) -> RunRecord | None:
+    """The pooled cell's record; None, with the traceback logged, if reading
+    the result raises, as BrokenProcessPool does after a worker died."""
+    try:
+        return future.result()
+    except Exception:
+        log.exception("cell %s failed", name)
+        return None
 
 
 def per_iteration(

@@ -58,6 +58,18 @@ class TrainConfig:
     nesterov: bool = True
     seed: int = 0
 
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.learning_rate < 0:
+            raise ValueError("learning_rate must be >= 0")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
+        if not (0.0 <= self.momentum < 1.0):
+            raise ValueError("momentum must be in [0, 1)")
+
 
 @dataclass
 class Dataset:
@@ -79,50 +91,33 @@ class Dataset:
 
 
 class NetworkParams:
-    """Per-layer weight matrices (out x in) and bias vectors.
+    """Every weight, layer-major and row-major within each (out x in)
+    matrix, then every bias, held in one float vector `flat`.
 
-    Keeps an immutable snapshot of the parameters taken at construction,
-    used for rewinding surviving weights to their initial values.
+    `weights` and `biases` are per-layer views into `flat`, so a write
+    through either shows in the other. The first `n_weights` entries are
+    the prunable ones, in the order of a `PruningMask`.
     """
 
-    def __init__(self, specs, weights, biases, _snapshot=None):
+    def __init__(self, specs, weights, biases):
         self.specs = list(specs)
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
-        for spec, w, b in zip(self.specs, self.weights, self.biases):
-            if w.shape != (spec.out_size, spec.in_size) or b.shape != (spec.out_size,):
-                raise ValueError(f"parameter shape mismatch for {spec}")
-        if _snapshot is None:
-            _snapshot = (
-                [w.copy() for w in self.weights],
-                [b.copy() for b in self.biases],
-            )
-            for arr in _snapshot[0] + _snapshot[1]:
-                arr.setflags(write=False)
-        self._snapshot = _snapshot
-
-    @property
-    def init_weights(self):
-        return self._snapshot[0]
-
-    @property
-    def init_biases(self):
-        return self._snapshot[1]
-
-    @property
-    def weight_shapes(self):
-        return [w.shape for w in self.weights]
-
-    def num_weights(self) -> int:
-        return sum(w.size for w in self.weights)
+        arrays = [*weights, *biases]
+        shapes = [(s.out_size, s.in_size) for s in self.specs]
+        shapes += [(s.out_size,) for s in self.specs]
+        if [np.shape(a) for a in arrays] != shapes:
+            raise ValueError("parameter shapes do not match the layer specs")
+        self.flat = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
+        views, offset = [], 0
+        for shape in shapes:
+            size = math.prod(shape)
+            views.append(self.flat[offset : offset + size].reshape(shape))
+            offset += size
+        self.weights = views[: len(self.specs)]
+        self.biases = views[len(self.specs) :]
+        self.n_weights = sum(w.size for w in self.weights)
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            self.specs,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            _snapshot=self._snapshot,
-        )
+        return NetworkParams(self.specs, self.weights, self.biases)
 
 
 def init_network(specs: list[LayerSpec], seed: int) -> NetworkParams:
@@ -141,16 +136,6 @@ def init_network(specs: list[LayerSpec], seed: int) -> NetworkParams:
         weights.append(rng.uniform(-bound, bound, size=(spec.out_size, spec.in_size)))
         biases.append(np.zeros(spec.out_size))
     return NetworkParams(specs, weights, biases)
-
-
-def rewind(params: NetworkParams, mask) -> NetworkParams:
-    """Initial snapshot with masked entries zeroed; the input is untouched."""
-    layers = mask.layers
-    if [m.shape for m in layers] != params.weight_shapes:
-        raise ValueError("mask shape does not match parameters")
-    weights = [w0 * m for w0, m in zip(params.init_weights, layers)]
-    biases = [b0.copy() for b0 in params.init_biases]
-    return NetworkParams(params.specs, weights, biases, _snapshot=params._snapshot)
 
 
 def _forward(params: NetworkParams, X: np.ndarray):
@@ -198,22 +183,26 @@ def cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
     return base_lr * (1.0 + math.cos(math.pi * epoch / total_epochs)) / 2.0
 
 
+def _masked_copy(params: NetworkParams, mask) -> NetworkParams:
+    """A copy of `params` with the weights that `mask.flat` drops zeroed."""
+    if mask.flat.shape != (params.n_weights,):
+        raise ValueError("mask length does not match the network's weights")
+    out = params.copy()
+    out.flat[: out.n_weights] *= mask.flat
+    return out
+
+
 def train(params: NetworkParams, mask, data: Dataset, cfg: TrainConfig) -> NetworkParams:
     """SGD with momentum/Nesterov/weight-decay under a frozen pruning mask.
 
-    Masked gradients are zeroed before each update and masked weights are
-    re-zeroed after it, so pruned entries stay exactly zero. The shuffle
-    order for epoch e is drawn from a generator keyed on (seed, e), making
-    runs reproducible.
+    Training starts from `params` with the masked weights zeroed; `params`
+    itself is untouched. Masked gradients are zeroed before each update,
+    so the masked gradient, velocity and weight entries all stay exactly
+    zero. The shuffle order for epoch e is drawn from a generator keyed on
+    (seed, e), making runs reproducible.
     """
-    net = params.copy()
-    mlayers = mask.layers
-    if [m.shape for m in mlayers] != net.weight_shapes:
-        raise ValueError("mask shape does not match parameters")
-    for w, m in zip(net.weights, mlayers):
-        w *= m
-    vel_w = [np.zeros_like(w) for w in net.weights]
-    vel_b = [np.zeros_like(b) for b in net.biases]
+    net = _masked_copy(params, mask)
+    vel = np.zeros_like(net.flat)
     n = len(data)
     batch = min(cfg.batch_size, n)
     for epoch in range(cfg.epochs):
@@ -226,18 +215,13 @@ def train(params: NetworkParams, mask, data: Dataset, cfg: TrainConfig) -> Netwo
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch offset {start}"
                 )
-            for l in range(len(net.specs)):
-                gw = grad_w[l] + cfg.weight_decay * net.weights[l]
-                gw *= mlayers[l]
-                vel_w[l] = cfg.momentum * vel_w[l] + gw
-                step = gw + cfg.momentum * vel_w[l] if cfg.nesterov else vel_w[l]
-                net.weights[l] -= lr * step
-                net.weights[l] *= mlayers[l]
-
-                gb = grad_b[l] + cfg.weight_decay * net.biases[l]
-                vel_b[l] = cfg.momentum * vel_b[l] + gb
-                step = gb + cfg.momentum * vel_b[l] if cfg.nesterov else vel_b[l]
-                net.biases[l] -= lr * step
+            grad = np.concatenate([*(g.ravel() for g in grad_w), *grad_b])
+            grad += cfg.weight_decay * net.flat
+            grad[: net.n_weights] *= mask.flat
+            vel *= cfg.momentum
+            vel += grad
+            step = grad + cfg.momentum * vel if cfg.nesterov else vel
+            net.flat -= lr * step
     return net
 
 
@@ -248,33 +232,13 @@ def evaluate(params: NetworkParams, mask, data: Dataset) -> tuple[float, float]:
     """
     if len(data) == 0:
         raise ValueError("empty dataset")
-    masked = params.copy()
-    for w, m in zip(masked.weights, mask.layers):
-        w *= m
-    logits, _ = _forward(masked, data.inputs)
+    logits, _ = _forward(_masked_copy(params, mask), data.inputs)
     loss, _ = _softmax_xent(logits, data.labels)
     pred = logits.argmax(axis=1)
     return float((pred == data.labels).mean()), loss
 
 
-class WeightIndexMap:
-    """Layout of the flat prunable-weight vector: each layer's slice of it.
-
-    Flat order is layer-major, then row-major within each weight matrix.
-    Biases are not prunable and do not appear.
-    """
-
-    def __init__(self, shapes):
-        self.shapes = [tuple(s) for s in shapes]
-        sizes = [r * c for r, c in self.shapes]
-        self.offsets = np.concatenate([[0], np.cumsum(sizes)])
-        self.total = int(self.offsets[-1])
-
-    def layer_slice(self, layer: int) -> slice:
-        return slice(int(self.offsets[layer]), int(self.offsets[layer + 1]))
-
-
 def flatten_prunable(params: NetworkParams) -> np.ndarray:
     """Absolute values of all weights as one flat vector, in the order of
-    `WeightIndexMap(params.weight_shapes)`."""
-    return np.concatenate([np.abs(w).ravel() for w in params.weights])
+    `params.flat` and of a `PruningMask`."""
+    return np.abs(params.flat[: params.n_weights])

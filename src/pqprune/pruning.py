@@ -1,9 +1,10 @@
 """Mask lifecycle, pruning scopes, magnitude pruning, and the run loops.
 
 Three iterative algorithms operate over a shared loop: `lottery_ticket`
-(rewind + retrain each iteration, fixed ratio), `sap` (rewind + retrain,
-adaptive count from the sparsity-index retention bound), and `one_shot`
-(train once, iteratively mask the same trained weights).
+(retrain from the initial weights under the current mask each iteration,
+fixed ratio), `sap` (the same retraining, adaptive count from the
+sparsity-index retention bound), and `one_shot` (train once, iteratively
+mask the same trained weights).
 """
 
 from __future__ import annotations
@@ -35,43 +36,25 @@ class Scope(str, Enum):
 
 
 class PruningMask:
-    """Binary keep/drop mask aligned with a network's weight matrices.
+    """Keep/drop mask over a network's weights: a bool vector `flat` in the
+    order of `NetworkParams.flat[:n_weights]`, True where a weight is kept."""
 
-    Stored as one flat 0/1 vector; `layers` exposes per-layer views with the
-    weight-matrix shapes, so in-place edits through either view agree.
-    """
-
-    def __init__(self, index_map: nn.WeightIndexMap, flat: np.ndarray | None = None):
-        self.index_map = index_map
-        if flat is None:
-            flat = np.ones(index_map.total)
-        flat = np.asarray(flat, dtype=float)
-        if flat.shape != (index_map.total,):
-            raise ValueError("mask length does not match index map")
-        if not np.all((flat == 0.0) | (flat == 1.0)):
-            raise ValueError("mask entries must be 0 or 1")
-        self.flat = flat
-        self.layers = [
-            flat[index_map.layer_slice(l)].reshape(shape)
-            for l, shape in enumerate(index_map.shapes)
-        ]
+    def __init__(self, flat):
+        self.flat = np.asarray(flat, dtype=bool)
 
     @classmethod
     def all_ones(cls, params: nn.NetworkParams) -> "PruningMask":
-        return cls(nn.WeightIndexMap(params.weight_shapes))
+        return cls(np.ones(params.n_weights, dtype=bool))
 
     def ones_count(self) -> int:
-        return int(self.flat.sum())
-
-    def copy(self) -> "PruningMask":
-        return PruningMask(self.index_map, self.flat.copy())
+        return int(np.count_nonzero(self.flat))
 
     def without(self, drops) -> "PruningMask":
-        """One copy with the flat indices in every array of `drops` zeroed."""
-        out = self.copy()
+        """One copy with the flat indices in every array of `drops` cleared."""
+        flat = self.flat.copy()
         for indices in drops:
-            out.flat[indices] = 0.0
-        return out
+            flat[indices] = False
+        return PruningMask(flat)
 
 
 @dataclass(frozen=True)
@@ -143,25 +126,24 @@ def partition(
     """
     if mags is None:
         mags = nn.flatten_prunable(params)
-    index_map = mask.index_map
-    alive = mask.flat == 1.0
     groups = []
 
     def make(label, lo, hi):
-        idx = np.nonzero(alive[lo:hi])[0] + lo
+        idx = np.nonzero(mask.flat[lo:hi])[0] + lo
         groups.append(Group(label=label, indices=idx, magnitudes=mags[idx]))
 
     if scope == Scope.GLOBAL:
-        make("global", 0, index_map.total)
-    elif scope == Scope.LAYER_WISE:
-        for l in range(len(index_map.shapes)):
-            s = index_map.layer_slice(l)
-            make(f"layer{l}", s.start, s.stop)
-    elif scope == Scope.NEURON_WISE:
-        for l, (rows, cols) in enumerate(index_map.shapes):
-            base = index_map.layer_slice(l).start
-            for r in range(rows):
-                make(f"layer{l}/neuron{r}", base + r * cols, base + (r + 1) * cols)
+        make("global", 0, params.n_weights)
+    elif scope in (Scope.LAYER_WISE, Scope.NEURON_WISE):
+        base = 0
+        for l, w in enumerate(params.weights):
+            rows, cols = w.shape
+            if scope == Scope.LAYER_WISE:
+                make(f"layer{l}", base, base + w.size)
+            else:
+                for r in range(rows):
+                    make(f"layer{l}/neuron{r}", base + r * cols, base + (r + 1) * cols)
+            base += w.size
     else:
         raise ValueError(f"unknown scope {scope!r}")
     return groups
@@ -226,7 +208,7 @@ def sap_count(group: Group, hp: SapHyperParams) -> SapDecision:
 def _surviving_index(mags: np.ndarray, mask: PruningMask, norms: NormPair):
     """(pq_index, gini) of the surviving entries of the flat weight
     magnitudes `mags`; NaN if undefined."""
-    surv = mags[mask.flat == 1.0]
+    surv = mags[mask.flat]
     try:
         return pq_index(surv, norms), gini_index(surv)
     except (UndefinedIndexError, ValueError):
@@ -283,7 +265,7 @@ def run_pruning(
     for t in range(alg.iterations + 1):
         if alg.kind != "one_shot" or t == 0:
             try:
-                model = nn.train(nn.rewind(params, mask), mask, train_data, cfg)
+                model = nn.train(params, mask, train_data, cfg)
             except nn.TrainingDivergedError as exc:
                 record.events.append(f"iteration {t}: training diverged: {exc}")
                 record.completed = False

@@ -109,6 +109,39 @@ class TestConfig:
         assert "duplicate entries" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "train.epochs = 0",
+            "train.batch_size = -5",
+            "train.batch_size = 0",
+            "train.learning_rate = -1",
+            "train.weight_decay = -0.5",
+            "train.momentum = 1",
+            "train.momentum = -0.1",
+            "workers = -2",
+            "workers = 0",
+        ],
+    )
+    def test_run_with_bad_value_exits_2(self, tmp_path, capsys, line):
+        setting = line.split(" = ")[0]
+        kept = [l for l in TINY_CONFIG.splitlines() if not l.startswith(setting + " ")]
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text("\n".join(kept + [line]) + "\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert setting.split(".")[-1] in capsys.readouterr().err  # the key's field name
+        assert not out.exists()
+
+    def test_run_with_negative_workers_flag_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CONFIG)
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(cfg_path), "--workers", "-2", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def run_cli(argv):
     return cli.main(argv)
@@ -285,6 +318,27 @@ class TestRunAndReport:
         monkeypatch.undo()
         assert cli.main(argv) == 0
         assert not (tmp_path / "failed_cells.txt").exists()
+
+    def test_dead_worker_fails_only_its_pool(self, run_root, tmp_path, monkeypatch):
+        # The worker exits without returning, as an OOM kill would end it.
+        run_cell = experiment.run_cell
+
+        def die_on_seed1(cfg, alg, seed):
+            if seed == 1:
+                os._exit(1)
+            return run_cell(cfg, alg, seed)
+
+        monkeypatch.setattr(experiment, "run_cell", die_on_seed1)
+        argv = ["run", "--config", str(run_root / "exp.cfg"), "--out", str(tmp_path),
+                "--workers", "2"]
+        assert cli.main(argv) == 1
+        failed = (tmp_path / "failed_cells.txt").read_text().splitlines()
+        assert {"sap_seed1", "lottery_ticket_seed1"} <= set(failed)
+        cells = {f"{kind}_seed{s}" for kind in ("sap", "lottery_ticket") for s in (0, 1)}
+        completed = {name: read_run_record(tmp_path / name) for name in cells - set(failed)}
+        assert all(rec.completed for rec in completed.values())
+        summary = (tmp_path / "summary.csv").read_text()
+        assert summary == experiment.summarize_records(completed)
 
     def test_env_var_output_root(self, run_root, tmp_path, monkeypatch):
         monkeypatch.setenv("PQI_PRUNE_OUT", str(tmp_path / "envout"))

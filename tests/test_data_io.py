@@ -1,4 +1,5 @@
 import fcntl
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,6 +172,22 @@ class TestRunRecordIO:
         write_run_record(make_record(), target)
         write_run_record(make_record(iterations=2), target)
         assert read_run_record(target) == make_record(iterations=2)
+
+    def test_failed_write_keeps_previous_record(self, tmp_path, monkeypatch):
+        target = tmp_path / "run"
+        write_run_record(make_record(), target)
+        write_text = Path.write_text
+
+        def write_half_then_fail(path, text, *args, **kwargs):
+            write_text(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_run_record(make_record(iterations=2), target)
+        monkeypatch.undo()
+        assert read_run_record(target) == make_record()
+        assert sorted(p.name for p in target.iterdir()) == [".lock", "iterations.csv", "run.json"]
 
     def test_missing_record_has_path_context(self, tmp_path):
         with pytest.raises(RuntimeError, match=str(tmp_path)):

@@ -32,58 +32,63 @@ class TestInit:
 
     def test_mlp_weight_count(self):
         params = nn.init_network(nn.mlp_spec(784, 10), seed=0)
-        assert params.num_weights() == 784 * 128 + 128 * 256 + 256 * 10 == 135_680
-        assert params.num_weights() + sum(b.size for b in params.biases) == 136_074
+        assert params.n_weights == 784 * 128 + 128 * 256 + 256 * 10 == 135_680
+        assert params.flat.size == 136_074
 
     def test_linear_param_count(self):
         params = nn.init_network(nn.linear_spec(784, 10), seed=0)
-        assert params.num_weights() + sum(b.size for b in params.biases) == 7_850
+        assert params.flat.size == 7_850
 
-    def test_biases_zero_and_snapshot_frozen(self):
+    def test_biases_zero(self):
         params = nn.init_network(toy_specs(), seed=0)
         assert all(np.all(b == 0) for b in params.biases)
-        with pytest.raises(ValueError):
-            params.init_weights[0][0, 0] = 99.0
 
     def test_mismatched_chain_rejected(self):
         with pytest.raises(ValueError):
             nn.init_network([nn.LayerSpec(5, 4, "relu"), nn.LayerSpec(3, 2, "none")], 0)
 
 
+def start_weights(params, mask):
+    """The weights training starts from: with no learning rate and no weight
+    decay, `train` returns them unchanged."""
+    cfg = nn.TrainConfig(epochs=1, batch_size=8, learning_rate=0.0, weight_decay=0.0)
+    return nn.train(params, mask, separable_data(), cfg)
+
+
 class TestRewind:
+    """Each round trains from the initial weights under the round's mask."""
+
     def test_identity_mask(self):
         params = nn.init_network(toy_specs(), seed=1)
-        mask = PruningMask.all_ones(params)
-        back = nn.rewind(params, mask)
-        for w, w0 in zip(back.weights, params.init_weights):
-            assert np.array_equal(w, w0)
+        start = start_weights(params, PruningMask.all_ones(params))
+        assert np.array_equal(start.flat, params.flat)
 
     def test_zeroed_layer(self):
         params = nn.init_network(toy_specs(), seed=1)
         mask = PruningMask.all_ones(params)
-        mask.layers[1][:] = 0.0
-        back = nn.rewind(params, mask)
-        assert np.all(back.weights[1] == 0.0)
-        assert np.array_equal(back.weights[0], params.init_weights[0])
+        lo = params.weights[0].size
+        mask.flat[lo : lo + params.weights[1].size] = False
+        start = start_weights(params, mask)
+        assert np.all(start.weights[1] == 0.0)
+        assert np.array_equal(start.weights[0], params.weights[0])
+        assert np.array_equal(start.weights[2], params.weights[2])
 
     def test_single_entry(self):
         params = nn.init_network(toy_specs(), seed=1)
         mask = PruningMask.all_ones(params)
-        mask.layers[0][0, 0] = 0.0
-        back = nn.rewind(params, mask)
-        assert back.weights[0][0, 0] == 0.0
-        expected = params.init_weights[0].copy()
+        mask.flat[0] = False
+        start = start_weights(params, mask)
+        expected = params.weights[0].copy()
         expected[0, 0] = 0.0
-        assert np.array_equal(back.weights[0], expected)
+        assert np.array_equal(start.weights[0], expected)
 
     def test_original_untouched(self):
         params = nn.init_network(toy_specs(), seed=1)
-        before = [w.copy() for w in params.weights]
+        before = params.flat.copy()
         mask = PruningMask.all_ones(params)
-        mask.flat[:] = 0.0
-        nn.rewind(params, PruningMask(mask.index_map, mask.flat))
-        for w, b in zip(params.weights, before):
-            assert np.array_equal(w, b)
+        mask.flat[:] = False
+        start_weights(params, mask)
+        assert np.array_equal(params.flat, before)
 
 
 class TestTrain:
@@ -95,11 +100,10 @@ class TestTrain:
         params = nn.init_network(toy_specs(), seed=2)
         mask = PruningMask.all_ones(params)
         rng = np.random.default_rng(0)
-        mask.flat[rng.random(mask.flat.size) < 0.4] = 0.0
+        mask.flat[rng.random(mask.flat.size) < 0.4] = False
         cfg = nn.TrainConfig(epochs=3, batch_size=8, seed=2)
         out = nn.train(params, mask, separable_data(), cfg)
-        for w, m in zip(out.weights, mask.layers):
-            assert np.all(w[m == 0.0] == 0.0)
+        assert np.all(nn.flatten_prunable(out)[~mask.flat] == 0.0)
 
     def test_memorizes_single_batch(self):
         params = nn.init_network(toy_specs(), seed=3)
@@ -151,12 +155,20 @@ class TestEvaluate:
     def test_mask_idempotent(self):
         params = nn.init_network(toy_specs(), seed=8)
         mask = PruningMask.all_ones(params)
-        mask.layers[0][0, :] = 0.0
-        for w, m in zip(params.weights, mask.layers):
-            w *= m
+        mask.flat[: params.weights[0].shape[1]] = False  # row 0 of layer 0
+        params.flat[: params.n_weights] *= mask.flat
         ones = PruningMask.all_ones(params)
         data = separable_data()
         assert nn.evaluate(params, mask, data) == nn.evaluate(params, ones, data)
+
+    def test_mask_length_checked(self):
+        params = nn.init_network(toy_specs(), seed=9)
+        short = PruningMask(np.ones(params.n_weights - 1, dtype=bool))
+        cfg = nn.TrainConfig(epochs=1, batch_size=8)
+        with pytest.raises(ValueError, match="mask length"):
+            nn.evaluate(params, short, separable_data())
+        with pytest.raises(ValueError, match="mask length"):
+            nn.train(params, short, separable_data(), cfg)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
@@ -193,21 +205,31 @@ class TestFlatten:
     def test_mlp_length(self):
         params = nn.init_network(nn.mlp_spec(784, 10), seed=0)
         mags = nn.flatten_prunable(params)
-        assert mags.size == 135_680 == nn.WeightIndexMap(params.weight_shapes).total
+        assert mags.size == 135_680 == params.n_weights
 
     def test_round_trip(self):
         # Layer-major, row-major: each layer's slice reshapes back to |W|.
         params = nn.init_network(toy_specs(), seed=10)
         mags = nn.flatten_prunable(params)
-        index_map = nn.WeightIndexMap(params.weight_shapes)
-        for l, w in enumerate(params.weights):
-            layer = mags[index_map.layer_slice(l)]
+        base = 0
+        for w in params.weights:
+            layer = mags[base : base + w.size]
             assert np.array_equal(layer.reshape(w.shape), np.abs(w))
+            base += w.size
+        assert base == mags.size
 
     def test_signed_weight_magnitude(self):
         params = nn.init_network(toy_specs(), seed=10)
         params.weights[1][2, 3] = -0.7
         mags = nn.flatten_prunable(params)
-        index_map = nn.WeightIndexMap(params.weight_shapes)
         cols = params.weights[1].shape[1]
-        assert mags[index_map.layer_slice(1)][2 * cols + 3] == pytest.approx(0.7)
+        assert mags[params.weights[0].size + 2 * cols + 3] == pytest.approx(0.7)
+
+    def test_views_write_through_to_flat(self):
+        params = nn.init_network(toy_specs(), seed=10)
+        pos = params.weights[0].size + params.weights[1].shape[1] + 2  # layer 1, row 1, col 2
+        params.weights[1][1, 2] = -3.5
+        assert params.flat[pos] == -3.5
+        assert nn.flatten_prunable(params)[pos] == 3.5
+        params.biases[0][1] = 2.0
+        assert params.flat[params.n_weights + 1] == 2.0

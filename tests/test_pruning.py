@@ -60,7 +60,7 @@ class TestPartition:
     def test_masked_entries_excluded(self):
         params = single_row_params([0.5, 0.1, 0.3, 0.7])
         mask = PruningMask.all_ones(params)
-        mask.flat[1] = 0.0
+        mask.flat[1] = False
         (group,) = partition(params, mask, Scope.GLOBAL)
         assert group.survivors == 3
         assert list(group.magnitudes) == [0.5, 0.3, 0.7]
@@ -71,7 +71,7 @@ class TestPartition:
         for scope in Scope:
             groups = partition(params, mask, scope)
             all_idx = np.concatenate([g.indices for g in groups])
-            assert sorted(all_idx) == list(range(mask.index_map.total))
+            assert sorted(all_idx) == list(range(params.n_weights))
 
 
 def sequential_prune(group, mask, count):
@@ -84,10 +84,10 @@ def sequential_prune(group, mask, count):
             count, group.survivors, group.label,
         )
         count = group.survivors
-    out = mask.copy()
+    out = PruningMask(mask.flat.copy())
     if count:
         order = np.argsort(group.magnitudes, kind="stable")
-        out.flat[group.indices[order[:count]]] = 0.0
+        out.flat[group.indices[order[:count]]] = False
     return out
 
 
@@ -97,17 +97,17 @@ class TestMagnitudePrune:
         mask = PruningMask.all_ones(params)
         (group,) = partition(params, mask, Scope.GLOBAL)
         out = mask.without([magnitude_prune(group, 2)])
-        assert list(out.flat) == [1.0, 0.0, 0.0, 1.0]
-        assert list(mask.flat) == [1.0, 1.0, 1.0, 1.0]  # input untouched
+        assert list(out.flat) == [True, False, False, True]
+        assert list(mask.flat) == [True, True, True, True]  # input untouched
 
     def test_already_masked_not_recounted(self):
         params = single_row_params([0.5, 0.1, 0.3, 0.7])
         mask = PruningMask.all_ones(params)
-        mask.flat[1] = 0.0
+        mask.flat[1] = False
         (group,) = partition(params, mask, Scope.GLOBAL)
         assert list(magnitude_prune(group, 1)) == [2]
         out = mask.without([magnitude_prune(group, 1)])
-        assert list(out.flat) == [1.0, 0.0, 0.0, 1.0]
+        assert list(out.flat) == [True, False, False, True]
 
     def test_tie_breaks_to_lowest_index(self):
         params = single_row_params([0.2, 0.2, 1.0])
@@ -115,7 +115,7 @@ class TestMagnitudePrune:
         (group,) = partition(params, mask, Scope.GLOBAL)
         assert list(magnitude_prune(group, 1)) == [0]
         out = mask.without([magnitude_prune(group, 1)])
-        assert list(out.flat) == [0.0, 1.0, 1.0]
+        assert list(out.flat) == [False, True, True]
 
     def test_overlarge_count_clamped(self, caplog):
         params = single_row_params([0.2, 0.4])
@@ -135,7 +135,7 @@ class TestMagnitudePrune:
             params.weights[0][:, :4] = 0.25
             params.weights[1][::3] = 0.0
             mask = PruningMask.all_ones(params)
-            mask.flat[rng.random(mask.flat.size) < 0.3] = 0.0
+            mask.flat[rng.random(mask.flat.size) < 0.3] = False
             groups = partition(params, mask, scope)
             # 0, in range, or above the survivor count (clamped).
             counts = [
