@@ -21,7 +21,9 @@ from .audit import (
     robin_hood_counterexample,
 )
 from .config import load_config
+from .data_io import write_text_atomic
 from .experiment import run_experiment, write_report
+from .records import format_value
 from .sparsity import (
     NormPair,
     UndefinedIndexError,
@@ -36,46 +38,41 @@ EXIT_RUNTIME = 1
 EXIT_INPUT = 2
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".9g")
-
-
 def cmd_measure(args) -> int:
     values = np.loadtxt(args.file, ndmin=1)
     norms = NormPair(args.p, args.q)
     index = pq_index(values, norms)
-    print(f"pq_index = {_fmt(index)}")
-    print(f"gini_index = {_fmt(gini_index(values))}")
+    print(f"pq_index = {format_value(index)}")
+    print(f"gini_index = {format_value(gini_index(values))}")
     print("r,eta_r,bound,satisfied")
     d = values.size
     for r, eta in enumerate(eta_r(values, norms.p).tolist(), 1):
         bound = pqi_lower_bound(d, index, eta, norms)
-        print(f"{r},{_fmt(eta)},{_fmt(bound)},{str(r >= bound - 1e-9).lower()}")
+        print(",".join(map(format_value, (r, eta, bound, r >= bound - 1e-9))))
     return EXIT_OK
 
 
 def cmd_audit(args) -> int:
     if args.measure == "gini":
+        if args.negative:
+            raise ValueError("negative search applies only to the pq measure")
         measure = gini_measure()
-        norms = None
     else:
         norms = NormPair(args.p, args.q, relaxed=args.negative)
         measure = pq_measure(norms)
     report = audit_measure(measure, trials=args.trials, seed=args.seed)
-    print(report.to_json())
+    text = report.to_json()
+    print(text)
     if args.out:
-        Path(args.out).write_text(report.to_json() + "\n")
-    if args.negative:
-        if norms is None:
-            print("negative search applies only to the pq measure", file=sys.stderr)
-            return EXIT_INPUT
-        witness = robin_hood_counterexample(norms)
-        if witness is None:
-            print("negative robin_hood search: inconclusive")
-        else:
-            print(f"negative robin_hood search: found {json.dumps(witness)}")
-        return EXIT_OK
-    return EXIT_OK if report.ok else EXIT_RUNTIME
+        write_text_atomic(Path(args.out), text + "\n")
+    if not args.negative:
+        return EXIT_OK if report.ok else EXIT_RUNTIME
+    witness = robin_hood_counterexample(norms)
+    if witness is None:
+        print("negative robin_hood search: inconclusive")
+    else:
+        print(f"negative robin_hood search: found {json.dumps(witness)}")
+    return EXIT_OK
 
 
 def cmd_run(args) -> int:

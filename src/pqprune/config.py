@@ -15,13 +15,14 @@ Example:
 
 from __future__ import annotations
 
+import dataclasses
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .data_io import SyntheticSpec
 from .nn import TrainConfig
 from .pruning import AlgorithmSpec, SapHyperParams, Scope
-from .sparsity import NormPair
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,22 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
+_PARSERS = {int: int, float: float, bool: _parse_bool}
+
+
+def _replace_fields(kv: dict[str, str], prefix: str, obj, skip=(), **changes):
+    """`obj` with each `<prefix>.<field>` key of `kv` popped and applied to its
+    int, float or bool field, parsed by the field's declared type. Fields in
+    `skip` or of any other type take no key; `changes` are applied as given."""
+    types = typing.get_type_hints(type(obj))
+    for f in dataclasses.fields(obj):
+        key = f"{prefix}.{f.name}"
+        parse = _PARSERS.get(types[f.name])
+        if parse is not None and f.name not in skip and key in kv:
+            changes[f.name] = parse(kv.pop(key))
+    return dataclasses.replace(obj, **changes)
+
+
 def _unique(key: str, items: list) -> list:
     """`items`, if no entry repeats: two cells of one name would share a directory."""
     repeated = sorted({str(x) for x in items if items.count(x) > 1})
@@ -94,24 +111,15 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         kv[key] = value
 
-    def take(key, default=None):
-        return kv.pop(key, default)
-
     cfg = ExperimentConfig()
-    cfg.model = take("model", cfg.model)
+    cfg.model = kv.pop("model", cfg.model)
     if cfg.model not in ("Linear", "MLP"):
         raise ValueError(f"model must be Linear or MLP, got {cfg.model!r}")
-    cfg.scope = Scope(take("scope", cfg.scope.value))
+    cfg.scope = Scope(kv.pop("scope", cfg.scope.value))
 
-    ds_kind = take("dataset.kind", "synthetic")
+    ds_kind = kv.pop("dataset.kind", "synthetic")
     if ds_kind == "synthetic":
-        cfg.dataset = SyntheticSpec(
-            n_samples=int(take("dataset.n_samples", 1000)),
-            n_features=int(take("dataset.n_features", 20)),
-            n_classes=int(take("dataset.n_classes", 2)),
-            class_separation=float(take("dataset.class_separation", 5.0)),
-            seed=int(take("dataset.seed", 0)),
-        )
+        cfg.dataset = _replace_fields(kv, "dataset", cfg.dataset)
     elif ds_kind == "idx":
         try:
             cfg.dataset = IdxPaths(
@@ -125,36 +133,28 @@ def parse_config(text: str) -> ExperimentConfig:
     else:
         raise ValueError(f"unknown dataset.kind {ds_kind!r}")
 
-    kinds = take("algorithm.kinds")
+    kinds = kv.pop("algorithm.kinds", None)
     if kinds is not None:
         cfg.algorithm_kinds = _unique(
             "algorithm.kinds", [k.strip() for k in kinds.split(",") if k.strip()]
         )
-    cfg.iterations = int(take("algorithm.iterations", cfg.iterations))
-    cfg.ratio = float(take("algorithm.ratio", cfg.ratio))
-    cfg.sap = SapHyperParams(
-        norms=NormPair(float(take("sap.p", 0.5)), float(take("sap.q", 1.0))),
-        eta=float(take("sap.eta", 0.0)),
-        gamma=float(take("sap.gamma", 1.0)),
-        beta=float(take("sap.beta", 0.9)),
-    )
-    cfg.train = TrainConfig(
-        epochs=int(take("train.epochs", 5)),
-        batch_size=int(take("train.batch_size", 50)),
-        learning_rate=float(take("train.learning_rate", 0.1)),
-        momentum=float(take("train.momentum", 0.9)),
-        weight_decay=float(take("train.weight_decay", 0.05)),
-        nesterov=_parse_bool(take("train.nesterov", "true")),
-    )
-    seeds = take("seeds")
+    cfg.iterations = int(kv.pop("algorithm.iterations", cfg.iterations))
+    cfg.ratio = float(kv.pop("algorithm.ratio", cfg.ratio))
+    # sap.p and sap.q set the norm pair; a config cannot relax its regime.
+    norms = _replace_fields(kv, "sap", cfg.sap.norms, skip={"relaxed"})
+    cfg.sap = _replace_fields(kv, "sap", cfg.sap, norms=norms)
+    # Each cell's seed comes from `seeds`, not from the train section.
+    cfg.train = _replace_fields(kv, "train", cfg.train, skip={"seed"})
+    seeds = kv.pop("seeds", None)
     if seeds is not None:
         cfg.seeds = _unique("seeds", [int(s) for s in seeds.split(",") if s.strip()])
-    cfg.output_dir = take("output_dir", cfg.output_dir)
-    cfg.workers = int(take("workers", cfg.workers))
+    cfg.output_dir = kv.pop("output_dir", cfg.output_dir)
+    cfg.workers = int(kv.pop("workers", cfg.workers))
     if cfg.workers < 1:
         raise ValueError("workers must be >= 1")
     if kv:
         raise ValueError(f"unknown config keys: {sorted(kv)}")
+    cfg.algorithms()  # rejects bad algorithm settings before any output is made
     return cfg
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import fcntl
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -66,12 +67,31 @@ def gen_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
     )
 
 
-def _read_be32(f, path, what):
-    offset = f.tell()
-    data = f.read(4)
-    if len(data) != 4:
-        raise IdxFormatError(f"{path}: truncated reading {what} at byte {offset}")
-    return struct.unpack(">I", data)[0], offset
+def _read_idx(path: Path, magic: int, what: str) -> tuple[tuple[int, ...], np.ndarray]:
+    """Dimension sizes and uint8 payload of the IDX file at `path`.
+
+    The file must start with `magic`, whose low byte is the number of
+    dimensions; each size is a big-endian uint32. The size the header
+    declares is checked against the file's length before anything is read.
+    """
+    ndim = magic & 0xFF
+    with open(path, "rb") as f:
+        header = f.read(4 + 4 * ndim)
+        if len(header) >= 4 and header[:4] != struct.pack(">I", magic):
+            raise IdxFormatError(
+                f"{path}: bad {what} magic 0x{header[:4].hex()} at byte 0"
+            )
+        if len(header) < 4 + 4 * ndim:
+            raise IdxFormatError(f"{path}: truncated {what} header at byte {len(header)}")
+        dims = struct.unpack(f">{ndim}I", header[4:])
+        size = math.prod(dims)
+        end = os.fstat(f.fileno()).st_size
+        if end - len(header) < size:
+            raise IdxFormatError(
+                f"{path}: truncated {what} data at byte {end}; "
+                f"the header declares {size} bytes from byte {len(header)}"
+            )
+        return dims, np.frombuffer(f.read(size), dtype=np.uint8)
 
 
 def load_idx(images_path, labels_path) -> Dataset:
@@ -82,41 +102,14 @@ def load_idx(images_path, labels_path) -> Dataset:
     raise IdxFormatError with the byte offset.
     """
     images_path, labels_path = Path(images_path), Path(labels_path)
-    with open(images_path, "rb") as f:
-        magic, off = _read_be32(f, images_path, "magic")
-        if magic != IDX_IMAGE_MAGIC:
-            raise IdxFormatError(
-                f"{images_path}: bad image magic 0x{magic:08x} at byte {off}"
-            )
-        count, _ = _read_be32(f, images_path, "count")
-        rows, _ = _read_be32(f, images_path, "rows")
-        cols, _ = _read_be32(f, images_path, "cols")
-        offset = f.tell()
-        raw = f.read(count * rows * cols)
-        if len(raw) != count * rows * cols:
-            raise IdxFormatError(
-                f"{images_path}: truncated pixel data at byte {offset + len(raw)}"
-            )
-        pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
-    with open(labels_path, "rb") as f:
-        magic, off = _read_be32(f, labels_path, "magic")
-        if magic != IDX_LABEL_MAGIC:
-            raise IdxFormatError(
-                f"{labels_path}: bad label magic 0x{magic:08x} at byte {off}"
-            )
-        n_labels, off = _read_be32(f, labels_path, "count")
-        if n_labels != count:
-            raise IdxFormatError(
-                f"{labels_path}: {n_labels} labels for {count} images (count at byte {off})"
-            )
-        offset = f.tell()
-        raw = f.read(n_labels)
-        if len(raw) != n_labels:
-            raise IdxFormatError(
-                f"{labels_path}: truncated label data at byte {offset + len(raw)}"
-            )
-        labels = np.frombuffer(raw, dtype=np.uint8).astype(int)
-    return Dataset(pixels.astype(float) / 255.0, labels)
+    (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, "image")
+    (n_labels,), labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label")
+    if n_labels != count:
+        raise IdxFormatError(
+            f"{labels_path}: {n_labels} labels for {count} images (count at byte 4)"
+        )
+    pixels = pixels.reshape(count, rows * cols).astype(float) / 255.0
+    return Dataset(pixels, labels.astype(int))
 
 
 def write_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path):

@@ -197,7 +197,8 @@ def trajectory_stats(records: list[RunRecord]) -> dict:
 
 
 def write_report(run_dirs, out_dir) -> dict:
-    """Emit the four per-iteration panel CSVs and trajectory_stats.json.
+    """Emit the four per-iteration panel CSVs and trajectory_stats.json, each
+    replaced whole (`write_text_atomic`).
 
     All run dirs must share the same configuration apart from the seed.
     As in summary.csv, only complete runs are aggregated; each incomplete
@@ -228,8 +229,8 @@ def write_report(run_dirs, out_dir) -> dict:
         lines = [",".join(["t", *_stat_columns(fields)])]
         for t, (_, stats) in enumerate(per_iteration(records, fields)):
             lines.append(",".join([str(t), *_csv_cells(stats)]))
-        (out_dir / filename).write_text("\n".join(lines) + "\n")
+        write_text_atomic(out_dir / filename, "\n".join(lines) + "\n")
 
     stats = trajectory_stats(records)
-    (out_dir / "trajectory_stats.json").write_text(json.dumps(stats, indent=2) + "\n")
+    write_text_atomic(out_dir / "trajectory_stats.json", json.dumps(stats, indent=2) + "\n")
     return stats

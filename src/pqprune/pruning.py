@@ -222,17 +222,15 @@ def run_pruning(
     cfg: nn.TrainConfig,
     train_data: nn.Dataset,
     test_data: nn.Dataset,
-    index_norms: NormPair | None = None,
 ) -> RunRecord:
     """Run one pruning experiment and return its full iteration record.
 
     Produces iterations t = 0..T inclusive; row t holds metrics of the model
     under mask m_t ("retrained") and under m_{t+1} ("pruned", no retraining).
-    `index_norms` sets the (p, q) used for the reported sparsity indices; it
-    defaults to the SAP norms or (0.5, 1.0) for the baselines.
+    The reported sparsity indices use the SAP norm pair, or the default
+    pair (0.5, 1.0) for the baselines.
     """
-    if index_norms is None:
-        index_norms = alg.sap.norms if alg.sap is not None else NormPair(0.5, 1.0)
+    index_norms = (alg.sap or SapHyperParams()).norms
     params = nn.init_network(layer_specs, cfg.seed)
     mask = PruningMask.all_ones(params)
     d0 = mask.ones_count()

@@ -83,6 +83,24 @@ class TestConfig:
             )
         assert parse_config(text) == tiny_config(IdxPaths("a", "b", "c", "d"))
 
+    def test_empty_config_is_default(self):
+        assert parse_config("") == ExperimentConfig()
+
+    def test_fields_parsed_by_declared_type(self):
+        cfg = parse_config(
+            "dataset.class_separation = 2.5\ntrain.nesterov = off\n"
+            "train.epochs = 3\nsap.p = 0.25\nsap.q = 2\nsap.beta = 0.5\n"
+        )
+        assert cfg.dataset == SyntheticSpec(class_separation=2.5)
+        assert cfg.train == TrainConfig(epochs=3, batch_size=50, weight_decay=0.05,
+                                        nesterov=False)
+        assert cfg.sap == SapHyperParams(norms=NormPair(0.25, 2.0), beta=0.5)
+
+    @pytest.mark.parametrize("line", ["train.seed = 1", "sap.relaxed = true", "sap.norms = 1"])
+    def test_fields_without_key_rejected(self, line):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            parse_config(line + "\n")
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             parse_config("model = MLP\nbogus.key = 1\n")
@@ -133,6 +151,24 @@ class TestConfig:
         assert setting.split(".")[-1] in capsys.readouterr().err  # the key's field name
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("algorithm.kinds = sap,bogus", "unknown algorithm kind 'bogus'"),
+            ("algorithm.iterations = 0", "iterations must be >= 1"),
+            ("algorithm.ratio = 1.5", "ratio must be in (0, 1)"),
+        ],
+    )
+    def test_run_with_bad_algorithm_exits_2(self, tmp_path, capsys, line, message):
+        setting = line.split(" = ")[0]
+        kept = [l for l in TINY_CONFIG.splitlines() if not l.startswith(setting + " ")]
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text("\n".join(kept + [line]) + "\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_with_negative_workers_flag_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(TINY_CONFIG)
@@ -145,6 +181,24 @@ class TestConfig:
 
 def run_cli(argv):
     return cli.main(argv)
+
+
+def fail_writes_to(monkeypatch, name):
+    """Make Path.write_text, for any file whose name contains `name`, write
+    half the text and then raise, as a full disk would."""
+    write_text = Path.write_text
+
+    def write_half_then_fail(path, text, *args, **kwargs):
+        if name not in path.name:
+            return write_text(path, text, *args, **kwargs)
+        write_text(path, text[: len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+
+
+def dir_bytes(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
 
 
 class TestMeasureCommand:
@@ -226,6 +280,26 @@ class TestAuditCommand:
         assert rc == 0
         assert "negative robin_hood search: found" in capsys.readouterr().out
 
+    def test_negative_gini_rejected_before_audit(self, tmp_path, capsys):
+        out = tmp_path / "audit.json"
+        argv = ["audit", "--measure", "gini", "--negative", "--out", str(out)]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "negative search applies only to the pq measure" in captured.err
+        assert not out.exists()
+
+    def test_failed_out_write_keeps_previous_report(self, tmp_path, monkeypatch):
+        out = tmp_path / "audit.json"
+        argv = ["audit", "--trials", "20", "--out", str(out)]
+        assert run_cli(argv) == 0
+        before = dir_bytes(tmp_path)
+        fail_writes_to(monkeypatch, out.name)
+        with pytest.raises(OSError, match="disk full"):
+            run_cli(argv)
+        monkeypatch.undo()
+        assert dir_bytes(tmp_path) == before
+
 
 @pytest.fixture(scope="module")
 def run_root(tmp_path_factory):
@@ -274,6 +348,27 @@ class TestRunAndReport:
         ]
         stats = json.loads((tmp_path / "trajectory_stats.json").read_text())
         assert set(stats) == {"pqi_argmin", "pqi_argmax", "spearman_pqi_gini"}
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "panel_performance.csv",
+            "panel_remaining.csv",
+            "panel_pqi.csv",
+            "panel_gini.csv",
+            "trajectory_stats.json",
+        ],
+    )
+    def test_failed_report_write_keeps_previous_file(self, run_root, tmp_path, monkeypatch,
+                                                     name):
+        dirs = [run_root / "out" / f"sap_seed{s}" for s in (0, 1)]
+        experiment.write_report(dirs, tmp_path)
+        before = dir_bytes(tmp_path)
+        fail_writes_to(monkeypatch, name)
+        with pytest.raises(OSError, match="disk full"):
+            experiment.write_report(dirs, tmp_path)
+        monkeypatch.undo()
+        assert dir_bytes(tmp_path) == before
 
     def test_report_mixed_configs_rejected(self, run_root, tmp_path):
         dirs = [

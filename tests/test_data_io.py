@@ -1,10 +1,12 @@
 import fcntl
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pqprune.data_io import (
+    IDX_IMAGE_MAGIC,
     IdxFormatError,
     SyntheticSpec,
     gen_synthetic,
@@ -87,6 +89,22 @@ class TestIdx:
         _, _, ip, lp = self.fixture_pair(tmp_path)
         raw = ip.read_bytes()
         ip.write_bytes(raw[:-10])
+        with pytest.raises(IdxFormatError, match=r"byte \d+"):
+            load_idx(ip, lp)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            # 0xFFFFFFFF images of 0xFFFF x 0xFFFF pixels: more than any file holds.
+            struct.pack(">IIII", IDX_IMAGE_MAGIC, 0xFFFFFFFF, 0xFFFF, 0xFFFF),
+            # The header ends inside the row count.
+            struct.pack(">II", IDX_IMAGE_MAGIC, 8) + b"\x00\x00",
+        ],
+        ids=["oversized", "truncated_header"],
+    )
+    def test_bad_header_reports_offset(self, tmp_path, header):
+        _, _, ip, lp = self.fixture_pair(tmp_path)
+        ip.write_bytes(header)
         with pytest.raises(IdxFormatError, match=r"byte \d+"):
             load_idx(ip, lp)
 
