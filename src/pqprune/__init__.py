@@ -30,7 +30,6 @@ from .sparsity import (
     UndefinedIndexError,
     eta_r,
     gini_index,
-    lp_norm,
     pq_index,
     pq_index_max,
     pqi_lower_bound,

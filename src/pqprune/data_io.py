@@ -112,17 +112,6 @@ def load_idx(images_path, labels_path) -> Dataset:
     return Dataset(pixels, labels.astype(int))
 
 
-def write_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path):
-    """Write a (n, rows, cols) uint8 stack and labels in IDX format."""
-    n, rows, cols = images.shape
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols))
-        f.write(np.ascontiguousarray(images, dtype=np.uint8).tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABEL_MAGIC, n))
-        f.write(np.ascontiguousarray(labels, dtype=np.uint8).tobytes())
-
-
 @contextmanager
 def _dir_lock(directory: Path):
     """Exclusive flock on `directory/.lock` for the length of the block.
@@ -144,11 +133,16 @@ def _dir_lock(directory: Path):
 def write_text_atomic(path: Path, text: str) -> None:
     """Write `text` to a temporary file beside `path`, then move it onto
     `path` with os.replace. A writer that fails mid-write leaves the previous
-    complete file, never a truncated one."""
+    complete file, never a truncated one. An error that names the temporary
+    file is raised again, as the same OSError subclass, naming `path`."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(text)
         os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
     finally:
         tmp.unlink(missing_ok=True)
 
@@ -170,9 +164,15 @@ def write_run_record(rec: RunRecord, directory) -> None:
 
 
 def read_run_record(directory) -> RunRecord:
-    """Inverse of write_run_record for the JSON side."""
+    """Inverse of write_run_record for the JSON side. An unreadable file
+    raises RuntimeError; one that is not JSON or lacks a field of the record
+    raises ValueError naming the file."""
     path = Path(directory) / "run.json"
     try:
         return RunRecord.from_dict(json.loads(path.read_text()))
     except OSError as exc:
         raise RuntimeError(f"cannot read run record at {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"run record {path} is not valid JSON: {exc}") from exc
+    except KeyError as exc:
+        raise ValueError(f"run record {path} has no field {exc}") from exc

@@ -40,7 +40,15 @@ def cell_name(kind: str, seed: int) -> str:
     return f"{kind}_seed{seed}"
 
 
+# The (train, test) pair of the grid that `run_experiment` is running, keyed
+# on its dataset spec. It is filled before any cell starts, so pooled workers
+# inherit it through fork, and emptied when the grid ends.
+_loaded: dict[SyntheticSpec | IdxPaths, tuple[nn.Dataset, nn.Dataset]] = {}
+
+
 def load_datasets(cfg: ExperimentConfig) -> tuple[nn.Dataset, nn.Dataset]:
+    if cfg.dataset in _loaded:
+        return _loaded[cfg.dataset]
     if isinstance(cfg.dataset, SyntheticSpec):
         return gen_synthetic(cfg.dataset)
     paths: IdxPaths = cfg.dataset
@@ -74,9 +82,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, workers=None) -> dict[st
     exiting without returning) breaks its pool: its own cell and every cell
     still pending in that pool fail, and summary.csv covers the cells that
     completed.
+
+    The datasets are read once, before the output directory is created, so
+    a bad dataset raises (IdxFormatError for a malformed IDX file) with
+    nothing written.
     """
     out_dir = Path(out_dir if out_dir is not None else cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     workers = workers if workers is not None else cfg.workers
     jobs = [
         (cfg, alg, seed, out_dir)
@@ -86,17 +97,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, workers=None) -> dict[st
     names = [cell_name(alg.kind, seed) for _, alg, seed, _ in jobs]
     results: dict[str, RunRecord] = {}
     failed: list[str] = []
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        if pool:
-            futures = [pool.submit(_try_cell, job) for job in jobs]
-            outcomes = map(_cell_result, names, futures)
-        else:
-            outcomes = map(_try_cell, jobs)
-        for name, record in zip(names, outcomes):
-            if record is None:
-                failed.append(name)
+    _loaded[cfg.dataset] = load_datasets(cfg)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+            if pool:
+                futures = [pool.submit(_try_cell, job) for job in jobs]
+                outcomes = map(_cell_result, names, futures)
             else:
-                results[name] = record
+                outcomes = map(_try_cell, jobs)
+            for name, record in zip(names, outcomes):
+                if record is None:
+                    failed.append(name)
+                else:
+                    results[name] = record
+    finally:
+        _loaded.clear()
     failed_path = out_dir / "failed_cells.txt"
     if failed:
         log.warning("failed cells: %s", ", ".join(failed))

@@ -9,7 +9,6 @@ mask the same trained weights).
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -25,8 +24,6 @@ from .sparsity import (
     pq_index,
     pqi_lower_bound,
 )
-
-log = logging.getLogger(__name__)
 
 
 class Scope(str, Enum):
@@ -95,78 +92,45 @@ class AlgorithmSpec:
             object.__setattr__(self, "sap", SapHyperParams())
 
 
-@dataclass
-class Group:
-    """Surviving entries of one pruning scope unit.
+def partition(params: nn.NetworkParams, scope: Scope) -> list[tuple[list[str], int, int, int]]:
+    """The scope's blocks `(row labels, offset, rows, cols)`: each block is
+    the (rows, cols) matrix at `offset` of the flat weights, and each of its
+    rows is one pruning group. Together the blocks cover each weight once.
 
-    `indices` are flat positions (into the global prunable vector) where the
-    mask is 1; `magnitudes` are the matching |weight| values.
+    Global: one 1 x n block. Layer-wise: one 1 x size block per weight
+    matrix. Neuron-wise: each weight matrix, one row per output unit's fan-in.
     """
-
-    label: str
-    indices: np.ndarray
-    magnitudes: np.ndarray
-
-    @property
-    def survivors(self) -> int:
-        return self.indices.size
-
-
-def partition(
-    params: nn.NetworkParams,
-    mask: PruningMask,
-    scope: Scope,
-    mags: np.ndarray | None = None,
-) -> list[Group]:
-    """Split surviving weights into scope groups covering each entry once.
-
-    Global: one group. Layer-wise: one group per weight matrix. Neuron-wise:
-    one group per row of each weight matrix (fan-in of one output unit).
-    `mags` may pass in `nn.flatten_prunable(params)` already computed.
-    """
-    if mags is None:
-        mags = nn.flatten_prunable(params)
-    groups = []
-
-    def make(label, lo, hi):
-        idx = np.nonzero(mask.flat[lo:hi])[0] + lo
-        groups.append(Group(label=label, indices=idx, magnitudes=mags[idx]))
-
     if scope == Scope.GLOBAL:
-        make("global", 0, params.n_weights)
-    elif scope in (Scope.LAYER_WISE, Scope.NEURON_WISE):
-        base = 0
-        for l, w in enumerate(params.weights):
-            rows, cols = w.shape
-            if scope == Scope.LAYER_WISE:
-                make(f"layer{l}", base, base + w.size)
-            else:
-                for r in range(rows):
-                    make(f"layer{l}/neuron{r}", base + r * cols, base + (r + 1) * cols)
-            base += w.size
-    else:
+        return [(["global"], 0, 1, params.n_weights)]
+    if scope not in (Scope.LAYER_WISE, Scope.NEURON_WISE):
         raise ValueError(f"unknown scope {scope!r}")
-    return groups
+    blocks = []
+    offset = 0
+    for l, w in enumerate(params.weights):
+        if scope == Scope.LAYER_WISE:
+            blocks.append(([f"layer{l}"], offset, 1, w.size))
+        else:
+            rows, cols = w.shape
+            blocks.append(([f"layer{l}/neuron{r}" for r in range(rows)], offset, rows, cols))
+        offset += w.size
+    return blocks
 
 
-def magnitude_prune(group: Group, count: int) -> np.ndarray:
-    """Flat indices of the `count` smallest surviving magnitudes in `group`.
+def magnitude_prune(mags: np.ndarray, keep: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Row-major positions, within the (rows, cols) block `mags`, of the
+    `counts[r]` smallest magnitudes that `keep` marks in each row r.
 
-    Ties break toward the lowest flat index. A count above the survivor
-    total is clamped with a warning.
+    Ties break toward the lowest position. Each count must lie in
+    [0, survivors of its row].
     """
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    if count > group.survivors:
-        log.warning(
-            "prune count %d exceeds %d survivors in %s; clamping",
-            count,
-            group.survivors,
-            group.label,
-        )
-        count = group.survivors
-    order = np.argsort(group.magnitudes, kind="stable")
-    return group.indices[order[:count]]
+    counts = np.asarray(counts)
+    if np.any(counts < 0) or np.any(counts > np.count_nonzero(keep, axis=1)):
+        raise ValueError("each count must be in [0, survivors of its row]")
+    # Dropped entries sort after every survivor; the stable sort keeps equal
+    # magnitudes in position order.
+    order = np.argsort(np.where(keep, mags, np.inf), axis=1, kind="stable")
+    first = np.arange(mags.shape[1]) < counts[:, None]
+    return np.nonzero(first)[0] * mags.shape[1] + order[first]
 
 
 def sap_prune_count(d: int, r: float, gamma: float, beta: float) -> int:
@@ -188,20 +152,19 @@ class SapDecision:
     count: int  # entries to prune this iteration
 
 
-def sap_count(group: Group, hp: SapHyperParams) -> SapDecision:
-    """Adaptive prune count for one group from its sparsity index.
+def sap_count(survivors: np.ndarray, hp: SapHyperParams) -> SapDecision:
+    """Adaptive prune count for one group from the sparsity index of its
+    surviving magnitudes.
 
     Raises UndefinedIndexError when every surviving magnitude is zero; the
     run loop skips such a group for the iteration.
     """
-    if group.survivors < 1:
-        raise ValueError("group has no survivors")
-    index = pq_index(group.magnitudes, hp.norms)
-    bound = pqi_lower_bound(group.survivors, index, hp.eta, hp.norms)
+    index = pq_index(survivors, hp.norms)
+    bound = pqi_lower_bound(survivors.size, index, hp.eta, hp.norms)
     return SapDecision(
         index=index,
         bound=bound,
-        count=sap_prune_count(group.survivors, bound, hp.gamma, hp.beta),
+        count=sap_prune_count(survivors.size, bound, hp.gamma, hp.beta),
     )
 
 
@@ -234,6 +197,7 @@ def run_pruning(
     params = nn.init_network(layer_specs, cfg.seed)
     mask = PruningMask.all_ones(params)
     d0 = mask.ones_count()
+    blocks = partition(params, scope)
     record = RunRecord(
         config={
             "algorithm": alg.kind,
@@ -279,27 +243,29 @@ def run_pruning(
 
         drops = []
         group_logs = []
-        c_total = 0
-        for group in partition(model, mask, scope, mags):
-            if group.survivors == 0:
-                continue  # exhausted in an earlier iteration
-            entry = {"label": group.label, "d": group.survivors}
+        for labels, offset, rows, cols in blocks:
+            keep = mask.flat[offset : offset + rows * cols].reshape(rows, cols)
+            block = mags[offset : offset + rows * cols].reshape(rows, cols)
+            survivors = np.count_nonzero(keep, axis=1)
             if alg.kind == "sap":
-                try:
-                    decision = sap_count(group, alg.sap)
-                except UndefinedIndexError:
-                    record.events.append(
-                        f"iteration {t}: group {group.label} all-zero survivors; skipped"
-                    )
-                    continue
-                count = decision.count
-                entry.update(pqi=decision.index, r=decision.bound)
+                counts = np.zeros(rows, dtype=int)
             else:
-                count = int(math.floor(group.survivors * alg.ratio))
-            entry["c"] = count
-            group_logs.append(entry)
-            c_total += count
-            drops.append(magnitude_prune(group, count))
+                counts = np.floor(survivors * alg.ratio).astype(int)
+            for r in np.flatnonzero(survivors).tolist():  # exhausted rows log nothing
+                entry = {"label": labels[r], "d": int(survivors[r])}
+                if alg.kind == "sap":
+                    try:
+                        decision = sap_count(block[r][keep[r]], alg.sap)
+                    except UndefinedIndexError:
+                        record.events.append(
+                            f"iteration {t}: group {labels[r]} all-zero survivors; skipped"
+                        )
+                        continue
+                    counts[r] = decision.count
+                    entry.update(pqi=decision.index, r=decision.bound)
+                entry["c"] = int(counts[r])
+                group_logs.append(entry)
+            drops.append(offset + magnitude_prune(block, keep, counts))
         next_mask = mask.without(drops)
 
         acc_p, loss_p = nn.evaluate(model, next_mask, test_data)
@@ -319,7 +285,7 @@ def run_pruning(
                 gini_retrained=gini_r,
                 delta_acc=acc_r - acc_p,
                 delta_pqi=pqi_r - pqi_p,
-                c_total=c_total,
+                c_total=sum(entry["c"] for entry in group_logs),
                 groups=group_logs,
             )
         )

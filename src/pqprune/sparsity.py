@@ -47,22 +47,6 @@ def _as_magnitudes(w) -> np.ndarray:
     return np.abs(arr)
 
 
-def lp_norm(w, p: float) -> float:
-    """l_p norm (sum |w_i|^p)^(1/p) for any p > 0.
-
-    Entries are rescaled by the largest magnitude before exponentiation and
-    the result scaled back, which is exact by homogeneity and avoids
-    overflow/underflow for small p or extreme magnitudes.
-    """
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
-    w = _as_magnitudes(w)
-    m = float(w.max())
-    if m == 0.0:
-        return 0.0
-    return m * float(np.sum((w / m) ** p)) ** (1.0 / p)
-
-
 def pq_index(w, norms: NormPair) -> float:
     """Sparsity index 1 - d^(1/q - 1/p) * ||w||_p / ||w||_q.
 

@@ -300,6 +300,13 @@ class TestAuditCommand:
         monkeypatch.undo()
         assert dir_bytes(tmp_path) == before
 
+    def test_out_write_error_names_target(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "x.json"
+        assert run_cli(["audit", "--trials", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"No such file or directory: '{out}'" in err
+        assert ".tmp" not in err
+
 
 @pytest.fixture(scope="module")
 def run_root(tmp_path_factory):
@@ -397,6 +404,25 @@ class TestRunAndReport:
         assert cli.main(["report", *dirs, "--out", str(tmp_path / "report")]) == 2
         assert "no complete runs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                      if k != "events"}), "has no field 'events'"),
+            (lambda text: text[: len(text) // 2], "is not valid JSON"),
+        ],
+        ids=["missing_field", "truncated"],
+    )
+    def test_report_damaged_record_exits_2(self, run_root, tmp_path, capsys, damage, message):
+        text = (run_root / "out" / "sap_seed0" / "run.json").read_text()
+        (tmp_path / "cut").mkdir()
+        (tmp_path / "cut" / "run.json").write_text(damage(text))
+        argv = ["report", str(tmp_path / "cut"), "--out", str(tmp_path / "report")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"run record {tmp_path / 'cut' / 'run.json'} {message}" in err
+        assert not (tmp_path / "report").exists()
+
     def test_clean_rerun_removes_failed_cells(self, run_root, tmp_path, monkeypatch):
         run_cell = experiment.run_cell
 
@@ -440,6 +466,43 @@ class TestRunAndReport:
         cfg_path = run_root / "exp.cfg"
         assert cli.main(["run", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "envout" / "summary.csv").exists()
+
+
+class TestGridData:
+    def test_bad_idx_exits_2_with_nothing_written(self, tmp_path, capsys):
+        images = tmp_path / "train-img.idx"
+        # An image header declaring 10 images of 28 x 28, then 14 bytes.
+        images.write_bytes(bytes.fromhex("00000803 0000000a 0000001c 0000001c") + bytes(14))
+        cfg_path = tmp_path / "idx.cfg"
+        cfg_path.write_text(
+            "model = Linear\ndataset.kind = idx\n"
+            f"dataset.train_images = {images}\ndataset.train_labels = {tmp_path}/l\n"
+            f"dataset.test_images = {tmp_path}/ti\ndataset.test_labels = {tmp_path}/tl\n"
+            "algorithm.iterations = 1\nseeds = 0,1\n"
+        )
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{images}: truncated image data at byte 30" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_desk_grid_generates_its_data_once(self, tmp_path, monkeypatch):
+        calls = []
+        gen_synthetic = experiment.gen_synthetic
+        monkeypatch.setattr(
+            experiment, "gen_synthetic", lambda spec: calls.append(spec) or gen_synthetic(spec)
+        )
+        monkeypatch.setattr(
+            experiment, "run_pruning", lambda alg, *_: RunRecord(config={"algorithm": alg.kind})
+        )
+        cfg = ExperimentConfig()
+        cfg.algorithm_kinds = ["sap", "lottery_ticket"]
+        assert len(experiment.run_experiment(cfg, out_dir=tmp_path / "a")) == 8
+        assert calls == [cfg.dataset]
+        # No data outlives its grid: the next grid generates its own.
+        experiment.run_experiment(cfg, out_dir=tmp_path / "b")
+        assert calls == [cfg.dataset] * 2
 
 
 def diverged_copy(src, dst, at):

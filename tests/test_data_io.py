@@ -7,15 +7,26 @@ import pytest
 
 from pqprune.data_io import (
     IDX_IMAGE_MAGIC,
+    IDX_LABEL_MAGIC,
     IdxFormatError,
     SyntheticSpec,
     gen_synthetic,
     load_idx,
     read_run_record,
-    write_idx,
     write_run_record,
 )
 from pqprune.records import CSV_FIELDS, IterationMetrics, RunRecord
+
+
+def write_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path):
+    """Write a (n, rows, cols) uint8 stack and labels in IDX format."""
+    n, rows, cols = images.shape
+    with open(images_path, "wb") as f:
+        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols))
+        f.write(np.ascontiguousarray(images, dtype=np.uint8).tobytes())
+    with open(labels_path, "wb") as f:
+        f.write(struct.pack(">II", IDX_LABEL_MAGIC, n))
+        f.write(np.ascontiguousarray(labels, dtype=np.uint8).tobytes())
 
 
 class TestSynthetic:

@@ -1,4 +1,3 @@
-import logging
 import math
 
 import numpy as np
@@ -37,57 +36,88 @@ def tiny_run_setup(seed=0, n=200, features=8):
     return specs, cfg, train, test
 
 
+def row_slices(blocks):
+    """(label, lo, hi) of every group: row r of a block spans the flat
+    weights [offset + r * cols, offset + (r + 1) * cols)."""
+    return [
+        (labels[r], offset + r * cols, offset + (r + 1) * cols)
+        for labels, offset, rows, cols in blocks
+        for r in range(rows)
+    ]
+
+
+def block_step(blocks, mags, mask, counts):
+    """The one-pass step: every block's drops cleared in one mask copy."""
+    drops = []
+    for (_, offset, rows, cols), c in zip(blocks, counts):
+        end = offset + rows * cols
+        keep = mask.flat[offset:end].reshape(rows, cols)
+        drops.append(offset + magnitude_prune(mags[offset:end].reshape(rows, cols), keep, c))
+    return mask.without(drops)
+
+
+def single_row_prune(values, keep, count):
+    values = np.asarray(values, dtype=float).reshape(1, -1)
+    return magnitude_prune(values, np.asarray(keep).reshape(1, -1), [count])
+
+
 class TestPartition:
     def test_global_single_group(self):
         params = nn.init_network(nn.mlp_spec(784, 10), seed=0)
-        groups = partition(params, PruningMask.all_ones(params), Scope.GLOBAL)
-        assert len(groups) == 1
-        assert groups[0].survivors == 135_680
+        assert partition(params, Scope.GLOBAL) == [(["global"], 0, 1, 135_680)]
 
     def test_layer_wise_mlp(self):
         params = nn.init_network(nn.mlp_spec(784, 10), seed=0)
-        groups = partition(params, PruningMask.all_ones(params), Scope.LAYER_WISE)
-        assert [g.survivors for g in groups] == [784 * 128, 128 * 256, 256 * 10]
+        sizes = [784 * 128, 128 * 256, 256 * 10]
+        assert partition(params, Scope.LAYER_WISE) == [
+            (["layer0"], 0, 1, sizes[0]),
+            (["layer1"], sizes[0], 1, sizes[1]),
+            (["layer2"], sizes[0] + sizes[1], 1, sizes[2]),
+        ]
 
     def test_neuron_wise_mlp(self):
         params = nn.init_network(nn.mlp_spec(784, 10), seed=0)
-        groups = partition(params, PruningMask.all_ones(params), Scope.NEURON_WISE)
-        assert len(groups) == 128 + 256 + 10
-        layer2 = [g for g in groups if g.label.startswith("layer1/")]
-        assert len(layer2) == 256
-        assert all(g.survivors == 128 for g in layer2)
+        blocks = partition(params, Scope.NEURON_WISE)
+        assert [(offset, rows, cols) for _, offset, rows, cols in blocks] == [
+            (0, 128, 784),
+            (784 * 128, 256, 128),
+            (784 * 128 + 128 * 256, 10, 256),
+        ]
+        assert sum(len(labels) for labels, *_ in blocks) == 128 + 256 + 10
+        assert blocks[1][0] == [f"layer1/neuron{r}" for r in range(256)]
 
     def test_masked_entries_excluded(self):
-        params = single_row_params([0.5, 0.1, 0.3, 0.7])
-        mask = PruningMask.all_ones(params)
-        mask.flat[1] = False
-        (group,) = partition(params, mask, Scope.GLOBAL)
-        assert group.survivors == 3
-        assert list(group.magnitudes) == [0.5, 0.3, 0.7]
+        keep = [True, False, True, True]
+        assert list(single_row_prune([0.5, 0.1, 0.3, 0.7], keep, 3)) == [2, 0, 3]
+        with pytest.raises(ValueError):
+            single_row_prune([0.5, 0.1, 0.3, 0.7], keep, 4)  # 3 survivors
 
     def test_groups_cover_exactly_once(self):
-        params = nn.init_network(nn.mlp_spec(12, 3), seed=1)
-        mask = PruningMask.all_ones(params)
-        for scope in Scope:
-            groups = partition(params, mask, scope)
-            all_idx = np.concatenate([g.indices for g in groups])
-            assert sorted(all_idx) == list(range(params.n_weights))
-
-
-def sequential_prune(group, mask, count):
-    """Reference step: a new mask per group with its `count` smallest
-    surviving magnitudes zeroed (ties to the lowest flat index, a count
-    above the survivors clamped with a warning)."""
-    if count > group.survivors:
-        logging.getLogger("pqprune.pruning").warning(
-            "prune count %d exceeds %d survivors in %s; clamping",
-            count, group.survivors, group.label,
+        params = nn.init_network(
+            [nn.LayerSpec(12, 3, "relu"), nn.LayerSpec(3, 1, "none")], seed=1
         )
-        count = group.survivors
+        labels = {
+            Scope.GLOBAL: ["global"],
+            Scope.LAYER_WISE: ["layer0", "layer1"],
+            Scope.NEURON_WISE: [*(f"layer0/neuron{r}" for r in range(3)), "layer1/neuron0"],
+        }
+        for scope in Scope:
+            slices = row_slices(partition(params, scope))
+            assert [label for label, _, _ in slices] == labels[scope]
+            covered = np.concatenate([np.arange(lo, hi) for _, lo, hi in slices])
+            assert list(covered) == list(range(params.n_weights))
+        single = single_row_params([0.3, 0.1])
+        assert partition(single, Scope.NEURON_WISE) == [(["layer0/neuron0"], 0, 1, 2)]
+
+
+def sequential_prune(mags, mask, lo, hi, count):
+    """Reference step for one group, the flat weights [lo, hi): a new mask
+    with the group's `count` smallest surviving magnitudes cleared, ties to
+    the lowest flat index."""
+    idx = np.nonzero(mask.flat[lo:hi])[0] + lo
     out = PruningMask(mask.flat.copy())
-    if count:
-        order = np.argsort(group.magnitudes, kind="stable")
-        out.flat[group.indices[order[:count]]] = False
+    order = np.argsort(mags[idx], kind="stable")
+    out.flat[idx[order[:count]]] = False
     return out
 
 
@@ -95,67 +125,54 @@ class TestMagnitudePrune:
     def test_smallest_two(self):
         params = single_row_params([0.5, 0.1, 0.3, 0.7])
         mask = PruningMask.all_ones(params)
-        (group,) = partition(params, mask, Scope.GLOBAL)
-        out = mask.without([magnitude_prune(group, 2)])
+        blocks = partition(params, Scope.GLOBAL)
+        out = block_step(blocks, nn.flatten_prunable(params), mask, [[2]])
         assert list(out.flat) == [True, False, False, True]
         assert list(mask.flat) == [True, True, True, True]  # input untouched
 
     def test_already_masked_not_recounted(self):
-        params = single_row_params([0.5, 0.1, 0.3, 0.7])
-        mask = PruningMask.all_ones(params)
-        mask.flat[1] = False
-        (group,) = partition(params, mask, Scope.GLOBAL)
-        assert list(magnitude_prune(group, 1)) == [2]
-        out = mask.without([magnitude_prune(group, 1)])
-        assert list(out.flat) == [True, False, False, True]
+        keep = [True, False, True, True]
+        assert list(single_row_prune([0.5, 0.1, 0.3, 0.7], keep, 1)) == [2]
 
     def test_tie_breaks_to_lowest_index(self):
-        params = single_row_params([0.2, 0.2, 1.0])
-        mask = PruningMask.all_ones(params)
-        (group,) = partition(params, mask, Scope.GLOBAL)
-        assert list(magnitude_prune(group, 1)) == [0]
-        out = mask.without([magnitude_prune(group, 1)])
-        assert list(out.flat) == [False, True, True]
+        assert list(single_row_prune([0.2, 0.2, 1.0], [True] * 3, 1)) == [0]
+        # Across rows, each row breaks its own ties toward its lowest column.
+        mags = np.array([[0.2, 0.2, 1.0], [1.0, 0.5, 0.5]])
+        assert list(magnitude_prune(mags, np.ones((2, 3), bool), [1, 1])) == [0, 4]
 
-    def test_overlarge_count_clamped(self, caplog):
-        params = single_row_params([0.2, 0.4])
-        mask = PruningMask.all_ones(params)
-        (group,) = partition(params, mask, Scope.GLOBAL)
-        with caplog.at_level("WARNING"):
-            out = mask.without([magnitude_prune(group, 5)])
-        assert out.ones_count() == 0
-        assert any("clamping" in m for m in caplog.messages)
+    def test_overlarge_count_rejected(self):
+        with pytest.raises(ValueError, match="survivors"):
+            single_row_prune([0.2, 0.4], [True, True], 3)
+        with pytest.raises(ValueError, match="survivors"):
+            single_row_prune([0.2, 0.4], [True, True], -1)
 
     @pytest.mark.parametrize("scope", list(Scope))
-    def test_one_pass_matches_sequential_oracle(self, scope, caplog):
+    def test_one_pass_matches_sequential_oracle(self, scope):
         rng = np.random.default_rng(11)
         for trial in range(6):
             params = nn.init_network(nn.mlp_spec(12, 3), seed=trial)
-            # Exact ties and zeros alongside the continuous weights.
+            # Exact ties and zeros alongside the continuous weights, and a
+            # row whose magnitudes are all zero.
             params.weights[0][:, :4] = 0.25
             params.weights[1][::3] = 0.0
+            params.weights[0][1] = 0.0
+            mags = nn.flatten_prunable(params)
             mask = PruningMask.all_ones(params)
             mask.flat[rng.random(mask.flat.size) < 0.3] = False
-            groups = partition(params, mask, scope)
-            # 0, in range, or above the survivor count (clamped).
-            counts = [
-                int(rng.choice([0, rng.integers(0, g.survivors + 1), g.survivors + 3]))
-                for g in groups
-            ]
+            # An exhausted row: every weight of it already pruned.
+            mask.flat[params.weights[0].shape[1] * 2 : params.weights[0].shape[1] * 3] = False
+            blocks = partition(params, scope)
+            slices = row_slices(blocks)
+            survivors = [int(np.count_nonzero(mask.flat[lo:hi])) for _, lo, hi in slices]
+            # 0, in range, or every survivor.
+            counts = [int(rng.choice([0, rng.integers(0, d + 1), d])) for d in survivors]
             expected = mask
-            caplog.clear()
-            with caplog.at_level("WARNING"):
-                for group, count in zip(groups, counts):
-                    expected = sequential_prune(group, expected, count)
-                oracle_warnings = len(caplog.messages)
-                caplog.clear()
-                got = mask.without(magnitude_prune(g, c) for g, c in zip(groups, counts))
-                assert len(caplog.messages) == oracle_warnings
-            assert oracle_warnings == sum(c > g.survivors for g, c in zip(groups, counts))
+            for (_, lo, hi), count in zip(slices, counts):
+                expected = sequential_prune(mags, expected, lo, hi, count)
+            per_block = np.split(np.array(counts), np.cumsum([b[2] for b in blocks])[:-1])
+            got = block_step(blocks, mags, mask, per_block)
             np.testing.assert_array_equal(got.flat, expected.flat)
-            assert got.ones_count() == mask.ones_count() - sum(
-                min(c, g.survivors) for g, c in zip(groups, counts)
-            )
+            assert got.ones_count() == mask.ones_count() - sum(counts)
 
 
 class TestSapCount:
@@ -173,10 +190,8 @@ class TestSapCount:
         d = 40
         values = np.zeros(d)
         values[17] = 1.0
-        params = single_row_params(values)
-        (group,) = partition(params, PruningMask.all_ones(params), Scope.GLOBAL)
         hp = SapHyperParams(norms=NormPair(0.5, 1.0), eta=0.0, gamma=1.0, beta=0.9)
-        decision = sap_count(group, hp)
+        decision = sap_count(values, hp)
         assert decision.index == pytest.approx(pq_index_max(d, hp.norms), abs=1e-12)
         assert decision.bound == pytest.approx(1.0, abs=1e-9)
         assert decision.count == math.floor(d * min(1 - 1 / d, 0.9))
@@ -184,10 +199,8 @@ class TestSapCount:
     def test_all_zero_group_raises(self):
         from pqprune.sparsity import UndefinedIndexError
 
-        params = single_row_params([0.0, 0.0, 0.0])
-        (group,) = partition(params, PruningMask.all_ones(params), Scope.GLOBAL)
         with pytest.raises(UndefinedIndexError):
-            sap_count(group, SapHyperParams())
+            sap_count(np.zeros(3), SapHyperParams())
 
 
 class TestRunPruning:

@@ -11,7 +11,6 @@ from pqprune.sparsity import (
     UndefinedIndexError,
     eta_r,
     gini_index,
-    lp_norm,
     pq_index,
     pq_index_max,
     pqi_lower_bound,
@@ -23,33 +22,6 @@ PQ05_1 = NormPair(0.5, 1.0)
 # High-precision direct evaluation of the index formula for [1,2,3,4]:
 # ||w||_0.5 = (1 + sqrt(2) + sqrt(3) + 2)^2, ||w||_1 = 10, scale 4^-1.
 PQI_1234 = 0.055585857369545244
-
-
-class TestLpNorm:
-    def test_pythagorean(self):
-        assert lp_norm([3, 4], 2) == pytest.approx(5.0, abs=1e-12)
-
-    def test_l1_sum(self):
-        assert lp_norm([1, 1, 1, 1], 1) == pytest.approx(4.0, abs=1e-12)
-
-    def test_half_norm_closed_form(self):
-        # (sqrt(1) + sqrt(4))^2 = 9
-        assert lp_norm([1, 4], 0.5) == pytest.approx(9.0, abs=1e-12)
-
-    def test_signed_entries_use_magnitudes(self):
-        assert lp_norm([-3, 4], 2) == pytest.approx(5.0, abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            lp_norm([], 2)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            lp_norm([1.0, float("nan")], 2)
-
-    def test_nonpositive_p_rejected(self):
-        with pytest.raises(ValueError):
-            lp_norm([1.0], 0.0)
 
 
 class TestNormPair:
@@ -86,6 +58,17 @@ class TestPqIndex:
     def test_all_zero_undefined(self):
         with pytest.raises(UndefinedIndexError):
             pq_index([0.0, 0.0], PQ05_1)
+
+    def test_signed_entries_use_magnitudes(self):
+        assert pq_index([-1, 2, -3, 4], PQ05_1) == pytest.approx(PQI_1234, abs=1e-12)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            pq_index([], PQ05_1)
+
+    def test_nonfinite_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            pq_index([1.0, float("nan")], PQ05_1)
 
 
 class TestGiniIndex:
