@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,11 @@ EXIT_INPUT = 2
 
 
 def cmd_measure(args) -> int:
-    values = np.loadtxt(args.file, ndmin=1)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        values = np.loadtxt(args.file, ndmin=1)
+    if values.size == 0:
+        raise ValueError(f"{args.file}: no values to measure")
     norms = NormPair(args.p, args.q)
     index = pq_index(values, norms)
     print(f"pq_index = {format_value(index)}")

@@ -90,6 +90,22 @@ class Dataset:
         return self.inputs.shape[0]
 
 
+def _shapes(specs) -> list[tuple[int, ...]]:
+    """Every weight shape, layer by layer, then every bias shape."""
+    return [(s.out_size, s.in_size) for s in specs] + [(s.out_size,) for s in specs]
+
+
+def _layer_views(specs, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer (weights, biases) views into a vector in the layout of
+    `NetworkParams.flat`."""
+    views, offset = [], 0
+    for shape in _shapes(specs):
+        size = math.prod(shape)
+        views.append(flat[offset : offset + size].reshape(shape))
+        offset += size
+    return views[: len(specs)], views[len(specs) :]
+
+
 class NetworkParams:
     """Every weight, layer-major and row-major within each (out x in)
     matrix, then every bias, held in one float vector `flat`.
@@ -102,18 +118,10 @@ class NetworkParams:
     def __init__(self, specs, weights, biases):
         self.specs = list(specs)
         arrays = [*weights, *biases]
-        shapes = [(s.out_size, s.in_size) for s in self.specs]
-        shapes += [(s.out_size,) for s in self.specs]
-        if [np.shape(a) for a in arrays] != shapes:
+        if [np.shape(a) for a in arrays] != _shapes(self.specs):
             raise ValueError("parameter shapes do not match the layer specs")
         self.flat = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
-        views, offset = [], 0
-        for shape in shapes:
-            size = math.prod(shape)
-            views.append(self.flat[offset : offset + size].reshape(shape))
-            offset += size
-        self.weights = views[: len(self.specs)]
-        self.biases = views[len(self.specs) :]
+        self.weights, self.biases = _layer_views(self.specs, self.flat)
         self.n_weights = sum(w.size for w in self.weights)
 
     def copy(self) -> "NetworkParams":
@@ -139,12 +147,14 @@ def init_network(specs: list[LayerSpec], seed: int) -> NetworkParams:
 
 
 def _forward(params: NetworkParams, X: np.ndarray):
-    """Activations per layer; returns (logits, pre-activation cache)."""
+    """Returns (logits, activations): the input, then each layer's output."""
     acts = [X]
     a = X
     for spec, w, b in zip(params.specs, params.weights, params.biases):
-        z = a @ w.T + b
-        a = np.maximum(z, 0.0) if spec.activation == "relu" else z
+        a = a @ w.T
+        a += b
+        if spec.activation == "relu":
+            np.maximum(a, 0.0, out=a)
         acts.append(a)
     return a, acts
 
@@ -152,27 +162,34 @@ def _forward(params: NetworkParams, X: np.ndarray):
 def _softmax_xent(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy and d(loss)/d(logits)."""
     shifted = logits - logits.max(axis=1, keepdims=True)
-    expz = np.exp(shifted)
-    probs = expz / expz.sum(axis=1, keepdims=True)
+    grad = np.exp(shifted)
+    total = grad.sum(axis=1, keepdims=True)
     n = logits.shape[0]
-    logp = shifted - np.log(expz.sum(axis=1, keepdims=True))
-    loss = -float(logp[np.arange(n), labels].mean())
-    grad = probs.copy()
-    grad[np.arange(n), labels] -= 1.0
-    return loss, grad / n
+    rows = np.arange(n)
+    loss = -float((shifted[rows, labels] - np.log(total[:, 0])).mean())
+    grad /= total
+    grad[rows, labels] -= 1.0
+    grad /= n
+    return loss, grad
 
 
-def loss_and_grads(params: NetworkParams, X: np.ndarray, labels: np.ndarray):
-    """Cross-entropy loss and analytic gradients for every weight and bias."""
+def loss_and_grads(params: NetworkParams, X: np.ndarray, labels: np.ndarray, out=None):
+    """Cross-entropy loss and analytic gradients for every weight and bias.
+
+    The gradients are written into `out`, a vector in the layout of
+    `params.flat` (a fresh one when None), and returned as per-layer views
+    of it: (loss, grad_w, grad_b).
+    """
+    if out is None:
+        out = np.empty_like(params.flat)
+    grad_w, grad_b = _layer_views(params.specs, out)
     logits, acts = _forward(params, X)
     loss, delta = _softmax_xent(logits, labels)
-    grad_w = [None] * len(params.specs)
-    grad_b = [None] * len(params.specs)
     for l in reversed(range(len(params.specs))):
         if params.specs[l].activation == "relu":
-            delta = delta * (acts[l + 1] > 0.0)
-        grad_w[l] = delta.T @ acts[l]
-        grad_b[l] = delta.sum(axis=0)
+            delta *= acts[l + 1] > 0.0
+        np.matmul(delta.T, acts[l], out=grad_w[l])
+        np.add.reduce(delta, axis=0, out=grad_b[l])
         if l > 0:
             delta = delta @ params.weights[l]
     return loss, grad_w, grad_b
@@ -202,7 +219,11 @@ def train(params: NetworkParams, mask, data: Dataset, cfg: TrainConfig) -> Netwo
     (seed, e), making runs reproducible.
     """
     net = _masked_copy(params, mask)
+    keep = mask.flat.astype(float)
+    grad = np.empty_like(net.flat)
     vel = np.zeros_like(net.flat)
+    scratch = np.empty_like(net.flat)
+    grad_prunable = grad[: net.n_weights]
     n = len(data)
     batch = min(cfg.batch_size, n)
     for epoch in range(cfg.epochs):
@@ -210,18 +231,26 @@ def train(params: NetworkParams, mask, data: Dataset, cfg: TrainConfig) -> Netwo
         order = np.random.default_rng([cfg.seed, epoch]).permutation(n)
         for start in range(0, n, batch):
             idx = order[start : start + batch]
-            loss, grad_w, grad_b = loss_and_grads(net, data.inputs[idx], data.labels[idx])
+            loss, _, _ = loss_and_grads(net, data.inputs[idx], data.labels[idx], out=grad)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch offset {start}"
                 )
-            grad = np.concatenate([*(g.ravel() for g in grad_w), *grad_b])
-            grad += cfg.weight_decay * net.flat
-            grad[: net.n_weights] *= mask.flat
+            # The operations, in order, of grad += wd * flat; grad *= mask;
+            # vel = m * vel + grad; flat -= lr * (grad + m * vel if nesterov
+            # else vel): any other order rounds differently.
+            np.multiply(net.flat, cfg.weight_decay, out=scratch)
+            grad += scratch
+            grad_prunable *= keep
             vel *= cfg.momentum
             vel += grad
-            step = grad + cfg.momentum * vel if cfg.nesterov else vel
-            net.flat -= lr * step
+            if cfg.nesterov:
+                np.multiply(vel, cfg.momentum, out=scratch)
+                scratch += grad
+                scratch *= lr
+            else:
+                np.multiply(vel, lr, out=scratch)
+            net.flat -= scratch
     return net
 
 

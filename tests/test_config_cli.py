@@ -236,6 +236,15 @@ class TestMeasureCommand:
         assert run_cli(["measure", str(path)]) == 2
         assert "index undefined" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["", "# only a comment\n"])
+    def test_empty_file_exit_2_with_one_error_line(self, tmp_path, capsys, text):
+        path = tmp_path / "empty.txt"
+        path.write_text(text)
+        assert run_cli(["measure", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: no values to measure\n"
+
     def test_large_vector(self, tmp_path, capsys):
         d = 100_000
         values = np.random.default_rng(0).laplace(size=d)

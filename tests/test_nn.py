@@ -1,10 +1,14 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 from pqprune import nn
-from pqprune.pruning import PruningMask
+from pqprune.config import ExperimentConfig
+from pqprune.data_io import SyntheticSpec
+from pqprune.experiment import run_experiment
+from pqprune.pruning import PruningMask, Scope
 
 
 def toy_specs():
@@ -233,3 +237,153 @@ class TestFlatten:
         assert nn.flatten_prunable(params)[pos] == 3.5
         params.biases[0][1] = 2.0
         assert params.flat[params.n_weights + 1] == 2.0
+
+
+# --- reference trainer ------------------------------------------------------
+#
+# The allocating form of the forward pass, backward pass and SGD step: each
+# step concatenates fresh per-layer gradients and builds every update term as
+# a new array. `nn.train` updates its buffers in place and must return the
+# same bits.
+
+
+def reference_loss_and_grads(params, X, labels):
+    acts = [X]
+    a = X
+    for spec, w, b in zip(params.specs, params.weights, params.biases):
+        z = a @ w.T + b
+        a = np.maximum(z, 0.0) if spec.activation == "relu" else z
+        acts.append(a)
+    n = a.shape[0]
+    shifted = a - a.max(axis=1, keepdims=True)
+    expz = np.exp(shifted)
+    probs = expz / expz.sum(axis=1, keepdims=True)
+    logp = shifted - np.log(expz.sum(axis=1, keepdims=True))
+    loss = -float(logp[np.arange(n), labels].mean())
+    delta = probs.copy()
+    delta[np.arange(n), labels] -= 1.0
+    delta = delta / n
+    grad_w = [None] * len(params.specs)
+    grad_b = [None] * len(params.specs)
+    for l in reversed(range(len(params.specs))):
+        if params.specs[l].activation == "relu":
+            delta = delta * (acts[l + 1] > 0.0)
+        grad_w[l] = delta.T @ acts[l]
+        grad_b[l] = delta.sum(axis=0)
+        if l > 0:
+            delta = delta @ params.weights[l]
+    return loss, grad_w, grad_b
+
+
+def reference_train(params, mask, data, cfg):
+    net = params.copy()
+    net.flat[: net.n_weights] *= mask.flat
+    vel = np.zeros_like(net.flat)
+    n = len(data)
+    batch = min(cfg.batch_size, n)
+    for epoch in range(cfg.epochs):
+        lr = nn.cosine_lr(cfg.learning_rate, epoch, cfg.epochs)
+        order = np.random.default_rng([cfg.seed, epoch]).permutation(n)
+        for start in range(0, n, batch):
+            idx = order[start : start + batch]
+            loss, grad_w, grad_b = reference_loss_and_grads(
+                net, data.inputs[idx], data.labels[idx]
+            )
+            if not np.isfinite(loss):
+                raise nn.TrainingDivergedError(f"non-finite loss at epoch {epoch}")
+            grad = np.concatenate([*(g.ravel() for g in grad_w), *grad_b])
+            grad += cfg.weight_decay * net.flat
+            grad[: net.n_weights] *= mask.flat
+            vel *= cfg.momentum
+            vel += grad
+            step = grad + cfg.momentum * vel if cfg.nesterov else vel
+            net.flat -= lr * step
+    return net
+
+
+def holed_mask(params, seed):
+    """Zeros in every layer, and row 1 of the last layer zeroed entirely."""
+    mask = PruningMask.all_ones(params)
+    mask.flat[np.random.default_rng(seed).random(mask.flat.size) < 0.3] = False
+    w = params.weights[-1]
+    lo = params.n_weights - w.size
+    mask.flat[lo + w.shape[1] : lo + 2 * w.shape[1]] = False
+    return mask
+
+
+class TestReferenceTrainer:
+    @pytest.mark.parametrize(
+        "specs, batch_size",
+        list(itertools.product([toy_specs(), nn.linear_spec(5, 2)], [8, 64])),
+        ids=["mlp-short_last_batch", "mlp-batch_ge_n", "linear-short_last_batch",
+             "linear-batch_ge_n"],
+    )
+    def test_train_bit_identical(self, specs, batch_size):
+        data = separable_data(n=37, seed=1)  # 37 = 4 * 8 + 5
+        params = nn.init_network(specs, seed=3)
+        mask = holed_mask(params, seed=3)
+        for layer in range(len(specs)):
+            lo = sum(w.size for w in params.weights[:layer])
+            assert not mask.flat[lo : lo + params.weights[layer].size].all()
+        settings = itertools.product([True, False], [0.0, 5e-4], [0.0, 0.9])
+        for nesterov, weight_decay, momentum in settings:
+            cfg = nn.TrainConfig(
+                epochs=3, batch_size=batch_size, learning_rate=0.3, momentum=momentum,
+                weight_decay=weight_decay, nesterov=nesterov, seed=5,
+            )
+            got = nn.train(params, mask, data, cfg)
+            want = reference_train(params, mask, data, cfg)
+            assert np.array_equal(got.flat, want.flat), cfg
+            assert not np.array_equal(got.flat, params.flat)
+
+
+class TestLossAndGradsContract:
+    def setup_method(self):
+        self.params = nn.init_network(toy_specs(), seed=2)
+        data = separable_data(n=16, seed=2)
+        self.X, self.y = data.inputs, data.labels
+
+    def test_calls_without_out_share_no_memory(self):
+        _, w1, b1 = nn.loss_and_grads(self.params, self.X, self.y)
+        _, w2, b2 = nn.loss_and_grads(self.params, self.X, self.y)
+        for a, b in itertools.product([*w1, *b1], [*w2, *b2]):
+            assert not np.shares_memory(a, b)
+
+    def test_out_holds_the_gradients_in_flat_layout(self):
+        loss, grad_w, grad_b = nn.loss_and_grads(self.params, self.X, self.y)
+        out = np.full_like(self.params.flat, np.nan)
+        out_loss, out_w, out_b = nn.loss_and_grads(self.params, self.X, self.y, out=out)
+        assert out_loss == loss
+        for got, want in zip([*out_w, *out_b], [*grad_w, *grad_b]):
+            assert np.shares_memory(got, out)
+            assert np.array_equal(got, want)
+        assert np.array_equal(out, np.concatenate([*(g.ravel() for g in grad_w), *grad_b]))
+        ref_loss, ref_w, ref_b = reference_loss_and_grads(self.params, self.X, self.y)
+        assert ref_loss == loss
+        assert all(np.array_equal(a, b) for a, b in zip([*ref_w, *ref_b], [*grad_w, *grad_b]))
+
+
+@pytest.mark.parametrize("scope", list(Scope))
+def test_grid_bytes_match_reference_trainer(scope, tmp_path, monkeypatch):
+    """A small grid per scope writes the same run.json, iterations.csv and
+    summary.csv under `nn.train` as under the reference trainer."""
+    cfg = ExperimentConfig(
+        scope=scope,
+        # 152 training rows: four batches of 32 and a short one of 24.
+        dataset=SyntheticSpec(n_samples=190, n_features=8, n_classes=3, seed=4),
+        algorithm_kinds=["sap", "lottery_ticket", "one_shot"],
+        iterations=3,
+        train=nn.TrainConfig(epochs=2, batch_size=32, weight_decay=0.05),
+        seeds=[0, 1],
+    )
+    run_experiment(cfg, out_dir=tmp_path / "shipped")
+    monkeypatch.setattr(nn, "train", reference_train)
+    run_experiment(cfg, out_dir=tmp_path / "reference")
+
+    def guarded(root):
+        names = ("run.json", "iterations.csv", "summary.csv")
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.name in names}
+
+    shipped = guarded(tmp_path / "shipped")
+    assert len(shipped) == 2 * 6 + 1
+    assert shipped == guarded(tmp_path / "reference")
