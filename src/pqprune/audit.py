@@ -102,13 +102,13 @@ def audit_measure(
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     S = measure.evaluator
-    counts = {name: 0 for name in PROPERTY_NAMES}
-    first: dict[str, list | None] = {name: None for name in PROPERTY_NAMES}
+    results = {name: PropertyResult(name, trials, violations=0) for name in PROPERTY_NAMES}
 
     def record(name: str, w: np.ndarray):
-        counts[name] += 1
-        if first[name] is None:
-            first[name] = [float(x) for x in w]
+        result = results[name]
+        result.violations += 1
+        if result.first_counterexample is None:
+            result.first_counterexample = [float(x) for x in w]
 
     for _ in range(trials):
         w = _random_vector(rng)
@@ -153,18 +153,7 @@ def audit_measure(
         if S(np.append(w, 0.0)) - base < -STRICTNESS_MARGIN:
             record("babies", w)
 
-    return PropertyReport(
-        measure=measure.name,
-        results=[
-            PropertyResult(
-                property=name,
-                trials=trials,
-                violations=counts[name],
-                first_counterexample=first[name],
-            )
-            for name in PROPERTY_NAMES
-        ],
-    )
+    return PropertyReport(measure=measure.name, results=list(results.values()))
 
 
 def _unequal_pair(rng: np.random.Generator, w: np.ndarray) -> tuple[int, int]:

@@ -85,8 +85,7 @@ def cmd_run(args) -> int:
     if args.workers < 0:
         raise ValueError("--workers must be >= 1, or 0 to use the config's workers")
     out = args.out or os.environ.get("PQI_PRUNE_OUT") or cfg.output_dir
-    workers = args.workers if args.workers else cfg.workers
-    results = run_experiment(cfg, out_dir=out, workers=workers)
+    results = run_experiment(cfg, out, args.workers)
     summary_path = Path(out) / "summary.csv"
     print(f"wrote {len(results)} run directories under {out}")
     print(summary_path.read_text(), end="")

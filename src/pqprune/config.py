@@ -16,6 +16,7 @@ Example:
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -74,7 +75,22 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-_PARSERS = {int: int, float: float, bool: _parse_bool}
+def _parse_float(s: str) -> float:
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {s!r}")
+    return x
+
+
+_PARSERS = {int: int, float: _parse_float, bool: _parse_bool}
+
+
+def _pop(kv: dict[str, str], key: str, parse, default):
+    """`kv[key]` popped and parsed, or `default` if absent; a parse error names the key."""
+    try:
+        return parse(kv.pop(key)) if key in kv else default
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from exc
 
 
 def _replace_fields(kv: dict[str, str], prefix: str, obj, skip=(), **changes):
@@ -83,15 +99,19 @@ def _replace_fields(kv: dict[str, str], prefix: str, obj, skip=(), **changes):
     `skip` or of any other type take no key; `changes` are applied as given."""
     types = typing.get_type_hints(type(obj))
     for f in dataclasses.fields(obj):
-        key = f"{prefix}.{f.name}"
         parse = _PARSERS.get(types[f.name])
-        if parse is not None and f.name not in skip and key in kv:
-            changes[f.name] = parse(kv.pop(key))
+        if parse is not None and f.name not in skip:
+            changes[f.name] = _pop(kv, f"{prefix}.{f.name}", parse, getattr(obj, f.name))
     return dataclasses.replace(obj, **changes)
 
 
-def _unique(key: str, items: list) -> list:
-    """`items`, if no entry repeats: two cells of one name would share a directory."""
+def _entries(kv: dict[str, str], key: str, parse, default: list) -> list:
+    """The comma-separated entries of `kv[key]`, each parsed, or `default` if
+    absent. An empty list would run no cell, and a repeated entry would give
+    two cells one directory; both are rejected."""
+    items = _pop(kv, key, lambda text: [parse(x) for x in text.split(",") if x.strip()], default)
+    if not items:
+        raise ValueError(f"{key}: no entries")
     repeated = sorted({str(x) for x in items if items.count(x) > 1})
     if repeated:
         raise ValueError(f"{key}: duplicate entries {', '.join(repeated)}")
@@ -115,7 +135,7 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg.model = kv.pop("model", cfg.model)
     if cfg.model not in ("Linear", "MLP"):
         raise ValueError(f"model must be Linear or MLP, got {cfg.model!r}")
-    cfg.scope = Scope(kv.pop("scope", cfg.scope.value))
+    cfg.scope = _pop(kv, "scope", Scope, cfg.scope)
 
     ds_kind = kv.pop("dataset.kind", "synthetic")
     if ds_kind == "synthetic":
@@ -133,23 +153,17 @@ def parse_config(text: str) -> ExperimentConfig:
     else:
         raise ValueError(f"unknown dataset.kind {ds_kind!r}")
 
-    kinds = kv.pop("algorithm.kinds", None)
-    if kinds is not None:
-        cfg.algorithm_kinds = _unique(
-            "algorithm.kinds", [k.strip() for k in kinds.split(",") if k.strip()]
-        )
-    cfg.iterations = int(kv.pop("algorithm.iterations", cfg.iterations))
-    cfg.ratio = float(kv.pop("algorithm.ratio", cfg.ratio))
+    cfg.algorithm_kinds = _entries(kv, "algorithm.kinds", str.strip, cfg.algorithm_kinds)
+    cfg.iterations = _pop(kv, "algorithm.iterations", int, cfg.iterations)
+    cfg.ratio = _pop(kv, "algorithm.ratio", _parse_float, cfg.ratio)
     # sap.p and sap.q set the norm pair; a config cannot relax its regime.
     norms = _replace_fields(kv, "sap", cfg.sap.norms, skip={"relaxed"})
     cfg.sap = _replace_fields(kv, "sap", cfg.sap, norms=norms)
     # Each cell's seed comes from `seeds`, not from the train section.
     cfg.train = _replace_fields(kv, "train", cfg.train, skip={"seed"})
-    seeds = kv.pop("seeds", None)
-    if seeds is not None:
-        cfg.seeds = _unique("seeds", [int(s) for s in seeds.split(",") if s.strip()])
+    cfg.seeds = _entries(kv, "seeds", int, cfg.seeds)
     cfg.output_dir = kv.pop("output_dir", cfg.output_dir)
-    cfg.workers = int(kv.pop("workers", cfg.workers))
+    cfg.workers = _pop(kv, "workers", int, cfg.workers)
     if cfg.workers < 1:
         raise ValueError("workers must be >= 1")
     if kv:

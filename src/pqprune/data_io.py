@@ -164,12 +164,14 @@ def write_run_record(rec: RunRecord, directory) -> None:
 
 
 def read_run_record(directory) -> RunRecord:
-    """Inverse of write_run_record for the JSON side. An unreadable file
-    raises RuntimeError; one that is not JSON or lacks a field of the record
-    raises ValueError naming the file."""
+    """Inverse of write_run_record for the JSON side. A missing file, or one
+    that is not JSON or lacks a field of the record, raises ValueError naming
+    the file; any other unreadable file raises RuntimeError."""
     path = Path(directory) / "run.json"
     try:
         return RunRecord.from_dict(json.loads(path.read_text()))
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        raise ValueError(f"run record {path} does not exist") from exc
     except OSError as exc:
         raise RuntimeError(f"cannot read run record at {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import logging
 from collections.abc import Iterator
@@ -73,44 +74,42 @@ def run_cell(cfg: ExperimentConfig, alg: AlgorithmSpec, seed: int) -> RunRecord:
     return run_pruning(alg, cfg.scope, specs, train_cfg, train_data, test_data)
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None, workers=None) -> dict[str, RunRecord]:
+def run_experiment(cfg: ExperimentConfig, out_dir, workers=None) -> dict[str, RunRecord]:
     """Run every (seed x algorithm) cell, persist records, write summary.csv.
 
-    A cell that raises is marked failed and does not abort the others; the
-    failed cells are listed in failed_cells.txt, which a run without
-    failures removes. With workers > 1, a worker that dies (killed, or
-    exiting without returning) breaks its pool: its own cell and every cell
-    still pending in that pool fail, and summary.csv covers the cells that
+    `workers` None or 0 means the config's. A cell that raises, or whose
+    worker died, is marked failed with its traceback logged and does not
+    abort the others; the failed cells are listed in failed_cells.txt, which
+    a run without failures removes. A worker that dies (killed, or exiting
+    without returning) breaks its pool: its own cell and every cell still
+    pending in that pool fail, and summary.csv covers the cells that
     completed.
 
     The datasets are read once, before the output directory is created, so
     a bad dataset raises (IdxFormatError for a malformed IDX file) with
     nothing written.
     """
-    out_dir = Path(out_dir if out_dir is not None else cfg.output_dir)
-    workers = workers if workers is not None else cfg.workers
-    jobs = [
-        (cfg, alg, seed, out_dir)
-        for alg in cfg.algorithms()
-        for seed in cfg.seeds
-    ]
-    names = [cell_name(alg.kind, seed) for _, alg, seed, _ in jobs]
+    out_dir = Path(out_dir)
+    workers = workers or cfg.workers
+    cells = [(alg, seed) for alg in cfg.algorithms() for seed in cfg.seeds]
     results: dict[str, RunRecord] = {}
     failed: list[str] = []
     _loaded[cfg.dataset] = load_datasets(cfg)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-            if pool:
-                futures = [pool.submit(_try_cell, job) for job in jobs]
-                outcomes = map(_cell_result, names, futures)
-            else:
-                outcomes = map(_try_cell, jobs)
-            for name, record in zip(names, outcomes):
-                if record is None:
+            calls = [  # each returns the cell's record or raises
+                pool.submit(_persist_cell, cfg, alg, seed, out_dir).result if pool
+                else functools.partial(_persist_cell, cfg, alg, seed, out_dir)
+                for alg, seed in cells
+            ]
+            for (alg, seed), call in zip(cells, calls):
+                name = cell_name(alg.kind, seed)
+                try:
+                    results[name] = call()
+                except Exception:
+                    log.exception("cell %s failed", name)
                     failed.append(name)
-                else:
-                    results[name] = record
     finally:
         _loaded.clear()
     failed_path = out_dir / "failed_cells.txt"
@@ -123,27 +122,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, workers=None) -> dict[st
     return results
 
 
-def _try_cell(job) -> RunRecord | None:
-    """Run and persist one cell; None, with the traceback logged, if it raises."""
-    cfg, alg, seed, out_dir = job
-    name = cell_name(alg.kind, seed)
-    try:
-        record = run_cell(cfg, alg, seed)
-        write_run_record(record, Path(out_dir) / name)
-    except Exception:
-        log.exception("cell %s failed", name)
-        return None
+def _persist_cell(cfg: ExperimentConfig, alg: AlgorithmSpec, seed: int, out_dir) -> RunRecord:
+    """Run one cell and write its record under `out_dir`."""
+    record = run_cell(cfg, alg, seed)
+    write_run_record(record, out_dir / cell_name(alg.kind, seed))
     return record
-
-
-def _cell_result(name: str, future) -> RunRecord | None:
-    """The pooled cell's record; None, with the traceback logged, if reading
-    the result raises, as BrokenProcessPool does after a worker died."""
-    try:
-        return future.result()
-    except Exception:
-        log.exception("cell %s failed", name)
-        return None
 
 
 def per_iteration(

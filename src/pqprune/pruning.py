@@ -46,13 +46,6 @@ class PruningMask:
     def ones_count(self) -> int:
         return int(np.count_nonzero(self.flat))
 
-    def without(self, drops) -> "PruningMask":
-        """One copy with the flat indices in every array of `drops` cleared."""
-        flat = self.flat.copy()
-        for indices in drops:
-            flat[indices] = False
-        return PruningMask(flat)
-
 
 @dataclass(frozen=True)
 class SapHyperParams:
@@ -145,27 +138,17 @@ def sap_prune_count(d: int, r: float, gamma: float, beta: float) -> int:
     return max(int(math.floor(value)), 0)
 
 
-@dataclass(frozen=True)
-class SapDecision:
-    index: float  # sparsity index of the surviving magnitudes
-    bound: float  # retention lower bound r
-    count: int  # entries to prune this iteration
-
-
-def sap_count(survivors: np.ndarray, hp: SapHyperParams) -> SapDecision:
-    """Adaptive prune count for one group from the sparsity index of its
-    surviving magnitudes.
+def sap_count(survivors: np.ndarray, hp: SapHyperParams) -> dict:
+    """One group's adaptive decision as it is logged: the sparsity index
+    `pqi` of its surviving magnitudes, the retention bound `r`, and the
+    prune count `c`.
 
     Raises UndefinedIndexError when every surviving magnitude is zero; the
     run loop skips such a group for the iteration.
     """
-    index = pq_index(survivors, hp.norms)
-    bound = pqi_lower_bound(survivors.size, index, hp.eta, hp.norms)
-    return SapDecision(
-        index=index,
-        bound=bound,
-        count=sap_prune_count(survivors.size, bound, hp.gamma, hp.beta),
-    )
+    pqi = pq_index(survivors, hp.norms)
+    r = pqi_lower_bound(survivors.size, pqi, hp.eta, hp.norms)
+    return {"pqi": pqi, "r": r, "c": sap_prune_count(survivors.size, r, hp.gamma, hp.beta)}
 
 
 def _surviving_index(mags: np.ndarray, mask: PruningMask, norms: NormPair):
@@ -241,7 +224,7 @@ def run_pruning(
             acc_r, loss_r, pqi_r, gini_r = acc_p, loss_p, pqi_p, gini_p
         d_t = mask.ones_count()
 
-        drops = []
+        next_mask = PruningMask(mask.flat.copy())
         group_logs = []
         for labels, offset, rows, cols in blocks:
             keep = mask.flat[offset : offset + rows * cols].reshape(rows, cols)
@@ -255,18 +238,17 @@ def run_pruning(
                 entry = {"label": labels[r], "d": int(survivors[r])}
                 if alg.kind == "sap":
                     try:
-                        decision = sap_count(block[r][keep[r]], alg.sap)
+                        entry.update(sap_count(block[r][keep[r]], alg.sap))
                     except UndefinedIndexError:
                         record.events.append(
                             f"iteration {t}: group {labels[r]} all-zero survivors; skipped"
                         )
                         continue
-                    counts[r] = decision.count
-                    entry.update(pqi=decision.index, r=decision.bound)
-                entry["c"] = int(counts[r])
+                    counts[r] = entry["c"]
+                else:
+                    entry["c"] = int(counts[r])
                 group_logs.append(entry)
-            drops.append(offset + magnitude_prune(block, keep, counts))
-        next_mask = mask.without(drops)
+            next_mask.flat[offset + magnitude_prune(block, keep, counts)] = False
 
         acc_p, loss_p = nn.evaluate(model, next_mask, test_data)
         pqi_p, gini_p = _surviving_index(mags, next_mask, index_norms)

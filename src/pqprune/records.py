@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 CSV_FIELDS = (
     "t",
@@ -50,14 +50,12 @@ class IterationMetrics:
         return ",".join(format_value(getattr(self, name)) for name in CSV_FIELDS)
 
     def to_dict(self) -> dict:
-        d = {name: getattr(self, name) for name in CSV_FIELDS}
-        d["c_total"] = self.c_total
-        d["groups"] = self.groups
-        return d
+        # Shallow, unlike `asdict`, which would deep-copy every group dict.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "IterationMetrics":
-        return cls(**{k: d[k] for k in (*CSV_FIELDS, "c_total", "groups")})
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 @dataclass

@@ -139,6 +139,15 @@ class TestConfig:
             "train.momentum = -0.1",
             "workers = -2",
             "workers = 0",
+            "sap.eta = nan",
+            "sap.gamma = inf",
+            "train.learning_rate = nan",
+            "train.weight_decay = inf",
+            "dataset.class_separation = nan",
+            "train.epochs = abc",
+            "seeds = ",
+            "algorithm.kinds = ,",
+            "scope = bogus",
         ],
     )
     def test_run_with_bad_value_exits_2(self, tmp_path, capsys, line):
@@ -432,7 +441,17 @@ class TestRunAndReport:
         assert f"run record {tmp_path / 'cut' / 'run.json'} {message}" in err
         assert not (tmp_path / "report").exists()
 
-    def test_clean_rerun_removes_failed_cells(self, run_root, tmp_path, monkeypatch):
+    def test_report_missing_record_exits_2(self, tmp_path, capsys):
+        argv = ["report", str(tmp_path / "absent"), "--out", str(tmp_path / "report")]
+        assert cli.main(argv) == 2
+        assert f"run record {tmp_path / 'absent' / 'run.json'} does not exist" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_clean_rerun_removes_failed_cells(self, run_root, tmp_path, monkeypatch, caplog,
+                                              workers):
         run_cell = experiment.run_cell
 
         def fail_seed1(cfg, alg, seed):
@@ -440,11 +459,19 @@ class TestRunAndReport:
                 raise RuntimeError("injected failure")
             return run_cell(cfg, alg, seed)
 
-        argv = ["run", "--config", str(run_root / "exp.cfg"), "--out", str(tmp_path)]
+        argv = ["run", "--config", str(run_root / "exp.cfg"), "--out", str(tmp_path),
+                "--workers", workers]
         monkeypatch.setattr(experiment, "run_cell", fail_seed1)
         assert cli.main(argv) == 1
         failed = (tmp_path / "failed_cells.txt").read_text()
         assert failed == "sap_seed1\nlottery_ticket_seed1\n"
+        # The parent logs each failure, naming the cell, in a pool too.
+        assert "cell sap_seed1 failed" in caplog.text
+        assert "injected failure" in caplog.text
+        completed = {name: read_run_record(tmp_path / name)
+                     for name in ("sap_seed0", "lottery_ticket_seed0")}
+        summary = (tmp_path / "summary.csv").read_text()
+        assert summary == experiment.summarize_records(completed)
         monkeypatch.undo()
         assert cli.main(argv) == 0
         assert not (tmp_path / "failed_cells.txt").exists()

@@ -1,4 +1,5 @@
 import fcntl
+import re
 import struct
 from pathlib import Path
 
@@ -219,5 +220,10 @@ class TestRunRecordIO:
         assert sorted(p.name for p in target.iterdir()) == [".lock", "iterations.csv", "run.json"]
 
     def test_missing_record_has_path_context(self, tmp_path):
-        with pytest.raises(RuntimeError, match=str(tmp_path)):
+        # A missing run.json is bad input (exit 2); other read errors are not.
+        path = tmp_path / "nope" / "run.json"
+        with pytest.raises(ValueError, match=re.escape(f"run record {path} does not exist")):
             read_run_record(tmp_path / "nope")
+        (tmp_path / "run.json").mkdir()
+        with pytest.raises(RuntimeError, match=re.escape(f"cannot read run record at {tmp_path}")):
+            read_run_record(tmp_path)

@@ -48,12 +48,13 @@ def row_slices(blocks):
 
 def block_step(blocks, mags, mask, counts):
     """The one-pass step: every block's drops cleared in one mask copy."""
-    drops = []
+    next_mask = PruningMask(mask.flat.copy())
     for (_, offset, rows, cols), c in zip(blocks, counts):
         end = offset + rows * cols
         keep = mask.flat[offset:end].reshape(rows, cols)
-        drops.append(offset + magnitude_prune(mags[offset:end].reshape(rows, cols), keep, c))
-    return mask.without(drops)
+        block = mags[offset:end].reshape(rows, cols)
+        next_mask.flat[offset + magnitude_prune(block, keep, c)] = False
+    return next_mask
 
 
 def single_row_prune(values, keep, count):
@@ -192,9 +193,9 @@ class TestSapCount:
         values[17] = 1.0
         hp = SapHyperParams(norms=NormPair(0.5, 1.0), eta=0.0, gamma=1.0, beta=0.9)
         decision = sap_count(values, hp)
-        assert decision.index == pytest.approx(pq_index_max(d, hp.norms), abs=1e-12)
-        assert decision.bound == pytest.approx(1.0, abs=1e-9)
-        assert decision.count == math.floor(d * min(1 - 1 / d, 0.9))
+        assert decision["pqi"] == pytest.approx(pq_index_max(d, hp.norms), abs=1e-12)
+        assert decision["r"] == pytest.approx(1.0, abs=1e-9)
+        assert decision["c"] == math.floor(d * min(1 - 1 / d, 0.9))
 
     def test_all_zero_group_raises(self):
         from pqprune.sparsity import UndefinedIndexError
