@@ -166,9 +166,7 @@ def _unequal_pair(rng: np.random.Generator, w: np.ndarray) -> tuple[int, int]:
             return int(j), int(i)
 
 
-def robin_hood_counterexample(
-    norms: NormPair, max_dim: int = 10_000
-) -> dict | None:
+def robin_hood_counterexample(norms: NormPair) -> dict | None:
     """Directed search for a robin_hood violation of the index at (p, q).
 
     Probes vectors [2, 1, c, ..., c] with a long tail of small entries,
@@ -177,8 +175,6 @@ def robin_hood_counterexample(
     None if the search budget finds nothing.
     """
     for d in (10, 100, 1_000, 10_000):
-        if d > max_dim:
-            break
         for c in np.logspace(-6, 0, 13):
             w = np.concatenate([[2.0, 1.0], np.full(d - 2, c)])
             base = pq_index(w, norms)

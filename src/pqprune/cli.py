@@ -151,7 +151,7 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except RuntimeError as exc:
+    except (RuntimeError, OSError) as exc:  # OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -141,15 +141,11 @@ def parse_config(text: str) -> ExperimentConfig:
     if ds_kind == "synthetic":
         cfg.dataset = _replace_fields(kv, "dataset", cfg.dataset)
     elif ds_kind == "idx":
-        try:
-            cfg.dataset = IdxPaths(
-                train_images=kv.pop("dataset.train_images"),
-                train_labels=kv.pop("dataset.train_labels"),
-                test_images=kv.pop("dataset.test_images"),
-                test_labels=kv.pop("dataset.test_labels"),
-            )
-        except KeyError as exc:
-            raise ValueError(f"idx dataset requires key dataset.{exc.args[0]}") from exc
+        keys = [f"dataset.{f.name}" for f in dataclasses.fields(IdxPaths)]
+        missing = [key for key in keys if key not in kv]
+        if missing:
+            raise ValueError(f"idx dataset requires key {missing[0]}")
+        cfg.dataset = IdxPaths(*(kv.pop(key) for key in keys))
     else:
         raise ValueError(f"unknown dataset.kind {ds_kind!r}")
 

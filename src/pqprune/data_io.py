@@ -7,14 +7,14 @@ import json
 import math
 import os
 import struct
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .nn import Dataset
-from .records import RunRecord
+from .records import IterationMetrics, RunRecord
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -144,7 +144,15 @@ def write_text_atomic(path: Path, text: str) -> None:
             raise
         raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
     finally:
-        tmp.unlink(missing_ok=True)
+        with suppress(OSError):  # never hides the error above
+            tmp.unlink()
+
+
+def _record_fields(o):
+    """A record's fields for `json.dumps`, in declaration order."""
+    if isinstance(o, (RunRecord, IterationMetrics)):
+        return vars(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def write_run_record(rec: RunRecord, directory) -> None:
@@ -157,9 +165,8 @@ def write_run_record(rec: RunRecord, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     with _dir_lock(directory):
-        write_text_atomic(
-            directory / "run.json", json.dumps(rec.to_dict(), indent=2) + "\n"
-        )
+        text = json.dumps(rec, indent=2, default=_record_fields)
+        write_text_atomic(directory / "run.json", text + "\n")
         write_text_atomic(directory / "iterations.csv", rec.iterations_csv())
 
 

@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import json
 import logging
+import multiprocessing
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -42,8 +43,8 @@ def cell_name(kind: str, seed: int) -> str:
 
 
 # The (train, test) pair of the grid that `run_experiment` is running, keyed
-# on its dataset spec. It is filled before any cell starts, so pooled workers
-# inherit it through fork, and emptied when the grid ends.
+# on its dataset spec. It is filled before any cell starts, so pooled workers,
+# started by fork, inherit it, and emptied when the grid ends.
 _loaded: dict[SyntheticSpec | IdxPaths, tuple[nn.Dataset, nn.Dataset]] = {}
 
 
@@ -77,13 +78,13 @@ def run_cell(cfg: ExperimentConfig, alg: AlgorithmSpec, seed: int) -> RunRecord:
 def run_experiment(cfg: ExperimentConfig, out_dir, workers=None) -> dict[str, RunRecord]:
     """Run every (seed x algorithm) cell, persist records, write summary.csv.
 
-    `workers` None or 0 means the config's. A cell that raises, or whose
-    worker died, is marked failed with its traceback logged and does not
-    abort the others; the failed cells are listed in failed_cells.txt, which
-    a run without failures removes. A worker that dies (killed, or exiting
-    without returning) breaks its pool: its own cell and every cell still
-    pending in that pool fail, and summary.csv covers the cells that
-    completed.
+    `workers` None or 0 means the config's; above 1, the cells run in a
+    pool of at most one worker per cell. A cell that raises, or whose worker
+    died, is marked failed with its traceback logged and does not abort the
+    others; failed cells are listed in failed_cells.txt, which a run without
+    failures removes. A worker that dies (killed, or exiting without
+    returning) breaks its pool: its own cell and every cell still pending in
+    that pool fail, and summary.csv covers the cells that completed.
 
     The datasets are read once, before the output directory is created, so
     a bad dataset raises (IdxFormatError for a malformed IDX file) with
@@ -97,7 +98,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers=None) -> dict[str, Ru
     _loaded[cfg.dataset] = load_datasets(cfg)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        fork = multiprocessing.get_context("fork")
+        pool = ProcessPoolExecutor(min(workers, len(cells)), fork) if workers > 1 else None
+        with pool or nullcontext():
             calls = [  # each returns the cell's record or raises
                 pool.submit(_persist_cell, cfg, alg, seed, out_dir).result if pool
                 else functools.partial(_persist_cell, cfg, alg, seed, out_dir)
@@ -170,12 +173,6 @@ def summarize_records(records: dict[str, RunRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _config_key(rec: RunRecord) -> dict:
-    key = dict(rec.config)
-    key.pop("seed", None)
-    return key
-
-
 def trajectory_stats(records: list[RunRecord]) -> dict:
     """Location of the mean retrained-index extremes and its rank agreement
     with the Gini trajectory."""
@@ -206,7 +203,7 @@ def write_report(run_dirs, out_dir) -> dict:
     records = [read_run_record(d) for d in run_dirs]
     if not records:
         raise ValueError("no run directories given")
-    keys = [_config_key(r) for r in records]
+    keys = [{k: v for k, v in r.config.items() if k != "seed"} for r in records]
     if any(k != keys[0] for k in keys[1:]):
         raise ValueError("run directories have mixed configurations")
     for d, rec in zip(run_dirs, records):

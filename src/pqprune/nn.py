@@ -90,17 +90,15 @@ class Dataset:
         return self.inputs.shape[0]
 
 
-def _shapes(specs) -> list[tuple[int, ...]]:
-    """Every weight shape, layer by layer, then every bias shape."""
-    return [(s.out_size, s.in_size) for s in specs] + [(s.out_size,) for s in specs]
-
-
 def _layer_views(specs, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-layer (weights, biases) views into a vector in the layout of
-    `NetworkParams.flat`."""
+    `NetworkParams.flat`: every weight matrix, layer by layer, then every bias."""
+    shapes = [(s.out_size, s.in_size) for s in specs] + [(s.out_size,) for s in specs]
+    sizes = [math.prod(shape) for shape in shapes]
+    if flat.shape != (sum(sizes),):
+        raise ValueError("parameter vector length does not match the layer specs")
     views, offset = [], 0
-    for shape in _shapes(specs):
-        size = math.prod(shape)
+    for shape, size in zip(shapes, sizes):
         views.append(flat[offset : offset + size].reshape(shape))
         offset += size
     return views[: len(specs)], views[len(specs) :]
@@ -108,24 +106,21 @@ def _layer_views(specs, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.nda
 
 class NetworkParams:
     """Every weight, layer-major and row-major within each (out x in)
-    matrix, then every bias, held in one float vector `flat`.
+    matrix, then every bias, held in the float vector `flat` it is given.
 
     `weights` and `biases` are per-layer views into `flat`, so a write
     through either shows in the other. The first `n_weights` entries are
     the prunable ones, in the order of a `PruningMask`.
     """
 
-    def __init__(self, specs, weights, biases):
+    def __init__(self, specs, flat: np.ndarray):
         self.specs = list(specs)
-        arrays = [*weights, *biases]
-        if [np.shape(a) for a in arrays] != _shapes(self.specs):
-            raise ValueError("parameter shapes do not match the layer specs")
-        self.flat = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
-        self.weights, self.biases = _layer_views(self.specs, self.flat)
+        self.flat = flat
+        self.weights, self.biases = _layer_views(self.specs, flat)
         self.n_weights = sum(w.size for w in self.weights)
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(self.specs, self.weights, self.biases)
+        return NetworkParams(self.specs, self.flat.copy())
 
 
 def init_network(specs: list[LayerSpec], seed: int) -> NetworkParams:
@@ -138,12 +133,11 @@ def init_network(specs: list[LayerSpec], seed: int) -> NetworkParams:
     if specs[-1].activation != "none":
         raise ValueError("final layer must emit logits (activation 'none')")
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for spec in specs:
+    params = NetworkParams(specs, np.zeros(sum(s.out_size * (s.in_size + 1) for s in specs)))
+    for spec, w in zip(specs, params.weights):
         bound = math.sqrt(6.0 / (spec.in_size + spec.out_size))
-        weights.append(rng.uniform(-bound, bound, size=(spec.out_size, spec.in_size)))
-        biases.append(np.zeros(spec.out_size))
-    return NetworkParams(specs, weights, biases)
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 def _forward(params: NetworkParams, X: np.ndarray):
@@ -259,8 +253,6 @@ def evaluate(params: NetworkParams, mask, data: Dataset) -> tuple[float, float]:
 
     Argmax ties resolve to the lowest class id.
     """
-    if len(data) == 0:
-        raise ValueError("empty dataset")
     logits, _ = _forward(_masked_copy(params, mask), data.inputs)
     loss, _ = _softmax_xent(logits, data.labels)
     pred = logits.argmax(axis=1)

@@ -1,23 +1,9 @@
-"""Per-run metric records and their dict/CSV projections."""
+"""Per-run metric records: their fields are the fields of run.json and the
+columns of iterations.csv, in the order the files hold them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-
-CSV_FIELDS = (
-    "t",
-    "d_t",
-    "percent_remaining",
-    "acc_retrained",
-    "loss_retrained",
-    "acc_pruned",
-    "loss_pruned",
-    "pqi_retrained",
-    "pqi_pruned",
-    "gini_retrained",
-    "delta_acc",
-    "delta_pqi",
-)
 
 
 def format_value(x) -> str:
@@ -46,34 +32,23 @@ class IterationMetrics:
     c_total: int = 0
     groups: list = field(default_factory=list)
 
-    def csv_row(self) -> str:
-        return ",".join(format_value(getattr(self, name)) for name in CSV_FIELDS)
-
-    def to_dict(self) -> dict:
-        # Shallow, unlike `asdict`, which would deep-copy every group dict.
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     @classmethod
     def from_dict(cls, d: dict) -> "IterationMetrics":
         return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
+# The iterations.csv columns: every field but the group log.
+CSV_FIELDS = tuple(f.name for f in fields(IterationMetrics) if f.name not in ("c_total", "groups"))
+
+
 @dataclass
 class RunRecord:
-    """Config echo plus one IterationMetrics per pruning iteration."""
+    """Config echo, how the run ended, and one IterationMetrics per iteration."""
 
     config: dict
-    iterations: list[IterationMetrics] = field(default_factory=list)
-    events: list[str] = field(default_factory=list)
     completed: bool = True
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "completed": self.completed,
-            "events": self.events,
-            "iterations": [it.to_dict() for it in self.iterations],
-        }
+    events: list[str] = field(default_factory=list)
+    iterations: list[IterationMetrics] = field(default_factory=list)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
@@ -86,5 +61,6 @@ class RunRecord:
 
     def iterations_csv(self) -> str:
         lines = [",".join(CSV_FIELDS)]
-        lines.extend(it.csv_row() for it in self.iterations)
+        for it in self.iterations:
+            lines.append(",".join(format_value(getattr(it, name)) for name in CSV_FIELDS))
         return "\n".join(lines) + "\n"

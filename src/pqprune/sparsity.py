@@ -85,24 +85,15 @@ def gini_index(w) -> float:
     return 1.0 - 2.0 * float(np.sum((ordered / total) * ((d - k + 0.5) / d)))
 
 
-def top_r_indices(w, r: int) -> np.ndarray:
-    """Indices of the r largest magnitudes; ties go to the lowest index."""
-    w = _as_magnitudes(w)
-    if not (1 <= r <= w.size):
-        raise ValueError(f"r must be in [1, {w.size}], got {r}")
-    order = np.argsort(-w, kind="stable")
-    return order[:r]
-
-
 def eta_r(w, p: float, r: int | None = None):
     """Smallest eta with tail p-mass <= eta * head p-mass for the top-r set.
 
-    Head is the r largest magnitudes (ties to the lowest index); returns the
-    ratio of the remaining p-mass to the head p-mass. Zero when r = d.
-    With ``r=None`` returns the array of eta_r for every r = 1..d, from one
-    stable sort and two cumulative sums in O(d log d). The tail mass is
-    summed from the smallest entry up rather than taken as total minus
-    head, so it is exactly zero wherever only zeros remain.
+    Head is the r largest magnitudes; returns the ratio of the remaining
+    p-mass to the head p-mass. Zero when r = d. With ``r=None`` returns the
+    array of eta_r for every r = 1..d, from one sort and two cumulative sums
+    in O(d log d). The tail mass is summed from the smallest entry up rather
+    than taken as total minus head, so it is exactly zero wherever only
+    zeros remain.
     """
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
@@ -112,7 +103,7 @@ def eta_r(w, p: float, r: int | None = None):
     m = float(w.max())
     if m == 0.0:
         raise UndefinedIndexError("eta undefined for all-zero vector")
-    s = ((w / m) ** p)[top_r_indices(w, w.size)]
+    s = (np.sort(w)[::-1] / m) ** p
     head = np.cumsum(s)
     tail = np.zeros_like(s)
     tail[:-1] = np.cumsum(s[:0:-1])[::-1]

@@ -69,4 +69,4 @@ def test_relaxed_pair_robin_hood_violation_found():
 
 def test_valid_pair_search_inconclusive():
     # In the valid regime the directed search must come up empty.
-    assert robin_hood_counterexample(NormPair(0.5, 1.0), max_dim=1000) is None
+    assert robin_hood_counterexample(NormPair(0.5, 1.0)) is None

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -82,6 +83,11 @@ class TestConfig:
                 l for l in text.splitlines() if not l.startswith(f"dataset.{key}")
             )
         assert parse_config(text) == tiny_config(IdxPaths("a", "b", "c", "d"))
+
+    def test_idx_missing_key_named_once(self):
+        with pytest.raises(ValueError) as info:
+            parse_config("dataset.kind = idx\ndataset.train_images = a\n")
+        assert str(info.value) == "idx dataset requires key dataset.train_labels"
 
     def test_empty_config_is_default(self):
         assert parse_config("") == ExperimentConfig()
@@ -307,14 +313,14 @@ class TestAuditCommand:
         assert "negative search applies only to the pq measure" in captured.err
         assert not out.exists()
 
-    def test_failed_out_write_keeps_previous_report(self, tmp_path, monkeypatch):
+    def test_failed_out_write_keeps_previous_report(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "audit.json"
         argv = ["audit", "--trials", "20", "--out", str(out)]
         assert run_cli(argv) == 0
         before = dir_bytes(tmp_path)
         fail_writes_to(monkeypatch, out.name)
-        with pytest.raises(OSError, match="disk full"):
-            run_cli(argv)
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
         monkeypatch.undo()
         assert dir_bytes(tmp_path) == before
 
@@ -324,6 +330,33 @@ class TestAuditCommand:
         err = capsys.readouterr().err
         assert f"No such file or directory: '{out}'" in err
         assert ".tmp" not in err
+
+    def test_out_write_error_under_a_file_names_target(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "x.json"
+        assert run_cli(["audit", "--trials", "3", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 20] Not a directory: '{out}'\n"
+
+
+class TestOtherOSErrors:
+    """An OSError other than a missing file is one error line naming its path,
+    with exit 1."""
+
+    def test_measure_directory(self, tmp_path, capsys):
+        assert run_cli(["measure", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    def test_run_config_directory(self, tmp_path, capsys):
+        assert run_cli(["run", "--config", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    def test_run_out_under_a_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CONFIG)
+        out = cfg_path / "x"
+        assert run_cli(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: '{out}'\n"
 
 
 @pytest.fixture(scope="module")
@@ -496,6 +529,24 @@ class TestRunAndReport:
         assert all(rec.completed for rec in completed.values())
         summary = (tmp_path / "summary.csv").read_text()
         assert summary == experiment.summarize_records(completed)
+
+    def test_pool_has_one_fork_worker_per_cell(self, tmp_path, monkeypatch):
+        made = []
+        executor = experiment.ProcessPoolExecutor
+
+        def recording_executor(*args, **kwargs):
+            made.append(inspect.signature(executor).bind(*args, **kwargs).arguments)
+            return executor(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", recording_executor)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CONFIG.replace("sap,lottery_ticket", "sap"))  # 2 cells
+        argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                "--workers", "8"]
+        assert cli.main(argv) == 0
+        [arguments] = made
+        assert arguments["max_workers"] == 2
+        assert arguments["mp_context"].get_start_method() == "fork"
 
     def test_env_var_output_root(self, run_root, tmp_path, monkeypatch):
         monkeypatch.setenv("PQI_PRUNE_OUT", str(tmp_path / "envout"))

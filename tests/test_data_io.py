@@ -1,4 +1,5 @@
 import fcntl
+import math
 import re
 import struct
 from pathlib import Path
@@ -153,12 +154,115 @@ def make_record(iterations=4, d0=1000):
     return rec
 
 
+# The bytes of a hand-built record, as the files have always held them: the
+# record's fields in order, NaN as JSON's NaN and the CSV's nan, floats in
+# the CSV at 9 significant digits.
+GOLDEN_RUN_JSON = """\
+{
+  "config": {
+    "algorithm": "sap",
+    "sap": {
+      "p": 0.5,
+      "q": 1.0
+    },
+    "seed": 3
+  },
+  "completed": false,
+  "events": [
+    "iteration 2: training diverged: non-finite loss at epoch 0, batch offset 0"
+  ],
+  "iterations": [
+    {
+      "t": 0,
+      "d_t": 6,
+      "percent_remaining": 1.0,
+      "acc_retrained": 0.75,
+      "loss_retrained": 0.3333333333333333,
+      "acc_pruned": 0.5,
+      "loss_pruned": 0.625,
+      "pqi_retrained": 0.125,
+      "pqi_pruned": NaN,
+      "gini_retrained": 0.1,
+      "delta_acc": 0.25,
+      "delta_pqi": NaN,
+      "c_total": 0,
+      "groups": []
+    },
+    {
+      "t": 1,
+      "d_t": 4,
+      "percent_remaining": 0.6666666666666666,
+      "acc_retrained": 0.5,
+      "loss_retrained": 0.7,
+      "acc_pruned": 0.25,
+      "loss_pruned": 1.5,
+      "pqi_retrained": 0.2,
+      "pqi_pruned": 0.3,
+      "gini_retrained": 0.4,
+      "delta_acc": 0.25,
+      "delta_pqi": -0.1,
+      "c_total": 1,
+      "groups": [
+        {
+          "label": "global",
+          "d": 4,
+          "pqi": 0.2,
+          "r": 2.5,
+          "c": 1
+        }
+      ]
+    }
+  ]
+}
+"""
+
+GOLDEN_ITERATIONS_CSV = """\
+t,d_t,percent_remaining,acc_retrained,loss_retrained,acc_pruned,loss_pruned,pqi_retrained,pqi_pruned,gini_retrained,delta_acc,delta_pqi
+0,6,1,0.75,0.333333333,0.5,0.625,0.125,nan,0.1,0.25,nan
+1,4,0.666666667,0.5,0.7,0.25,1.5,0.2,0.3,0.4,0.25,-0.1
+"""
+
+
+def golden_record():
+    rec = RunRecord(
+        config={"algorithm": "sap", "sap": {"p": 0.5, "q": 1.0}, "seed": 3},
+        completed=False,
+        events=["iteration 2: training diverged: non-finite loss at epoch 0, batch offset 0"],
+    )
+    rec.iterations = [
+        IterationMetrics(
+            t=0, d_t=6, percent_remaining=1.0, acc_retrained=0.75, loss_retrained=1 / 3,
+            acc_pruned=0.5, loss_pruned=0.625, pqi_retrained=0.125, pqi_pruned=math.nan,
+            gini_retrained=0.1, delta_acc=0.25, delta_pqi=math.nan,
+        ),
+        IterationMetrics(
+            t=1, d_t=4, percent_remaining=4 / 6, acc_retrained=0.5, loss_retrained=0.7,
+            acc_pruned=0.25, loss_pruned=1.5, pqi_retrained=0.2, pqi_pruned=0.3,
+            gini_retrained=0.4, delta_acc=0.25, delta_pqi=-0.1, c_total=1,
+            groups=[{"label": "global", "d": 4, "pqi": 0.2, "r": 2.5, "c": 1}],
+        ),
+    ]
+    return rec
+
+
 class TestRunRecordIO:
     def test_round_trip(self, tmp_path):
         rec = make_record()
         write_run_record(rec, tmp_path / "run")
         back = read_run_record(tmp_path / "run")
         assert back == rec
+
+    def test_golden_bytes(self, tmp_path):
+        write_run_record(golden_record(), tmp_path)
+        assert (tmp_path / "run.json").read_text() == GOLDEN_RUN_JSON
+        assert (tmp_path / "iterations.csv").read_text() == GOLDEN_ITERATIONS_CSV
+
+    def test_only_records_are_encoded(self, tmp_path):
+        rec = golden_record()
+        rec.config["model"] = object()
+        with pytest.raises(TypeError, match="object is not JSON serializable"):
+            write_run_record(rec, tmp_path)
+        assert not (tmp_path / "run.json").exists()
 
     def test_csv_rows_and_header(self, tmp_path):
         rec = make_record(iterations=6)

@@ -238,6 +238,14 @@ class TestFlatten:
         params.biases[0][1] = 2.0
         assert params.flat[params.n_weights + 1] == 2.0
 
+    def test_params_view_the_given_vector(self):
+        flat = np.zeros(5 * 4 + 4 * 3 + 3 * 2 + 4 + 3 + 2)
+        params = nn.NetworkParams(toy_specs(), flat)
+        params.biases[2][1] = 1.0
+        assert flat[-1] == 1.0
+        with pytest.raises(ValueError, match="length"):
+            nn.NetworkParams(toy_specs(), flat[1:])
+
 
 # --- reference trainer ------------------------------------------------------
 #

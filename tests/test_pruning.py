@@ -22,9 +22,8 @@ from pqprune.sparsity import NormPair, pq_index_max
 
 def single_row_params(values):
     """One dense layer whose flat weight magnitudes are `values`."""
-    values = np.asarray(values, dtype=float)
-    spec = [nn.LayerSpec(values.size, 1, "none")]
-    return nn.NetworkParams(spec, [values.reshape(1, -1)], [np.zeros(1)])
+    spec = [nn.LayerSpec(len(values), 1, "none")]
+    return nn.NetworkParams(spec, np.append(np.asarray(values, dtype=float), 0.0))
 
 
 def tiny_run_setup(seed=0, n=200, features=8):

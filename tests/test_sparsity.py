@@ -14,7 +14,6 @@ from pqprune.sparsity import (
     pq_index,
     pq_index_max,
     pqi_lower_bound,
-    top_r_indices,
 )
 
 PQ05_1 = NormPair(0.5, 1.0)
@@ -111,9 +110,10 @@ class TestEtaR:
     def test_full_r_is_zero(self):
         assert eta_r([1, 2, 3], 0.5, 3) == 0.0
 
-    def test_tie_breaking_lowest_index(self):
-        idx = top_r_indices([0.2, 0.2, 1.0], 2)
-        assert list(idx) == [2, 0]
+    def test_tied_magnitudes_match_reference(self):
+        w = [0.2, -0.2, 1.0, 0.2, 0.0]
+        for r in range(1, 6):
+            assert eta_r(w, 0.5, r) == pytest.approx(reference_eta_r(w, 0.5, r), abs=1e-12)
 
     def test_r_out_of_range(self):
         with pytest.raises(ValueError):
@@ -127,7 +127,7 @@ def reference_eta_r(w, p, r, exact=False):
     tail as total minus head. `exact` does the sums in rationals."""
     w = np.abs(np.asarray(w, dtype=float))
     s = (w / w.max()) ** p
-    head = top_r_indices(w, r)
+    head = np.argsort(-w, kind="stable")[:r]  # ties go to the lowest index
     if exact:
         head_mass = sum(Fraction(x) for x in s[head])
         return (sum(Fraction(x) for x in s) - head_mass) / head_mass
