@@ -58,10 +58,6 @@ class PropertyResult:
     violations: int
     first_counterexample: list | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.violations == 0
-
 
 @dataclass
 class PropertyReport:
@@ -70,7 +66,7 @@ class PropertyReport:
 
     @property
     def ok(self) -> bool:
-        return all(r.ok for r in self.results)
+        return self.total_violations() == 0
 
     def total_violations(self) -> int:
         return sum(r.violations for r in self.results)

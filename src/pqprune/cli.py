@@ -21,7 +21,7 @@ from .audit import (
     pq_measure,
     robin_hood_counterexample,
 )
-from .config import load_config
+from .config import parse_config
 from .data_io import write_text_atomic
 from .experiment import run_experiment, write_report
 from .records import format_value
@@ -81,7 +81,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config)
+    cfg = parse_config(Path(args.config).read_text())
     if args.workers < 0:
         raise ValueError("--workers must be >= 1, or 0 to use the config's workers")
     out = args.out or os.environ.get("PQI_PRUNE_OUT") or cfg.output_dir

@@ -19,7 +19,6 @@ import dataclasses
 import math
 import typing
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .data_io import SyntheticSpec
 from .nn import TrainConfig
@@ -158,6 +157,8 @@ def parse_config(text: str) -> ExperimentConfig:
     # Each cell's seed comes from `seeds`, not from the train section.
     cfg.train = _replace_fields(kv, "train", cfg.train, skip={"seed"})
     cfg.seeds = _entries(kv, "seeds", int, cfg.seeds)
+    if min(cfg.seeds) < 0:
+        raise ValueError(f"seeds: negative entry {min(cfg.seeds)}")
     cfg.output_dir = kv.pop("output_dir", cfg.output_dir)
     cfg.workers = _pop(kv, "workers", int, cfg.workers)
     if cfg.workers < 1:
@@ -166,7 +167,3 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ValueError(f"unknown config keys: {sorted(kv)}")
     cfg.algorithms()  # rejects bad algorithm settings before any output is made
     return cfg
-
-
-def load_config(path) -> ExperimentConfig:
-    return parse_config(Path(path).read_text())

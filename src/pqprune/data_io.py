@@ -43,6 +43,8 @@ class SyntheticSpec:
             raise ValueError("more classes than samples")
         if self.class_separation < 0:
             raise ValueError("class_separation must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def gen_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
@@ -172,8 +174,8 @@ def write_run_record(rec: RunRecord, directory) -> None:
 
 def read_run_record(directory) -> RunRecord:
     """Inverse of write_run_record for the JSON side. A missing file, or one
-    that is not JSON or lacks a field of the record, raises ValueError naming
-    the file; any other unreadable file raises RuntimeError."""
+    that is not JSON or not a record of the right shape, raises ValueError
+    naming the file; any other unreadable file raises RuntimeError."""
     path = Path(directory) / "run.json"
     try:
         return RunRecord.from_dict(json.loads(path.read_text()))
@@ -185,3 +187,5 @@ def read_run_record(directory) -> RunRecord:
         raise ValueError(f"run record {path} is not valid JSON: {exc}") from exc
     except KeyError as exc:
         raise ValueError(f"run record {path} has no field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"run record {path} has the wrong shape: {exc}") from exc

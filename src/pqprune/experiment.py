@@ -60,17 +60,12 @@ def load_datasets(cfg: ExperimentConfig) -> tuple[nn.Dataset, nn.Dataset]:
     )
 
 
-def model_spec(cfg: ExperimentConfig, n_features: int, n_classes: int):
-    if cfg.model == "Linear":
-        return nn.linear_spec(n_features, n_classes)
-    return nn.mlp_spec(n_features, n_classes)
-
-
 def run_cell(cfg: ExperimentConfig, alg: AlgorithmSpec, seed: int) -> RunRecord:
     """Execute one (algorithm, seed) cell end to end."""
     train_data, test_data = load_datasets(cfg)
     n_classes = int(max(train_data.labels.max(), test_data.labels.max())) + 1
-    specs = model_spec(cfg, train_data.inputs.shape[1], n_classes)
+    spec = nn.linear_spec if cfg.model == "Linear" else nn.mlp_spec
+    specs = spec(train_data.inputs.shape[1], n_classes)
     train_cfg = dataclasses.replace(cfg.train, seed=seed)
     return run_pruning(alg, cfg.scope, specs, train_cfg, train_data, test_data)
 

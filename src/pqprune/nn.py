@@ -203,6 +203,7 @@ def _masked_copy(params: NetworkParams, mask) -> NetworkParams:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the finite-loss check reports divergence
 def train(params: NetworkParams, mask, data: Dataset, cfg: TrainConfig) -> NetworkParams:
     """SGD with momentum/Nesterov/weight-decay under a frozen pruning mask.
 

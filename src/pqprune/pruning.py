@@ -157,7 +157,7 @@ def _surviving_index(mags: np.ndarray, mask: PruningMask, norms: NormPair):
     surv = mags[mask.flat]
     try:
         return pq_index(surv, norms), gini_index(surv)
-    except (UndefinedIndexError, ValueError):
+    except ValueError:
         return float("nan"), float("nan")
 
 
@@ -230,23 +230,20 @@ def run_pruning(
             keep = mask.flat[offset : offset + rows * cols].reshape(rows, cols)
             block = mags[offset : offset + rows * cols].reshape(rows, cols)
             survivors = np.count_nonzero(keep, axis=1)
-            if alg.kind == "sap":
-                counts = np.zeros(rows, dtype=int)
-            else:
-                counts = np.floor(survivors * alg.ratio).astype(int)
+            counts = np.zeros(rows, dtype=int)
             for r in np.flatnonzero(survivors).tolist():  # exhausted rows log nothing
                 entry = {"label": labels[r], "d": int(survivors[r])}
-                if alg.kind == "sap":
-                    try:
+                try:
+                    if alg.kind == "sap":
                         entry.update(sap_count(block[r][keep[r]], alg.sap))
-                    except UndefinedIndexError:
-                        record.events.append(
-                            f"iteration {t}: group {labels[r]} all-zero survivors; skipped"
-                        )
-                        continue
-                    counts[r] = entry["c"]
-                else:
-                    entry["c"] = int(counts[r])
+                    else:
+                        entry["c"] = math.floor(entry["d"] * alg.ratio)
+                except UndefinedIndexError:
+                    record.events.append(
+                        f"iteration {t}: group {labels[r]} all-zero survivors; skipped"
+                    )
+                    continue
+                counts[r] = entry["c"]
                 group_logs.append(entry)
             next_mask.flat[offset + magnitude_prune(block, keep, counts)] = False
 

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,13 @@ import pytest
 
 from pqprune import cli, experiment
 from pqprune.config import ExperimentConfig, IdxPaths, parse_config
-from pqprune.data_io import SyntheticSpec, read_run_record, write_run_record
+from pqprune.data_io import (
+    IDX_IMAGE_MAGIC,
+    IDX_LABEL_MAGIC,
+    SyntheticSpec,
+    read_run_record,
+    write_run_record,
+)
 from pqprune.experiment import trajectory_stats
 from pqprune.nn import TrainConfig
 from pqprune.pruning import SapHyperParams, Scope
@@ -154,6 +161,8 @@ class TestConfig:
             "seeds = ",
             "algorithm.kinds = ,",
             "scope = bogus",
+            "seeds = -1",
+            "dataset.seed = -1",
         ],
     )
     def test_run_with_bad_value_exits_2(self, tmp_path, capsys, line):
@@ -461,8 +470,11 @@ class TestRunAndReport:
             (lambda text: json.dumps({k: v for k, v in json.loads(text).items()
                                       if k != "events"}), "has no field 'events'"),
             (lambda text: text[: len(text) // 2], "is not valid JSON"),
+            (lambda text: "[]", "has the wrong shape"),
+            (lambda text: json.dumps({**json.loads(text), "iterations": [1]}),
+             "has the wrong shape"),
         ],
-        ids=["missing_field", "truncated"],
+        ids=["missing_field", "truncated", "not_an_object", "bad_iteration"],
     )
     def test_report_damaged_record_exits_2(self, run_root, tmp_path, capsys, damage, message):
         text = (run_root / "out" / "sap_seed0" / "run.json").read_text()
@@ -548,6 +560,26 @@ class TestRunAndReport:
         assert arguments["max_workers"] == 2
         assert arguments["mp_context"].get_start_method() == "fork"
 
+    def test_diverged_cells_are_recorded(self, tmp_path):
+        # The suite runs with warnings as errors; a diverged cell is still
+        # recorded, not failed.
+        cfg_path = tmp_path / "diverge.cfg"
+        cfg_path.write_text(
+            "train.learning_rate = 1e6\nalgorithm.kinds = sap,one_shot\n"
+            "algorithm.iterations = 3\nseeds = 0\n"
+        )
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        for kind in ("sap", "one_shot"):
+            rec = read_run_record(out / f"{kind}_seed0")
+            assert not rec.completed
+            assert rec.events == [
+                "iteration 0: training diverged: non-finite loss at epoch 0, batch offset 300"
+            ]
+            assert rec.iterations == []
+        assert (out / "summary.csv").read_text() == experiment.summarize_records({})
+        assert not (out / "failed_cells.txt").exists()
+
     def test_env_var_output_root(self, run_root, tmp_path, monkeypatch):
         monkeypatch.setenv("PQI_PRUNE_OUT", str(tmp_path / "envout"))
         cfg_path = run_root / "exp.cfg"
@@ -573,6 +605,35 @@ class TestGridData:
         assert f"{images}: truncated image data at byte 30" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_idx_grid_reads_its_files_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(0)
+        keys = []
+        for split, n in (("train", 40), ("test", 10)):
+            images, labels = tmp_path / f"{split}-images.idx", tmp_path / f"{split}-labels.idx"
+            pixels = rng.integers(0, 256, n * 16, dtype=np.uint8).tobytes()
+            images.write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, 4, 4) + pixels)
+            classes = bytes(i % 3 for i in range(n))
+            labels.write_bytes(struct.pack(">II", IDX_LABEL_MAGIC, n) + classes)
+            keys += [f"dataset.{split}_images = {images}", f"dataset.{split}_labels = {labels}"]
+        cfg_path = tmp_path / "idx.cfg"
+        cfg_path.write_text("\n".join([
+            "model = Linear", "dataset.kind = idx", *keys, "algorithm.kinds = sap,lottery_ticket",
+            "algorithm.iterations = 2", "train.epochs = 1", "train.batch_size = 10", "seeds = 0,1",
+        ]) + "\n")
+        calls = []
+        load_idx = experiment.load_idx
+        monkeypatch.setattr(
+            experiment, "load_idx", lambda *paths: calls.append(paths) or load_idx(*paths)
+        )
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        for kind in ("sap", "lottery_ticket"):
+            for seed in (0, 1):
+                rec = read_run_record(out / f"{kind}_seed{seed}")
+                assert rec.completed
+                assert rec.config["layers"][0]["in"] == 16
+        assert len(calls) == 2
 
     def test_desk_grid_generates_its_data_once(self, tmp_path, monkeypatch):
         calls = []

@@ -136,7 +136,6 @@ class TestTrain:
         for w, w0 in zip(out.weights, params.weights):
             assert np.array_equal(w, w0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts(self):
         params = nn.init_network(toy_specs(), seed=6)
         for w in params.weights:

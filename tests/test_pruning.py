@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -288,6 +289,45 @@ class TestRunPruning:
         assert rec.completed
         assert rec.iterations[-1].d_t == 0
         assert math.isnan(rec.iterations[-1].pqi_retrained)
+
+    def test_diverged_training_is_recorded(self):
+        specs, cfg, train, test = tiny_run_setup()
+        cfg = dataclasses.replace(cfg, learning_rate=1e6, batch_size=8)
+        alg = AlgorithmSpec(kind="sap", iterations=2)
+        # The suite runs with warnings as errors: numpy's overflow warnings
+        # must not turn a diverged run into a raised one.
+        rec = run_pruning(alg, Scope.NEURON_WISE, specs, cfg, train, test)
+        assert not rec.completed
+        assert rec.events == [
+            "iteration 0: training diverged: non-finite loss at epoch 1, batch offset 64"
+        ]
+        assert rec.iterations == []
+
+    def test_all_zero_row_is_skipped(self, monkeypatch):
+        specs, cfg, train, test = tiny_run_setup()
+        k, cols = 2, specs[0].in_size
+        masks = []
+        train_fn = nn.train
+
+        def train_zeroing_row(params, mask, data, train_cfg):
+            masks.append(mask.flat.copy())
+            model = train_fn(params, mask, data, train_cfg)
+            model.weights[0][k] = 0.0
+            return model
+
+        monkeypatch.setattr(nn, "train", train_zeroing_row)
+        alg = AlgorithmSpec(kind="sap", iterations=1)
+        rec = run_pruning(alg, Scope.NEURON_WISE, specs, cfg, train, test)
+        label = f"layer0/neuron{k}"
+        assert f"iteration 0: group {label} all-zero survivors; skipped" in rec.events
+        first, second = rec.iterations
+        assert label not in [entry["label"] for entry in first.groups]
+        # Round 0 pruned other rows but none of row k's weights.
+        after = masks[1]
+        assert after[k * cols : (k + 1) * cols].all()
+        assert not after.all()
+        assert first.c_total == sum(entry["c"] for entry in first.groups)
+        assert first.c_total == first.d_t - second.d_t == after.size - after.sum()
 
     def test_record_row_count(self):
         specs, cfg, train, test = tiny_run_setup()
