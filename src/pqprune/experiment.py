@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import json
 import logging
+import math
 import multiprocessing
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
@@ -168,22 +169,34 @@ def summarize_records(records: dict[str, RunRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks of `v`; tied values share their mean rank."""
+    s = np.sort(v)
+    return (np.searchsorted(s, v) + np.searchsorted(s, v, "right") + 1) / 2
+
+
+def _spearman(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman's rho: Pearson's r of the average ranks. NaN when either
+    series holds a NaN (a sort would give it a finite rank) or is constant,
+    a single point included."""
+    if x.size < 2 or np.isnan(x).any() or np.isnan(y).any():
+        return math.nan
+    ranks = np.column_stack([_average_ranks(x), _average_ranks(y)])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return float(np.corrcoef(ranks, rowvar=False)[1, 0])
+
+
 def trajectory_stats(records: list[RunRecord]) -> dict:
     """Location of the mean retrained-index extremes and its rank agreement
     with the Gini trajectory."""
-    # Imported here: scipy.stats takes most of a second to import, and only
-    # `report` needs it.
-    from scipy.stats import spearmanr
-
     pqi, gini = np.array([
         [mean for mean, _ in stats]
         for _, stats in per_iteration(records, ("pqi_retrained", "gini_retrained"))
     ]).T
-    rho = spearmanr(pqi, gini).statistic
     return {
         "pqi_argmin": int(np.nanargmin(pqi)),
         "pqi_argmax": int(np.nanargmax(pqi)),
-        "spearman_pqi_gini": float(rho),
+        "spearman_pqi_gini": _spearman(pqi, gini),
     }
 
 

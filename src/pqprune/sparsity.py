@@ -85,21 +85,18 @@ def gini_index(w) -> float:
     return 1.0 - 2.0 * float(np.sum((ordered / total) * ((d - k + 0.5) / d)))
 
 
-def eta_r(w, p: float, r: int | None = None):
-    """Smallest eta with tail p-mass <= eta * head p-mass for the top-r set.
+def eta_r(w, p: float) -> np.ndarray:
+    """Smallest eta with tail p-mass <= eta * head p-mass, for every r = 1..d.
 
-    Head is the r largest magnitudes; returns the ratio of the remaining
-    p-mass to the head p-mass. Zero when r = d. With ``r=None`` returns the
-    array of eta_r for every r = 1..d, from one sort and two cumulative sums
-    in O(d log d). The tail mass is summed from the smallest entry up rather
-    than taken as total minus head, so it is exactly zero wherever only
-    zeros remain.
+    Entry r - 1 is the ratio of the p-mass outside the r largest magnitudes
+    (the tail) to the p-mass of those r (the head); zero at r = d. One sort
+    and two cumulative sums, O(d log d). The tail mass is summed from the
+    smallest entry up rather than taken as total minus head, so it is
+    exactly zero wherever only zeros remain.
     """
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
     w = _as_magnitudes(w)
-    if r is not None and not (1 <= r <= w.size):
-        raise ValueError(f"r must be in [1, {w.size}], got {r}")
     m = float(w.max())
     if m == 0.0:
         raise UndefinedIndexError("eta undefined for all-zero vector")
@@ -107,8 +104,7 @@ def eta_r(w, p: float, r: int | None = None):
     head = np.cumsum(s)
     tail = np.zeros_like(s)
     tail[:-1] = np.cumsum(s[:0:-1])[::-1]
-    curve = tail / head
-    return curve if r is None else float(curve[r - 1])
+    return tail / head
 
 
 def pqi_lower_bound(d: int, index_value: float, eta: float, norms: NormPair) -> float:

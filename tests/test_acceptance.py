@@ -99,15 +99,15 @@ def test_criterion_3_bound_soundness():
         d = int(rng.integers(2, 65))
         w = np.abs(rng.standard_normal(d)) + 1e-12
         I = pq_index(w, norms)
-        for r in range(1, d + 1):
-            bound = pqi_lower_bound(d, I, eta_r(w, norms.p, r), norms)
+        for r, eta in enumerate(eta_r(w, norms.p), 1):
+            bound = pqi_lower_bound(d, I, eta, norms)
             worst_slack = min(worst_slack, r - bound)
     # The three worked bound examples, against independent closed forms.
     n = NormPair(0.5, 1.0)
     ex1 = pqi_lower_bound(4, 0.75, 0.0, n)
     I = pq_index([1, 2, 3, 4], n)
     ex2 = pqi_lower_bound(4, I, 0.0, n)
-    eta = eta_r([1, 2, 3, 4], 0.5, 2)
+    eta = eta_r([1, 2, 3, 4], 0.5)[1]
     ex3 = pqi_lower_bound(4, I, eta, n)
     examples_ok = (
         abs(ex1 - 1.0) < 1e-4

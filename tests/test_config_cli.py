@@ -1,3 +1,4 @@
+import ast
 import inspect
 import json
 import os
@@ -283,17 +284,37 @@ class TestMeasureCommand:
         assert lines[-1].startswith(f"{d},0,")
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_report_runs_with_scipy_unimportable(run_root, tmp_path):
     import pqprune
 
     src = str(Path(pqprune.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, pqprune.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "[]"
+    argv = ["report", *(str(run_root / "out" / f"sap_seed{s}") for s in (0, 1)),
+            "--out", str(tmp_path)]
+    code = ("import sys; sys.modules['scipy'] = None; from pqprune import cli; "
+            f"sys.exit(cli.main({argv!r}))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    stats = json.loads((tmp_path / "trajectory_stats.json").read_text())
+    assert set(stats) == {"pqi_argmin", "pqi_argmax", "spearman_pqi_gini"}
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    import pqprune
+
+    allowed = sys.stdlib_module_names | {"numpy"}
+    outside = []
+    for path in sorted(Path(pqprune.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):  # imports in functions too
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # not an import, or a relative one
+            outside += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in allowed]
+    assert outside == []
 
 
 class TestAuditCommand:
@@ -691,3 +712,28 @@ class TestTrajectoryStats:
         stats = trajectory_stats([synthetic_record(traj, traj)])
         assert stats["pqi_argmin"] == 3
         assert stats["pqi_argmax"] == 0
+
+    # The suite turns warnings into errors, so each case also checks that
+    # none is raised.
+    @pytest.mark.parametrize(
+        "pqi, gini, argmin, argmax, rho",
+        [
+            ([0.5, 0.3, 0.3, 0.6, 0.5], [0.2, 0.1, 0.4, 0.4, 0.3], 1, 3, 0.3514797457833188),
+            ([0.5, np.nan, 0.2, 0.6], [0.2, 0.1, 0.4, 0.3], 2, 3, np.nan),
+            ([0.5, 0.3, 0.4, 0.6], [0.2, 0.2, 0.2, 0.2], 1, 3, np.nan),
+            ([0.5], [0.2], 0, 0, np.nan),
+        ],
+        ids=["ties", "nan", "constant", "one_point"],
+    )
+    def test_edge_cases(self, pqi, gini, argmin, argmax, rho):
+        stats = trajectory_stats([synthetic_record(pqi, gini)])
+        assert (stats["pqi_argmin"], stats["pqi_argmax"]) == (argmin, argmax)
+        np.testing.assert_equal(stats["spearman_pqi_gini"], rho)  # NaN equals NaN
+
+    def test_report_of_constant_gini_writes_nan(self, tmp_path, capsys):
+        write_run_record(synthetic_record([0.5, 0.3, 0.4], [0.2, 0.2, 0.2]), tmp_path / "run")
+        argv = ["report", str(tmp_path / "run"), "--out", str(tmp_path / "report")]
+        assert cli.main(argv) == 0
+        text = (tmp_path / "report" / "trajectory_stats.json").read_text()
+        assert '"spearman_pqi_gini": NaN' in text
+        assert capsys.readouterr().err == ""

@@ -98,28 +98,23 @@ class TestGiniIndex:
 
 class TestEtaR:
     def test_one_hot_empty_tail(self):
-        assert eta_r([0, 0, 1, 0], 0.5, 1) == 0.0
+        assert eta_r([0, 0, 1, 0], 0.5)[0] == 0.0
 
     def test_tail_head_ratio_p1(self):
-        assert eta_r([1, 2, 3, 4], 1.0, 2) == pytest.approx(3 / 7, abs=1e-12)
+        assert eta_r([1, 2, 3, 4], 1.0)[1] == pytest.approx(3 / 7, abs=1e-12)
 
     def test_tail_head_ratio_p_half(self):
         expected = (1 + math.sqrt(2)) / (math.sqrt(3) + 2)
-        assert eta_r([1, 2, 3, 4], 0.5, 2) == pytest.approx(expected, abs=1e-12)
+        assert eta_r([1, 2, 3, 4], 0.5)[1] == pytest.approx(expected, abs=1e-12)
 
     def test_full_r_is_zero(self):
-        assert eta_r([1, 2, 3], 0.5, 3) == 0.0
+        assert eta_r([1, 2, 3], 0.5)[2] == 0.0
 
     def test_tied_magnitudes_match_reference(self):
         w = [0.2, -0.2, 1.0, 0.2, 0.0]
+        curve = eta_r(w, 0.5)
         for r in range(1, 6):
-            assert eta_r(w, 0.5, r) == pytest.approx(reference_eta_r(w, 0.5, r), abs=1e-12)
-
-    def test_r_out_of_range(self):
-        with pytest.raises(ValueError):
-            eta_r([1, 2], 0.5, 3)
-        with pytest.raises(ValueError):
-            eta_r([1, 2], 0.5, 0)
+            assert curve[r - 1] == pytest.approx(reference_eta_r(w, 0.5, r), abs=1e-12)
 
 
 def reference_eta_r(w, p, r, exact=False):
@@ -174,12 +169,6 @@ class TestEtaCurve:
         for w in tied_and_zero_vectors(7, 40, 500):
             for p in (0.5, 1.0):
                 assert eta_r(w, p)[-1] == 0.0
-                assert eta_r(w, p, w.size) == 0.0
-
-    def test_single_r_is_curve_entry(self):
-        w = [0.3, 0.0, 0.3, 2.0, 0.7]
-        curve = eta_r(w, 0.5)
-        assert [eta_r(w, 0.5, r) for r in range(1, 6)] == curve.tolist()
 
     def test_all_zero_undefined(self):
         with pytest.raises(UndefinedIndexError):
@@ -198,7 +187,7 @@ class TestLowerBound:
 
     def test_eta_r2_1234(self):
         I = pq_index([1, 2, 3, 4], PQ05_1)
-        eta = eta_r([1, 2, 3, 4], 0.5, 2)
+        eta = eta_r([1, 2, 3, 4], 0.5)[1]
         # Direct arithmetic oracle: 4 * (1 + eta)^-2 * (1 - I)
         oracle = 4 * (1 + eta) ** -2 * (1 - I)
         got = pqi_lower_bound(4, I, eta, PQ05_1)
@@ -244,15 +233,14 @@ def test_cloning_exactness(w, norms):
 @settings(max_examples=100)
 def test_bound_soundness_all_r(w, norms):
     I = pq_index(w, norms)
-    for r in range(1, w.size + 1):
-        eta = eta_r(w, norms.p, r)
+    for r, eta in enumerate(eta_r(w, norms.p), 1):
         assert r >= pqi_lower_bound(w.size, I, eta, norms) - 1e-9
 
 
 @given(w=finite_vectors, p=st.sampled_from([0.25, 0.5, 1.0]))
 @settings(max_examples=100)
 def test_eta_monotone_in_r(w, p):
-    etas = [eta_r(w, p, r) for r in range(1, w.size + 1)]
+    etas = eta_r(w, p).tolist()
     assert all(b <= a + 1e-12 for a, b in zip(etas, etas[1:]))
 
 
