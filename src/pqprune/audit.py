@@ -66,10 +66,7 @@ class PropertyReport:
 
     @property
     def ok(self) -> bool:
-        return self.total_violations() == 0
-
-    def total_violations(self) -> int:
-        return sum(r.violations for r in self.results)
+        return all(r.violations == 0 for r in self.results)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)

@@ -89,7 +89,7 @@ def cmd_run(args) -> int:
     summary_path = Path(out) / "summary.csv"
     print(f"wrote {len(results)} run directories under {out}")
     print(summary_path.read_text(), end="")
-    expected = len(cfg.algorithms()) * len(cfg.seeds)
+    expected = len(cfg.algorithms) * len(cfg.seeds)
     return EXIT_OK if len(results) == expected else EXIT_RUNTIME
 
 

@@ -21,8 +21,8 @@ import typing
 from dataclasses import dataclass, field
 
 from .data_io import SyntheticSpec
-from .nn import TrainConfig
-from .pruning import AlgorithmSpec, SapHyperParams, Scope
+from .nn import MODELS, TrainConfig
+from .pruning import AlgorithmSpec, Scope
 
 
 @dataclass(frozen=True)
@@ -37,13 +37,12 @@ class IdxPaths:
 class ExperimentConfig:
     """One experiment grid: (seed x algorithm) cells over a shared setup."""
 
-    model: str = "MLP"  # "Linear" or "MLP"
+    model: str = "MLP"  # a key of nn.MODELS
     scope: Scope = Scope.GLOBAL
     dataset: SyntheticSpec | IdxPaths = field(default_factory=SyntheticSpec)
-    algorithm_kinds: list[str] = field(default_factory=lambda: ["sap"])
-    iterations: int = 10
-    ratio: float = 0.2
-    sap: SapHyperParams = field(default_factory=SapHyperParams)
+    algorithms: list[AlgorithmSpec] = field(
+        default_factory=lambda: [AlgorithmSpec("sap", iterations=10)]
+    )
     # Desk-scale defaults: few epochs, small batches, and a strong weight
     # decay so magnitudes differentiate within E=5. TrainConfig's own
     # defaults keep the full-scale values.
@@ -53,17 +52,6 @@ class ExperimentConfig:
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2, 3])
     output_dir: str = "runs"
     workers: int = 1
-
-    def algorithms(self) -> list[AlgorithmSpec]:
-        return [
-            AlgorithmSpec(
-                kind=kind,
-                iterations=self.iterations,
-                ratio=self.ratio,
-                sap=self.sap if kind == "sap" else None,
-            )
-            for kind in self.algorithm_kinds
-        ]
 
 
 def _parse_bool(s: str) -> bool:
@@ -132,8 +120,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     cfg = ExperimentConfig()
     cfg.model = kv.pop("model", cfg.model)
-    if cfg.model not in ("Linear", "MLP"):
-        raise ValueError(f"model must be Linear or MLP, got {cfg.model!r}")
+    if cfg.model not in MODELS:
+        raise ValueError(f"model must be {' or '.join(MODELS)}, got {cfg.model!r}")
     cfg.scope = _pop(kv, "scope", Scope, cfg.scope)
 
     ds_kind = kv.pop("dataset.kind", "synthetic")
@@ -148,12 +136,13 @@ def parse_config(text: str) -> ExperimentConfig:
     else:
         raise ValueError(f"unknown dataset.kind {ds_kind!r}")
 
-    cfg.algorithm_kinds = _entries(kv, "algorithm.kinds", str.strip, cfg.algorithm_kinds)
-    cfg.iterations = _pop(kv, "algorithm.iterations", int, cfg.iterations)
-    cfg.ratio = _pop(kv, "algorithm.ratio", _parse_float, cfg.ratio)
-    # sap.p and sap.q set the norm pair; a config cannot relax its regime.
-    norms = _replace_fields(kv, "sap", cfg.sap.norms, skip={"relaxed"})
-    cfg.sap = _replace_fields(kv, "sap", cfg.sap, norms=norms)
+    kinds = _entries(kv, "algorithm.kinds", str.strip, [alg.kind for alg in cfg.algorithms])
+    # Every algorithm shares the iteration count and ratio; SAP alone takes
+    # the sap keys. sap.p and sap.q set the norm pair; a config cannot relax
+    # its regime.
+    template = _replace_fields(kv, "algorithm", cfg.algorithms[0])
+    norms = _replace_fields(kv, "sap", template.sap.norms, skip={"relaxed"})
+    sap = _replace_fields(kv, "sap", template.sap, norms=norms)
     # Each cell's seed comes from `seeds`, not from the train section.
     cfg.train = _replace_fields(kv, "train", cfg.train, skip={"seed"})
     cfg.seeds = _entries(kv, "seeds", int, cfg.seeds)
@@ -165,5 +154,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ValueError("workers must be >= 1")
     if kv:
         raise ValueError(f"unknown config keys: {sorted(kv)}")
-    cfg.algorithms()  # rejects bad algorithm settings before any output is made
+    cfg.algorithms = [
+        dataclasses.replace(template, kind=kind, sap=sap if kind == "sap" else None)
+        for kind in kinds
+    ]
     return cfg

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import logging
 import math
@@ -65,8 +66,7 @@ def run_cell(cfg: ExperimentConfig, alg: AlgorithmSpec, seed: int) -> RunRecord:
     """Execute one (algorithm, seed) cell end to end."""
     train_data, test_data = load_datasets(cfg)
     n_classes = int(max(train_data.labels.max(), test_data.labels.max())) + 1
-    spec = nn.linear_spec if cfg.model == "Linear" else nn.mlp_spec
-    specs = spec(train_data.inputs.shape[1], n_classes)
+    specs = nn.model_specs(cfg.model, train_data.inputs.shape[1], n_classes)
     train_cfg = dataclasses.replace(cfg.train, seed=seed)
     return run_pruning(alg, cfg.scope, specs, train_cfg, train_data, test_data)
 
@@ -88,7 +88,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers=None) -> dict[str, Ru
     """
     out_dir = Path(out_dir)
     workers = workers or cfg.workers
-    cells = [(alg, seed) for alg in cfg.algorithms() for seed in cfg.seeds]
+    cells = [(alg, seed) for alg in cfg.algorithms for seed in cfg.seeds]
     results: dict[str, RunRecord] = {}
     failed: list[str] = []
     _loaded[cfg.dataset] = load_datasets(cfg)
@@ -204,9 +204,9 @@ def write_report(run_dirs, out_dir) -> dict:
     """Emit the four per-iteration panel CSVs and trajectory_stats.json, each
     replaced whole (`write_text_atomic`).
 
-    All run dirs must share the same configuration apart from the seed.
-    As in summary.csv, only complete runs are aggregated; each incomplete
-    one is named in a warning.
+    All run dirs must share the same configuration apart from the seed, and
+    no two may share the seed. As in summary.csv, only complete runs are
+    aggregated; each incomplete one is named in a warning.
     """
     records = [read_run_record(d) for d in run_dirs]
     if not records:
@@ -214,6 +214,9 @@ def write_report(run_dirs, out_dir) -> dict:
     keys = [{k: v for k, v in r.config.items() if k != "seed"} for r in records]
     if any(k != keys[0] for k in keys[1:]):
         raise ValueError("run directories have mixed configurations")
+    for (a, rec), (b, other) in itertools.combinations(zip(run_dirs, records), 2):
+        if rec.config == other.config:  # the same seed, so the same run
+            raise ValueError(f"runs {a} and {b} repeat seed {rec.config.get('seed')}")
     for d, rec in zip(run_dirs, records):
         if not rec.completed:
             log.warning("left out incomplete run %s", d)

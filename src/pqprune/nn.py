@@ -23,27 +23,20 @@ class TrainingDivergedError(RuntimeError):
 class LayerSpec:
     in_size: int
     out_size: int
-    activation: str = "relu"  # "relu" or "none"; final layer must be "none"
 
     def __post_init__(self):
         if self.in_size < 1 or self.out_size < 1:
             raise ValueError("layer sizes must be positive")
-        if self.activation not in ("relu", "none"):
-            raise ValueError(f"unknown activation {self.activation!r}")
 
 
-def linear_spec(in_size: int, n_classes: int) -> list[LayerSpec]:
-    """Single dense layer (logistic-regression shape)."""
-    return [LayerSpec(in_size, n_classes, "none")]
+# Each model's hidden widths; every layer but the last is followed by a ReLU.
+MODELS = {"Linear": (), "MLP": (128, 256)}
 
 
-def mlp_spec(in_size: int, n_classes: int) -> list[LayerSpec]:
-    """Dense(in, 128)-ReLU, Dense(128, 256)-ReLU, Dense(256, K)."""
-    return [
-        LayerSpec(in_size, 128, "relu"),
-        LayerSpec(128, 256, "relu"),
-        LayerSpec(256, n_classes, "none"),
-    ]
+def model_specs(model: str, in_size: int, n_classes: int) -> list[LayerSpec]:
+    """The dense layers of `model`, from `in_size` inputs to `n_classes` logits."""
+    sizes = (in_size, *MODELS[model], n_classes)
+    return [LayerSpec(a, b) for a, b in zip(sizes, sizes[1:])]
 
 
 @dataclass(frozen=True)
@@ -130,8 +123,6 @@ def init_network(specs: list[LayerSpec], seed: int) -> NetworkParams:
     for a, b in zip(specs, specs[1:]):
         if a.out_size != b.in_size:
             raise ValueError(f"layer sizes do not chain: {a} -> {b}")
-    if specs[-1].activation != "none":
-        raise ValueError("final layer must emit logits (activation 'none')")
     rng = np.random.default_rng(seed)
     params = NetworkParams(specs, np.zeros(sum(s.out_size * (s.in_size + 1) for s in specs)))
     for spec, w in zip(specs, params.weights):
@@ -144,10 +135,11 @@ def _forward(params: NetworkParams, X: np.ndarray):
     """Returns (logits, activations): the input, then each layer's output."""
     acts = [X]
     a = X
-    for spec, w, b in zip(params.specs, params.weights, params.biases):
+    last = len(params.specs) - 1
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         a = a @ w.T
         a += b
-        if spec.activation == "relu":
+        if l < last:
             np.maximum(a, 0.0, out=a)
         acts.append(a)
     return a, acts
@@ -179,8 +171,9 @@ def loss_and_grads(params: NetworkParams, X: np.ndarray, labels: np.ndarray, out
     grad_w, grad_b = _layer_views(params.specs, out)
     logits, acts = _forward(params, X)
     loss, delta = _softmax_xent(logits, labels)
-    for l in reversed(range(len(params.specs))):
-        if params.specs[l].activation == "relu":
+    last = len(params.specs) - 1
+    for l in reversed(range(last + 1)):
+        if l < last:
             delta *= acts[l + 1] > 0.0
         np.matmul(delta.T, acts[l], out=grad_w[l])
         np.add.reduce(delta, axis=0, out=grad_b[l])

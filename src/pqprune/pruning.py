@@ -181,6 +181,8 @@ def run_pruning(
     mask = PruningMask.all_ones(params)
     d0 = mask.ones_count()
     blocks = partition(params, scope)
+    # A ReLU follows every layer but the last, which emits logits.
+    activations = ["relu"] * (len(layer_specs) - 1) + ["none"]
     record = RunRecord(
         config={
             "algorithm": alg.kind,
@@ -201,8 +203,8 @@ def run_pruning(
             "seed": cfg.seed,
             "train": {k: v for k, v in asdict(cfg).items() if k != "seed"},
             "layers": [
-                {"in": s.in_size, "out": s.out_size, "activation": s.activation}
-                for s in layer_specs
+                {"in": s.in_size, "out": s.out_size, "activation": a}
+                for s, a in zip(layer_specs, activations)
             ],
         }
     )

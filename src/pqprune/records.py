@@ -52,11 +52,13 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
+        if not isinstance(d["config"], dict) or not isinstance(d["completed"], bool):
+            raise TypeError("config must be an object and completed a boolean")
         return cls(
             config=d["config"],
             iterations=[IterationMetrics.from_dict(it) for it in d["iterations"]],
             events=list(d["events"]),
-            completed=bool(d["completed"]),
+            completed=d["completed"],
         )
 
     def iterations_csv(self) -> str:

@@ -64,11 +64,6 @@ def pq_index(w, norms: NormPair) -> float:
     return 1.0 - d ** (1.0 / norms.q - 1.0 / norms.p) * ratio_p / ratio_q
 
 
-def pq_index_max(d: int, norms: NormPair) -> float:
-    """Upper end of the index range: 1 - d^(1/q - 1/p), attained one-hot."""
-    return 1.0 - d ** (1.0 / norms.q - 1.0 / norms.p)
-
-
 def gini_index(w) -> float:
     """Gini index of a magnitude vector, in [0, 1).
 

@@ -26,7 +26,6 @@ from pqprune.sparsity import (
     NormPair,
     eta_r,
     pq_index,
-    pq_index_max,
     pqi_lower_bound,
 )
 
@@ -45,8 +44,7 @@ def desk_run(tmp_path_factory):
     T=10, E=5, 4 seeds, persisted to disk."""
     out = tmp_path_factory.mktemp("desk")
     cfg = ExperimentConfig()
-    cfg.algorithm_kinds = ["sap", "lottery_ticket"]
-    cfg.iterations = 10
+    cfg.algorithms = [AlgorithmSpec(kind, iterations=10) for kind in ("sap", "lottery_ticket")]
     start = time.monotonic()
     records = run_experiment(cfg, out_dir=out)
     elapsed = time.monotonic() - start
@@ -58,7 +56,7 @@ def test_criterion_1_axiom_suite():
     reports = [audit_measure(pq_measure(p), trials=1000, seed=0) for p in PAIRS]
     reports.append(audit_measure(gini_measure(), trials=1000, seed=0))
     elapsed = time.monotonic() - start
-    violations = sum(r.total_violations() for r in reports)
+    violations = sum(r.violations for report in reports for r in report.results)
     check(
         1,
         "six-axiom audit, PQI x3 pairs + Gini, 1000 trials each",
@@ -75,14 +73,15 @@ def test_criterion_2_range():
         d = int(rng.integers(2, 65))
         w = np.abs(rng.standard_normal(d)) + 1e-12
         value = pq_index(w, norms)
-        worst = max(worst, -value, value - pq_index_max(d, norms))
+        worst = max(worst, -value, value - (1 - d ** (1 / norms.q - 1 / norms.p)))
     exact_ok = True
     for norms in PAIRS:
         for d in (2, 17, 64):
             exact_ok &= abs(pq_index(np.full(d, 2.5), norms)) < 1e-12
             one_hot = np.zeros(d)
             one_hot[d // 2] = 3.0
-            exact_ok &= abs(pq_index(one_hot, norms) - pq_index_max(d, norms)) < 1e-12
+            top = 1 - d ** (1 / norms.q - 1 / norms.p)
+            exact_ok &= abs(pq_index(one_hot, norms) - top) < 1e-12
     check(
         2,
         "index range on 1e5 random vectors; uniform/one-hot exact",
@@ -124,9 +123,9 @@ def test_criterion_3_bound_soundness():
 
 def test_criterion_4_gradient_check():
     specs = [
-        nn.LayerSpec(5, 4, "relu"),
-        nn.LayerSpec(4, 3, "relu"),
-        nn.LayerSpec(3, 2, "none"),
+        nn.LayerSpec(5, 4),
+        nn.LayerSpec(4, 3),
+        nn.LayerSpec(3, 2),
     ]
     params = nn.init_network(specs, seed=21)
     rng = np.random.default_rng(21)
@@ -234,7 +233,7 @@ def test_criterion_9_persistence_replay(desk_run):
     cfg, out, _, _ = desk_run
     written = (out / "summary.csv").read_bytes()
     replayed = {}
-    for alg in cfg.algorithm_kinds:
+    for alg in (a.kind for a in cfg.algorithms):
         for seed in cfg.seeds:
             name = f"{alg}_seed{seed}"
             replayed[name] = read_run_record(out / name)

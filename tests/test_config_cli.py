@@ -1,7 +1,10 @@
 import ast
+import dataclasses
 import inspect
 import json
 import os
+import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -21,7 +24,7 @@ from pqprune.data_io import (
 )
 from pqprune.experiment import trajectory_stats
 from pqprune.nn import TrainConfig
-from pqprune.pruning import SapHyperParams, Scope
+from pqprune.pruning import AlgorithmSpec, SapHyperParams, Scope
 from pqprune.records import IterationMetrics, RunRecord
 from pqprune.sparsity import NormPair
 
@@ -46,14 +49,15 @@ output_dir = runs
 
 def tiny_config(dataset) -> ExperimentConfig:
     """TINY_CONFIG built field by field; every other field at its default."""
+    sap = SapHyperParams(norms=NormPair(0.5, 1.0), eta=0.0, gamma=1.0, beta=0.9)
     return ExperimentConfig(
         model="Linear",
         scope=Scope.GLOBAL,
         dataset=dataset,
-        algorithm_kinds=["sap", "lottery_ticket"],
-        iterations=3,
-        ratio=0.2,
-        sap=SapHyperParams(norms=NormPair(0.5, 1.0), eta=0.0, gamma=1.0, beta=0.9),
+        algorithms=[
+            AlgorithmSpec("sap", iterations=3, ratio=0.2, sap=sap),
+            AlgorithmSpec("lottery_ticket", iterations=3, ratio=0.2, sap=None),
+        ],
         train=TrainConfig(epochs=2, batch_size=32, learning_rate=0.1, momentum=0.9,
                           weight_decay=0.05, nesterov=True, seed=0),
         seeds=[0, 1],
@@ -67,10 +71,10 @@ class TestConfig:
         cfg = ExperimentConfig()
         assert cfg.model == "MLP"
         assert cfg.scope == Scope.GLOBAL
-        assert cfg.algorithm_kinds == ["sap"]
-        assert (cfg.sap.norms.p, cfg.sap.norms.q) == (0.5, 1.0)
-        assert (cfg.sap.eta, cfg.sap.gamma, cfg.sap.beta) == (0.0, 1.0, 0.9)
-        assert cfg.ratio == 0.2
+        [alg] = cfg.algorithms
+        assert (alg.kind, alg.iterations, alg.ratio) == ("sap", 10, 0.2)
+        assert (alg.sap.norms.p, alg.sap.norms.q) == (0.5, 1.0)
+        assert (alg.sap.eta, alg.sap.gamma, alg.sap.beta) == (0.0, 1.0, 0.9)
         assert cfg.seeds == [0, 1, 2, 3]
 
     def test_parse_builds_expected_config(self):
@@ -100,6 +104,18 @@ class TestConfig:
     def test_empty_config_is_default(self):
         assert parse_config("") == ExperimentConfig()
 
+    def test_readme_config_block_shows_the_defaults(self):
+        # Every key in the README's block is at its default but algorithm.kinds.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        [block] = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        cfg, default = parse_config(block), ExperimentConfig()
+        [sap] = default.algorithms
+        assert cfg.algorithms == [
+            dataclasses.replace(sap, kind=kind, sap=sap.sap if kind == "sap" else None)
+            for kind in ("sap", "lottery_ticket", "one_shot")
+        ]
+        assert dataclasses.replace(cfg, algorithms=default.algorithms) == default
+
     def test_fields_parsed_by_declared_type(self):
         cfg = parse_config(
             "dataset.class_separation = 2.5\ntrain.nesterov = off\n"
@@ -108,9 +124,13 @@ class TestConfig:
         assert cfg.dataset == SyntheticSpec(class_separation=2.5)
         assert cfg.train == TrainConfig(epochs=3, batch_size=50, weight_decay=0.05,
                                         nesterov=False)
-        assert cfg.sap == SapHyperParams(norms=NormPair(0.25, 2.0), beta=0.5)
+        assert cfg.algorithms[0].sap == SapHyperParams(norms=NormPair(0.25, 2.0), beta=0.5)
 
-    @pytest.mark.parametrize("line", ["train.seed = 1", "sap.relaxed = true", "sap.norms = 1"])
+    @pytest.mark.parametrize(
+        "line",
+        ["train.seed = 1", "sap.relaxed = true", "sap.norms = 1", "algorithm.kind = sap",
+         "algorithm.sap = 1"],
+    )
     def test_fields_without_key_rejected(self, line):
         with pytest.raises(ValueError, match="unknown config keys"):
             parse_config(line + "\n")
@@ -192,6 +212,14 @@ class TestConfig:
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_with_unknown_model_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cnn.cfg"
+        cfg_path.write_text(TINY_CONFIG.replace("model = Linear", "model = CNN"))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: model must be Linear or MLP, got 'CNN'\n"
         assert not out.exists()
 
     def test_run_with_negative_workers_flag_exits_2(self, tmp_path, capsys):
@@ -494,8 +522,12 @@ class TestRunAndReport:
             (lambda text: "[]", "has the wrong shape"),
             (lambda text: json.dumps({**json.loads(text), "iterations": [1]}),
              "has the wrong shape"),
+            (lambda text: json.dumps({**json.loads(text), "config": []}), "has the wrong shape"),
+            (lambda text: json.dumps({**json.loads(text), "completed": "no"}),
+             "has the wrong shape"),
         ],
-        ids=["missing_field", "truncated", "not_an_object", "bad_iteration"],
+        ids=["missing_field", "truncated", "not_an_object", "bad_iteration", "config_a_list",
+             "completed_a_string"],
     )
     def test_report_damaged_record_exits_2(self, run_root, tmp_path, capsys, damage, message):
         text = (run_root / "out" / "sap_seed0" / "run.json").read_text()
@@ -505,6 +537,20 @@ class TestRunAndReport:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert f"run record {tmp_path / 'cut' / 'run.json'} {message}" in err
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("twin", ["same_dir", "copy"])
+    def test_report_repeated_run_exits_2(self, run_root, tmp_path, capsys, twin):
+        # A run given twice was averaged as two runs, with n = 2 and std 0.
+        run = run_root / "out" / "sap_seed0"
+        again = run
+        if twin == "copy":
+            again = tmp_path / "copy"
+            shutil.copytree(run, again)
+        argv = ["report", str(run), str(run_root / "out" / "sap_seed1"), str(again),
+                "--out", str(tmp_path / "report")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: runs {run} and {again} repeat seed 0\n"
         assert not (tmp_path / "report").exists()
 
     def test_report_missing_record_exits_2(self, tmp_path, capsys):
@@ -656,6 +702,26 @@ class TestGridData:
                 assert rec.config["layers"][0]["in"] == 16
         assert len(calls) == 2
 
+    @pytest.mark.parametrize(
+        "model, layers",
+        [
+            ("Linear", [{"in": 8, "out": 2, "activation": "none"}]),
+            ("MLP", [
+                {"in": 8, "out": 128, "activation": "relu"},
+                {"in": 128, "out": 256, "activation": "relu"},
+                {"in": 256, "out": 2, "activation": "none"},
+            ]),
+        ],
+    )
+    def test_layers_echo_follows_the_model(self, model, layers):
+        cfg = ExperimentConfig(
+            model=model,
+            dataset=SyntheticSpec(n_samples=100, n_features=8, n_classes=2),
+            train=TrainConfig(epochs=1, batch_size=50),
+        )
+        rec = experiment.run_cell(cfg, AlgorithmSpec("sap", iterations=1), seed=0)
+        assert rec.config["layers"] == layers
+
     def test_desk_grid_generates_its_data_once(self, tmp_path, monkeypatch):
         calls = []
         gen_synthetic = experiment.gen_synthetic
@@ -665,8 +731,7 @@ class TestGridData:
         monkeypatch.setattr(
             experiment, "run_pruning", lambda alg, *_: RunRecord(config={"algorithm": alg.kind})
         )
-        cfg = ExperimentConfig()
-        cfg.algorithm_kinds = ["sap", "lottery_ticket"]
+        cfg = parse_config("algorithm.kinds = sap,lottery_ticket\n")
         assert len(experiment.run_experiment(cfg, out_dir=tmp_path / "a")) == 8
         assert calls == [cfg.dataset]
         # No data outlives its grid: the next grid generates its own.

@@ -8,14 +8,14 @@ from pqprune import nn
 from pqprune.config import ExperimentConfig
 from pqprune.data_io import SyntheticSpec
 from pqprune.experiment import run_experiment
-from pqprune.pruning import PruningMask, Scope
+from pqprune.pruning import AlgorithmSpec, PruningMask, Scope
 
 
 def toy_specs():
     return [
-        nn.LayerSpec(5, 4, "relu"),
-        nn.LayerSpec(4, 3, "relu"),
-        nn.LayerSpec(3, 2, "none"),
+        nn.LayerSpec(5, 4),
+        nn.LayerSpec(4, 3),
+        nn.LayerSpec(3, 2),
     ]
 
 
@@ -35,12 +35,12 @@ class TestInit:
             assert np.array_equal(wa, wb)
 
     def test_mlp_weight_count(self):
-        params = nn.init_network(nn.mlp_spec(784, 10), seed=0)
+        params = nn.init_network(nn.model_specs("MLP", 784, 10), seed=0)
         assert params.n_weights == 784 * 128 + 128 * 256 + 256 * 10 == 135_680
         assert params.flat.size == 136_074
 
     def test_linear_param_count(self):
-        params = nn.init_network(nn.linear_spec(784, 10), seed=0)
+        params = nn.init_network(nn.model_specs("Linear", 784, 10), seed=0)
         assert params.flat.size == 7_850
 
     def test_biases_zero(self):
@@ -49,7 +49,7 @@ class TestInit:
 
     def test_mismatched_chain_rejected(self):
         with pytest.raises(ValueError):
-            nn.init_network([nn.LayerSpec(5, 4, "relu"), nn.LayerSpec(3, 2, "none")], 0)
+            nn.init_network([nn.LayerSpec(5, 4), nn.LayerSpec(3, 2)], 0)
 
 
 def start_weights(params, mask):
@@ -206,7 +206,7 @@ class TestGradients:
 
 class TestFlatten:
     def test_mlp_length(self):
-        params = nn.init_network(nn.mlp_spec(784, 10), seed=0)
+        params = nn.init_network(nn.model_specs("MLP", 784, 10), seed=0)
         mags = nn.flatten_prunable(params)
         assert mags.size == 135_680 == params.n_weights
 
@@ -257,9 +257,10 @@ class TestFlatten:
 def reference_loss_and_grads(params, X, labels):
     acts = [X]
     a = X
-    for spec, w, b in zip(params.specs, params.weights, params.biases):
+    last = len(params.specs) - 1
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = a @ w.T + b
-        a = np.maximum(z, 0.0) if spec.activation == "relu" else z
+        a = np.maximum(z, 0.0) if l < last else z
         acts.append(a)
     n = a.shape[0]
     shifted = a - a.max(axis=1, keepdims=True)
@@ -273,7 +274,7 @@ def reference_loss_and_grads(params, X, labels):
     grad_w = [None] * len(params.specs)
     grad_b = [None] * len(params.specs)
     for l in reversed(range(len(params.specs))):
-        if params.specs[l].activation == "relu":
+        if l < last:
             delta = delta * (acts[l + 1] > 0.0)
         grad_w[l] = delta.T @ acts[l]
         grad_b[l] = delta.sum(axis=0)
@@ -321,7 +322,7 @@ def holed_mask(params, seed):
 class TestReferenceTrainer:
     @pytest.mark.parametrize(
         "specs, batch_size",
-        list(itertools.product([toy_specs(), nn.linear_spec(5, 2)], [8, 64])),
+        list(itertools.product([toy_specs(), nn.model_specs("Linear", 5, 2)], [8, 64])),
         ids=["mlp-short_last_batch", "mlp-batch_ge_n", "linear-short_last_batch",
              "linear-batch_ge_n"],
     )
@@ -378,8 +379,9 @@ def test_grid_bytes_match_reference_trainer(scope, tmp_path, monkeypatch):
         scope=scope,
         # 152 training rows: four batches of 32 and a short one of 24.
         dataset=SyntheticSpec(n_samples=190, n_features=8, n_classes=3, seed=4),
-        algorithm_kinds=["sap", "lottery_ticket", "one_shot"],
-        iterations=3,
+        algorithms=[
+            AlgorithmSpec(kind, iterations=3) for kind in ("sap", "lottery_ticket", "one_shot")
+        ],
         train=nn.TrainConfig(epochs=2, batch_size=32, weight_decay=0.05),
         seeds=[0, 1],
     )

@@ -18,12 +18,12 @@ from pqprune.pruning import (
     sap_count,
     sap_prune_count,
 )
-from pqprune.sparsity import NormPair, pq_index_max
+from pqprune.sparsity import NormPair
 
 
 def single_row_params(values):
     """One dense layer whose flat weight magnitudes are `values`."""
-    spec = [nn.LayerSpec(len(values), 1, "none")]
+    spec = [nn.LayerSpec(len(values), 1)]
     return nn.NetworkParams(spec, np.append(np.asarray(values, dtype=float), 0.0))
 
 
@@ -31,7 +31,7 @@ def tiny_run_setup(seed=0, n=200, features=8):
     train, test = gen_synthetic(
         SyntheticSpec(n_samples=n, n_features=features, n_classes=2, seed=seed)
     )
-    specs = [nn.LayerSpec(features, 6, "relu"), nn.LayerSpec(6, 2, "none")]
+    specs = [nn.LayerSpec(features, 6), nn.LayerSpec(6, 2)]
     cfg = nn.TrainConfig(epochs=2, batch_size=32, seed=seed)
     return specs, cfg, train, test
 
@@ -64,11 +64,11 @@ def single_row_prune(values, keep, count):
 
 class TestPartition:
     def test_global_single_group(self):
-        params = nn.init_network(nn.mlp_spec(784, 10), seed=0)
+        params = nn.init_network(nn.model_specs("MLP", 784, 10), seed=0)
         assert partition(params, Scope.GLOBAL) == [(["global"], 0, 1, 135_680)]
 
     def test_layer_wise_mlp(self):
-        params = nn.init_network(nn.mlp_spec(784, 10), seed=0)
+        params = nn.init_network(nn.model_specs("MLP", 784, 10), seed=0)
         sizes = [784 * 128, 128 * 256, 256 * 10]
         assert partition(params, Scope.LAYER_WISE) == [
             (["layer0"], 0, 1, sizes[0]),
@@ -77,7 +77,7 @@ class TestPartition:
         ]
 
     def test_neuron_wise_mlp(self):
-        params = nn.init_network(nn.mlp_spec(784, 10), seed=0)
+        params = nn.init_network(nn.model_specs("MLP", 784, 10), seed=0)
         blocks = partition(params, Scope.NEURON_WISE)
         assert [(offset, rows, cols) for _, offset, rows, cols in blocks] == [
             (0, 128, 784),
@@ -95,7 +95,7 @@ class TestPartition:
 
     def test_groups_cover_exactly_once(self):
         params = nn.init_network(
-            [nn.LayerSpec(12, 3, "relu"), nn.LayerSpec(3, 1, "none")], seed=1
+            [nn.LayerSpec(12, 3), nn.LayerSpec(3, 1)], seed=1
         )
         labels = {
             Scope.GLOBAL: ["global"],
@@ -151,7 +151,7 @@ class TestMagnitudePrune:
     def test_one_pass_matches_sequential_oracle(self, scope):
         rng = np.random.default_rng(11)
         for trial in range(6):
-            params = nn.init_network(nn.mlp_spec(12, 3), seed=trial)
+            params = nn.init_network(nn.model_specs("MLP", 12, 3), seed=trial)
             # Exact ties and zeros alongside the continuous weights, and a
             # row whose magnitudes are all zero.
             params.weights[0][:, :4] = 0.25
@@ -193,7 +193,8 @@ class TestSapCount:
         values[17] = 1.0
         hp = SapHyperParams(norms=NormPair(0.5, 1.0), eta=0.0, gamma=1.0, beta=0.9)
         decision = sap_count(values, hp)
-        assert decision["pqi"] == pytest.approx(pq_index_max(d, hp.norms), abs=1e-12)
+        one_hot_max = 1 - d ** (1 / hp.norms.q - 1 / hp.norms.p)
+        assert decision["pqi"] == pytest.approx(one_hot_max, abs=1e-12)
         assert decision["r"] == pytest.approx(1.0, abs=1e-9)
         assert decision["c"] == math.floor(d * min(1 - 1 / d, 0.9))
 

@@ -12,7 +12,6 @@ from pqprune.sparsity import (
     eta_r,
     gini_index,
     pq_index,
-    pq_index_max,
     pqi_lower_bound,
 )
 
@@ -49,7 +48,7 @@ class TestPqIndex:
     def test_one_hot_attains_max(self):
         w = [0, 0, 0, 1]
         assert pq_index(w, PQ05_1) == pytest.approx(0.75, abs=1e-12)
-        assert pq_index_max(4, PQ05_1) == pytest.approx(0.75, abs=1e-12)
+        assert 1 - 4 ** (1 / PQ05_1.q - 1 / PQ05_1.p) == pytest.approx(0.75, abs=1e-12)
 
     def test_frozen_oracle_1234(self):
         assert pq_index([1, 2, 3, 4], PQ05_1) == pytest.approx(PQI_1234, abs=1e-12)
@@ -212,7 +211,7 @@ valid_pairs = st.sampled_from(
 @settings(max_examples=200)
 def test_range_holder(w, norms):
     value = pq_index(w, norms)
-    assert -1e-9 <= value <= pq_index_max(w.size, norms) + 1e-9
+    assert -1e-9 <= value <= 1 - w.size ** (1 / norms.q - 1 / norms.p) + 1e-9
 
 
 @given(w=finite_vectors, norms=valid_pairs, log_alpha=st.floats(-6, 6))
