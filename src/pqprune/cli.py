@@ -24,7 +24,7 @@ from .audit import (
 from .config import parse_config
 from .data_io import write_text_atomic
 from .experiment import run_experiment, write_report
-from .records import format_value
+from .records import csv_text, format_value
 from .sparsity import (
     NormPair,
     UndefinedIndexError,
@@ -40,20 +40,23 @@ EXIT_INPUT = 2
 
 
 def cmd_measure(args) -> int:
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        values = np.loadtxt(args.file, ndmin=1)
-    if values.size == 0:
-        raise ValueError(f"{args.file}: no values to measure")
     norms = NormPair(args.p, args.q)
-    index = pq_index(values, norms)
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = np.loadtxt(args.file, ndmin=1)
+        if values.size == 0:
+            raise ValueError("no values to measure")
+        index = pq_index(values, norms)
+    except ValueError as exc:  # an undefined index keeps its type, so its prefix
+        raise type(exc)(f"{args.file}: {exc}") from None
     print(f"pq_index = {format_value(index)}")
     print(f"gini_index = {format_value(gini_index(values))}")
-    print("r,eta_r,bound,satisfied")
-    d = values.size
+    rows = []
     for r, eta in enumerate(eta_r(values, norms.p).tolist(), 1):
-        bound = pqi_lower_bound(d, index, eta, norms)
-        print(",".join(map(format_value, (r, eta, bound, r >= bound - 1e-9))))
+        bound = pqi_lower_bound(values.size, index, eta, norms)
+        rows.append((r, eta, bound, r >= bound - 1e-9))
+    print(csv_text(("r", "eta_r", "bound", "satisfied"), rows), end="")
     return EXIT_OK
 
 
@@ -94,10 +97,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    out = args.out or os.environ.get("PQI_PRUNE_OUT") or "report"
-    stats = write_report(args.run_dirs, out)
+    stats = write_report(args.run_dirs, args.out)
     print(json.dumps(stats, indent=2))
-    print(f"wrote panels under {out}")
+    print(f"wrote panels under {args.out}")
     return EXIT_OK
 
 
@@ -136,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="panel CSVs and trajectory stats")
     p.add_argument("run_dirs", nargs="+")
-    p.add_argument("--out")
+    p.add_argument("--out", default="report", help="output directory (default: report)")
     p.set_defaults(func=cmd_report)
     return parser
 

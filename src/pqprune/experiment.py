@@ -27,7 +27,7 @@ from .data_io import (
     write_text_atomic,
 )
 from .pruning import AlgorithmSpec, run_pruning
-from .records import RunRecord, format_value
+from .records import RunRecord, csv_text
 
 log = logging.getLogger(__name__)
 
@@ -128,27 +128,22 @@ def _persist_cell(cfg: ExperimentConfig, alg: AlgorithmSpec, seed: int, out_dir)
     return record
 
 
-def per_iteration(
-    runs: list[RunRecord], fields
-) -> Iterator[tuple[int, list[tuple[float, float]]]]:
-    """For each iteration t, the number of runs that reached t and the
-    (mean, sample std) of each field over them; the std is 0 for one run."""
+def per_iteration(runs: list[RunRecord], fields) -> Iterator[tuple[int, list[float]]]:
+    """For each iteration t, the number of runs that reached t and, field
+    by field, the mean and sample std over them as one flat list; the std
+    is 0 for one run."""
     for t in range(max(len(r.iterations) for r in runs)):
         rows = [r.iterations[t] for r in runs if t < len(r.iterations)]
         stats = []
         for f in fields:
             vals = np.array([getattr(it, f) for it in rows], dtype=float)
             std = float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0
-            stats.append((float(vals.mean()), std))
+            stats += [float(vals.mean()), std]
         yield len(rows), stats
 
 
 def _stat_columns(fields) -> list[str]:
     return [f"{f}_{stat}" for f in fields for stat in ("mean", "std")]
-
-
-def _csv_cells(stats) -> list[str]:
-    return [format_value(x) for pair in stats for x in pair]
 
 
 def summarize_records(records: dict[str, RunRecord]) -> str:
@@ -162,11 +157,12 @@ def summarize_records(records: dict[str, RunRecord]) -> str:
         rec = records[name]
         if rec.completed:
             by_alg.setdefault(rec.config["algorithm"], []).append(rec)
-    lines = [",".join(["algorithm", "t", "n_seeds", *_stat_columns(SUMMARY_FIELDS)])]
-    for alg in sorted(by_alg):
-        for t, (n, stats) in enumerate(per_iteration(by_alg[alg], SUMMARY_FIELDS)):
-            lines.append(",".join([alg, str(t), str(n), *_csv_cells(stats)]))
-    return "\n".join(lines) + "\n"
+    rows = [
+        [alg, t, n, *stats]
+        for alg in sorted(by_alg)
+        for t, (n, stats) in enumerate(per_iteration(by_alg[alg], SUMMARY_FIELDS))
+    ]
+    return csv_text(["algorithm", "t", "n_seeds", *_stat_columns(SUMMARY_FIELDS)], rows)
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
@@ -190,9 +186,10 @@ def trajectory_stats(records: list[RunRecord]) -> dict:
     """Location of the mean retrained-index extremes and its rank agreement
     with the Gini trajectory."""
     pqi, gini = np.array([
-        [mean for mean, _ in stats]
-        for _, stats in per_iteration(records, ("pqi_retrained", "gini_retrained"))
+        stats[::2] for _, stats in per_iteration(records, ("pqi_retrained", "gini_retrained"))
     ]).T
+    if np.isnan(pqi).all():
+        raise ValueError("pqi_retrained is NaN at every iteration")
     return {
         "pqi_argmin": int(np.nanargmin(pqi)),
         "pqi_argmax": int(np.nanargmax(pqi)),
@@ -223,6 +220,7 @@ def write_report(run_dirs, out_dir) -> dict:
     records = [r for r in records if r.completed]
     if not records:
         raise ValueError("no complete runs")
+    stats = trajectory_stats(records)  # before any write, so a failure writes nothing
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -233,11 +231,7 @@ def write_report(run_dirs, out_dir) -> dict:
         "panel_gini.csv": ("gini_retrained",),
     }
     for filename, fields in panels.items():
-        lines = [",".join(["t", *_stat_columns(fields)])]
-        for t, (_, stats) in enumerate(per_iteration(records, fields)):
-            lines.append(",".join([str(t), *_csv_cells(stats)]))
-        write_text_atomic(out_dir / filename, "\n".join(lines) + "\n")
-
-    stats = trajectory_stats(records)
+        rows = [[t, *cells] for t, (_, cells) in enumerate(per_iteration(records, fields))]
+        write_text_atomic(out_dir / filename, csv_text(["t", *_stat_columns(fields)], rows))
     write_text_atomic(out_dir / "trajectory_stats.json", json.dumps(stats, indent=2) + "\n")
     return stats

@@ -83,20 +83,6 @@ class Dataset:
         return self.inputs.shape[0]
 
 
-def _layer_views(specs, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-layer (weights, biases) views into a vector in the layout of
-    `NetworkParams.flat`: every weight matrix, layer by layer, then every bias."""
-    shapes = [(s.out_size, s.in_size) for s in specs] + [(s.out_size,) for s in specs]
-    sizes = [math.prod(shape) for shape in shapes]
-    if flat.shape != (sum(sizes),):
-        raise ValueError("parameter vector length does not match the layer specs")
-    views, offset = [], 0
-    for shape, size in zip(shapes, sizes):
-        views.append(flat[offset : offset + size].reshape(shape))
-        offset += size
-    return views[: len(specs)], views[len(specs) :]
-
-
 class NetworkParams:
     """Every weight, layer-major and row-major within each (out x in)
     matrix, then every bias, held in the float vector `flat` it is given.
@@ -109,7 +95,15 @@ class NetworkParams:
     def __init__(self, specs, flat: np.ndarray):
         self.specs = list(specs)
         self.flat = flat
-        self.weights, self.biases = _layer_views(self.specs, flat)
+        shapes = [(s.out_size, s.in_size) for s in specs] + [(s.out_size,) for s in specs]
+        sizes = [math.prod(shape) for shape in shapes]
+        if flat.shape != (sum(sizes),):
+            raise ValueError("parameter vector length does not match the layer specs")
+        views, offset = [], 0
+        for shape, size in zip(shapes, sizes):
+            views.append(flat[offset : offset + size].reshape(shape))
+            offset += size
+        self.weights, self.biases = views[: len(self.specs)], views[len(self.specs) :]
         self.n_weights = sum(w.size for w in self.weights)
 
     def copy(self) -> "NetworkParams":
@@ -159,27 +153,22 @@ def _softmax_xent(logits: np.ndarray, labels: np.ndarray):
     return loss, grad
 
 
-def loss_and_grads(params: NetworkParams, X: np.ndarray, labels: np.ndarray, out=None):
-    """Cross-entropy loss and analytic gradients for every weight and bias.
-
-    The gradients are written into `out`, a vector in the layout of
-    `params.flat` (a fresh one when None), and returned as per-layer views
-    of it: (loss, grad_w, grad_b).
-    """
-    if out is None:
-        out = np.empty_like(params.flat)
-    grad_w, grad_b = _layer_views(params.specs, out)
+def loss_and_grads(
+    params: NetworkParams, X: np.ndarray, labels: np.ndarray, grads: NetworkParams
+) -> float:
+    """Cross-entropy loss; the analytic gradient of every weight and bias is
+    written into the matching view of `grads`, in the layout of `params`."""
     logits, acts = _forward(params, X)
     loss, delta = _softmax_xent(logits, labels)
     last = len(params.specs) - 1
     for l in reversed(range(last + 1)):
         if l < last:
             delta *= acts[l + 1] > 0.0
-        np.matmul(delta.T, acts[l], out=grad_w[l])
-        np.add.reduce(delta, axis=0, out=grad_b[l])
+        np.matmul(delta.T, acts[l], out=grads.weights[l])
+        np.add.reduce(delta, axis=0, out=grads.biases[l])
         if l > 0:
             delta = delta @ params.weights[l]
-    return loss, grad_w, grad_b
+    return loss
 
 
 def cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
@@ -208,10 +197,10 @@ def train(params: NetworkParams, mask, data: Dataset, cfg: TrainConfig) -> Netwo
     """
     net = _masked_copy(params, mask)
     keep = mask.flat.astype(float)
-    grad = np.empty_like(net.flat)
+    grads = NetworkParams(net.specs, np.empty_like(net.flat))
+    grad, grad_prunable = grads.flat, grads.flat[: net.n_weights]
     vel = np.zeros_like(net.flat)
     scratch = np.empty_like(net.flat)
-    grad_prunable = grad[: net.n_weights]
     n = len(data)
     batch = min(cfg.batch_size, n)
     for epoch in range(cfg.epochs):
@@ -219,7 +208,7 @@ def train(params: NetworkParams, mask, data: Dataset, cfg: TrainConfig) -> Netwo
         order = np.random.default_rng([cfg.seed, epoch]).permutation(n)
         for start in range(0, n, batch):
             idx = order[start : start + batch]
-            loss, _, _ = loss_and_grads(net, data.inputs[idx], data.labels[idx], out=grad)
+            loss = loss_and_grads(net, data.inputs[idx], data.labels[idx], grads)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch offset {start}"

@@ -126,29 +126,26 @@ def magnitude_prune(mags: np.ndarray, keep: np.ndarray, counts: np.ndarray) -> n
     return np.nonzero(first)[0] * mags.shape[1] + order[first]
 
 
-def sap_prune_count(d: int, r: float, gamma: float, beta: float) -> int:
-    """floor(d * min(gamma * (1 - r/d), beta)), clamped below at zero.
+def sap_decision(d: int, pqi: float, hp: SapHyperParams) -> dict:
+    """The logged decision for a group of `d` survivors with sparsity index
+    `pqi`: `pqi`, the retention bound `r`, and the prune count
+    `c` = floor(d * min(gamma * (1 - r/d), beta)), clamped below at zero.
 
     Negative gamma*(1 - r/d) only arises from floating-point noise since
     the bound satisfies r <= d for eta >= 0.
     """
+    r = pqi_lower_bound(d, pqi, hp.eta, hp.norms)
     # gamma * (d - r) == d * gamma * (1 - r/d) exactly, but keeps integer
     # cases (e.g. d=1000, r=900) free of 1 - r/d rounding.
-    value = min(gamma * (d - r), beta * d)
-    return max(int(math.floor(value)), 0)
+    c = max(int(math.floor(min(hp.gamma * (d - r), hp.beta * d))), 0)
+    return {"pqi": pqi, "r": r, "c": c}
 
 
 def sap_count(survivors: np.ndarray, hp: SapHyperParams) -> dict:
-    """One group's adaptive decision as it is logged: the sparsity index
-    `pqi` of its surviving magnitudes, the retention bound `r`, and the
-    prune count `c`.
-
-    Raises UndefinedIndexError when every surviving magnitude is zero; the
-    run loop skips such a group for the iteration.
-    """
-    pqi = pq_index(survivors, hp.norms)
-    r = pqi_lower_bound(survivors.size, pqi, hp.eta, hp.norms)
-    return {"pqi": pqi, "r": r, "c": sap_prune_count(survivors.size, r, hp.gamma, hp.beta)}
+    """`sap_decision` for a group's surviving magnitudes. Raises
+    UndefinedIndexError when every one is zero; the run loop skips such a
+    group for the iteration."""
+    return sap_decision(survivors.size, pq_index(survivors, hp.norms), hp)
 
 
 def _surviving_index(mags: np.ndarray, mask: PruningMask, norms: NormPair):
@@ -181,8 +178,6 @@ def run_pruning(
     mask = PruningMask.all_ones(params)
     d0 = mask.ones_count()
     blocks = partition(params, scope)
-    # A ReLU follows every layer but the last, which emits logits.
-    activations = ["relu"] * (len(layer_specs) - 1) + ["none"]
     record = RunRecord(
         config={
             "algorithm": alg.kind,
@@ -202,9 +197,10 @@ def run_pruning(
             "index_q": index_norms.q,
             "seed": cfg.seed,
             "train": {k: v for k, v in asdict(cfg).items() if k != "seed"},
-            "layers": [
-                {"in": s.in_size, "out": s.out_size, "activation": a}
-                for s, a in zip(layer_specs, activations)
+            "layers": [  # a ReLU follows every layer but the last, which emits logits
+                {"in": s.in_size, "out": s.out_size,
+                 "activation": "relu" if l < len(layer_specs) - 1 else "none"}
+                for l, s in enumerate(layer_specs)
             ],
         }
     )
@@ -276,5 +272,4 @@ def run_pruning(
 
 def replay_count(entry: dict, hp: SapHyperParams) -> int:
     """Recompute a logged group's prune count from its logged (d, pqi)."""
-    bound = pqi_lower_bound(entry["d"], entry["pqi"], hp.eta, hp.norms)
-    return sap_prune_count(entry["d"], bound, hp.gamma, hp.beta)
+    return sap_decision(entry["d"], entry["pqi"], hp)["c"]

@@ -7,12 +7,21 @@ from dataclasses import dataclass, field, fields
 
 
 def format_value(x) -> str:
-    """Fixed CSV formatting: ints verbatim, floats at 9 significant digits."""
+    """Fixed CSV formatting: strings and ints verbatim, floats at 9
+    significant digits."""
+    if isinstance(x, str):
+        return x
     if isinstance(x, bool):
         return str(x).lower()
     if isinstance(x, int):
         return str(x)
     return format(float(x), ".9g")
+
+
+def csv_text(header, rows) -> str:
+    """The header line, then one line per row in `format_value` form; every
+    line ends in a newline."""
+    return "".join(",".join(map(format_value, row)) + "\n" for row in [header, *rows])
 
 
 @dataclass
@@ -62,7 +71,5 @@ class RunRecord:
         )
 
     def iterations_csv(self) -> str:
-        lines = [",".join(CSV_FIELDS)]
-        for it in self.iterations:
-            lines.append(",".join(format_value(getattr(it, name)) for name in CSV_FIELDS))
-        return "\n".join(lines) + "\n"
+        rows = ([getattr(it, name) for name in CSV_FIELDS] for it in self.iterations)
+        return csv_text(CSV_FIELDS, rows)

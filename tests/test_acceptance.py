@@ -132,22 +132,21 @@ def test_criterion_4_gradient_check():
     labels = np.arange(16) % 2
     X = rng.standard_normal((16, 5))
     X[:, 0] += labels * 2.0
-    _, grad_w, grad_b = nn.loss_and_grads(params, X, labels)
+    grads = nn.NetworkParams(specs, np.empty_like(params.flat))
+    scratch = nn.NetworkParams(specs, np.empty_like(params.flat))
+    nn.loss_and_grads(params, X, labels, grads)
     step = 1e-5
     worst = 0.0
-    for arrs, grads in ((params.weights, grad_w), (params.biases, grad_b)):
-        for arr, grad in zip(arrs, grads):
-            flat, gflat = arr.reshape(-1), grad.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + step
-                up, _, _ = nn.loss_and_grads(params, X, labels)
-                flat[i] = orig - step
-                down, _, _ = nn.loss_and_grads(params, X, labels)
-                flat[i] = orig
-                numeric = (up - down) / (2 * step)
-                denom = max(abs(numeric), abs(gflat[i]), 1e-8)
-                worst = max(worst, abs(numeric - gflat[i]) / denom)
+    for i in range(params.flat.size):  # every weight and bias, in one layout
+        orig = params.flat[i]
+        params.flat[i] = orig + step
+        up = nn.loss_and_grads(params, X, labels, scratch)
+        params.flat[i] = orig - step
+        down = nn.loss_and_grads(params, X, labels, scratch)
+        params.flat[i] = orig
+        numeric = (up - down) / (2 * step)
+        denom = max(abs(numeric), abs(grads.flat[i]), 1e-8)
+        worst = max(worst, abs(numeric - grads.flat[i]) / denom)
     check(4, "analytic vs central-difference gradients", worst < 1e-4, f"worst rel err={worst:.2e}")
 
 

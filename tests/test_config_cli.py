@@ -287,7 +287,7 @@ class TestMeasureCommand:
         path = tmp_path / "w.txt"
         path.write_text("0\n0\n")
         assert run_cli(["measure", str(path)]) == 2
-        assert "index undefined" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: index undefined: {path}: ")
 
     @pytest.mark.parametrize("text", ["", "# only a comment\n"])
     def test_empty_file_exit_2_with_one_error_line(self, tmp_path, capsys, text):
@@ -297,6 +297,24 @@ class TestMeasureCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path}: no values to measure\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 2\n3 4\n", "expected a non-empty 1-D vector"),
+            ("1\nnan\n", "non-finite entry in magnitude vector"),
+            ("1\nabc\n", "could not convert string"),
+        ],
+        ids=["two_columns", "nan", "unparsable"],
+    )
+    def test_bad_input_exits_2_naming_the_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "w.txt"
+        path.write_text(text)
+        assert run_cli(["measure", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: {message}")
+        assert captured.err.count("\n") == 1
 
     def test_large_vector(self, tmp_path, capsys):
         d = 100_000
@@ -485,6 +503,15 @@ class TestRunAndReport:
             experiment.write_report(dirs, tmp_path)
         monkeypatch.undo()
         assert dir_bytes(tmp_path) == before
+
+    def test_report_default_out_ignores_env(self, run_root, tmp_path, monkeypatch):
+        # $PQI_PRUNE_OUT names run's output root; report writes under ./report.
+        monkeypatch.setenv("PQI_PRUNE_OUT", str(tmp_path / "envout"))
+        monkeypatch.chdir(tmp_path)
+        dirs = [str(run_root / "out" / f"sap_seed{s}") for s in (0, 1)]
+        assert cli.main(["report", *dirs]) == 0
+        assert (tmp_path / "report" / "trajectory_stats.json").exists()
+        assert not (tmp_path / "envout").exists()
 
     def test_report_mixed_configs_rejected(self, run_root, tmp_path):
         dirs = [
@@ -794,6 +821,13 @@ class TestTrajectoryStats:
         stats = trajectory_stats([synthetic_record(pqi, gini)])
         assert (stats["pqi_argmin"], stats["pqi_argmax"]) == (argmin, argmax)
         np.testing.assert_equal(stats["spearman_pqi_gini"], rho)  # NaN equals NaN
+
+    def test_report_of_all_nan_pqi_writes_nothing(self, tmp_path, capsys):
+        write_run_record(synthetic_record([np.nan] * 3, [0.2, 0.3, 0.4]), tmp_path / "run")
+        argv = ["report", str(tmp_path / "run"), "--out", str(tmp_path / "report")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: pqi_retrained is NaN at every iteration\n"
+        assert not (tmp_path / "report").exists()
 
     def test_report_of_constant_gini_writes_nan(self, tmp_path, capsys):
         write_run_record(synthetic_record([0.5, 0.3, 0.4], [0.2, 0.2, 0.2]), tmp_path / "run")

@@ -16,7 +16,7 @@ from pqprune.pruning import (
     replay_count,
     run_pruning,
     sap_count,
-    sap_prune_count,
+    sap_decision,
 )
 from pqprune.sparsity import NormPair
 
@@ -177,15 +177,20 @@ class TestMagnitudePrune:
 
 
 class TestSapCount:
+    # At (p, q) = (0.5, 1) and eta = 0 the bound is r = d * (1 - pqi).
+    HP = SapHyperParams(norms=NormPair(0.5, 1.0), eta=0.0, gamma=1.0, beta=0.9)
+
     def test_direct_arithmetic(self):
-        assert sap_prune_count(1000, 900.0, 1.0, 0.9) == 100
-        assert sap_prune_count(1000, 900.0, 2.0, 0.9) == 200
+        assert sap_decision(1000, 0.1, self.HP) == {"pqi": 0.1, "r": 900.0, "c": 100}
+        assert sap_decision(1000, 0.1, dataclasses.replace(self.HP, gamma=2.0))["c"] == 200
 
     def test_beta_cap(self):
-        assert sap_prune_count(1000, 50.0, 1.0, 0.9) == 900
+        assert sap_decision(1000, 0.95, self.HP)["c"] == 900  # r = 50
 
     def test_negative_noise_clamped(self):
-        assert sap_prune_count(10, 10.0 * (1 + 1e-15), 1.0, 0.9) == 0
+        # An index just below zero puts r just above d.
+        assert sap_decision(10, -1e-15, self.HP)["r"] > 10
+        assert sap_decision(10, -1e-15, self.HP)["c"] == 0
 
     def test_one_hot_chain(self):
         d = 40
