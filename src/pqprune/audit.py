@@ -34,10 +34,11 @@ PROPERTY_NAMES = (
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """A named sparsity measure: a pure function over magnitude vectors."""
+    """A named sparsity measure: a pure function that maps an (n, d) matrix
+    of magnitudes to n values, one per row, each the value of that row alone."""
 
     name: str
-    evaluator: Callable[[np.ndarray], float]
+    evaluator: Callable[[np.ndarray], np.ndarray]
 
 
 def pq_measure(norms: NormPair) -> MeasureSpec:
@@ -81,6 +82,75 @@ def _random_vector(rng: np.random.Generator) -> np.ndarray:
     return w
 
 
+# Trials drawn before each evaluation pass; memory stays flat for any `trials`.
+AUDIT_CHUNK = 1000
+
+
+def _draw_trial(rng: np.random.Generator) -> list[np.ndarray]:
+    """One trial's vectors: the base w, then the vector each axiom compares
+    with it (six for bill_gates). The audit draws from `rng` only here, so
+    how the vectors are measured cannot move the random stream."""
+    w = _random_vector(rng)
+
+    # robin_hood: move alpha from a larger entry to a smaller one.
+    i, j = _unequal_pair(rng, w)
+    alpha = rng.uniform(0.0, (w[i] - w[j]) / 2.0)
+    v = w.copy()
+    v[i] -= alpha
+    v[j] += alpha
+    vectors = [w, v]
+
+    # scaling: alpha * w for alpha > 0.
+    alpha = float(np.exp(rng.uniform(np.log(1e-6), np.log(1e6))))
+    vectors.append(alpha * w)
+
+    # rising_tide: a constant added to unequal entries.
+    alpha = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3))))
+    vectors.append(w + alpha)
+
+    # cloning: [w, w].
+    vectors.append(np.concatenate([w, w]))
+
+    # bill_gates: one coordinate grown along a geometric grid, starting
+    # from 10 * ||w||_1.
+    i = int(rng.integers(w.size))
+    grid = 10.0 * float(w.sum()) * 2.0 ** np.arange(6)
+    for alpha in grid:
+        v = w.copy()
+        v[i] += alpha
+        vectors.append(v)
+
+    # babies: a zero appended.
+    vectors.append(np.append(w, 0.0))
+    return vectors
+
+
+def _measure_all(S: Callable, vectors: list[np.ndarray]) -> np.ndarray:
+    """S of every vector, in input order: one row-wise call per distinct length."""
+    positions: dict[int, list[int]] = {}
+    for k, v in enumerate(vectors):
+        positions.setdefault(v.size, []).append(k)
+    values = np.empty(len(vectors))
+    for ks in positions.values():
+        values[ks] = S(np.stack([vectors[k] for k in ks]))
+    return values
+
+
+def _violations(values: np.ndarray) -> dict[str, np.ndarray]:
+    """For each axiom, which trials violate it; `values` holds one row per
+    trial: S of each vector `_draw_trial` returned, in its order."""
+    base = values[:, 0]
+    return {
+        "robin_hood": values[:, 1] - base > STRICTNESS_MARGIN,
+        "scaling": np.abs(values[:, 2] - base) > STRICTNESS_MARGIN,
+        "rising_tide": values[:, 3] - base > STRICTNESS_MARGIN,
+        "cloning": np.abs(values[:, 4] - base) > STRICTNESS_MARGIN,
+        # S must not fall anywhere along the growth grid.
+        "bill_gates": np.any(np.diff(values[:, 5:11], axis=1) < -STRICTNESS_MARGIN, axis=1),
+        "babies": values[:, 11] - base < -STRICTNESS_MARGIN,
+    }
+
+
 def audit_measure(
     measure: MeasureSpec,
     trials: int,
@@ -89,63 +159,23 @@ def audit_measure(
     """Run `trials` randomized instantiations of each of the six axioms.
 
     Returns a report with per-property violation counts and the first
-    counterexample vector found for each violated property.
+    counterexample vector found for each violated property. Trials are
+    drawn AUDIT_CHUNK at a time, then measured together.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    S = measure.evaluator
     results = {name: PropertyResult(name, trials, violations=0) for name in PROPERTY_NAMES}
-
-    def record(name: str, w: np.ndarray):
-        result = results[name]
-        result.violations += 1
-        if result.first_counterexample is None:
-            result.first_counterexample = [float(x) for x in w]
-
-    for _ in range(trials):
-        w = _random_vector(rng)
-        base = S(w)
-
-        # robin_hood: move alpha from a larger entry to a smaller one.
-        i, j = _unequal_pair(rng, w)
-        alpha = rng.uniform(0.0, (w[i] - w[j]) / 2.0)
-        v = w.copy()
-        v[i] -= alpha
-        v[j] += alpha
-        if S(v) - base > STRICTNESS_MARGIN:
-            record("robin_hood", w)
-
-        # scaling: S(alpha * w) == S(w) for alpha > 0.
-        alpha = float(np.exp(rng.uniform(np.log(1e-6), np.log(1e6))))
-        if abs(S(alpha * w) - base) > STRICTNESS_MARGIN:
-            record("scaling", w)
-
-        # rising_tide: adding a constant to unequal entries lowers S.
-        alpha = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3))))
-        if S(w + alpha) - base > STRICTNESS_MARGIN:
-            record("rising_tide", w)
-
-        # cloning: S([w, w]) == S(w).
-        if abs(S(np.concatenate([w, w])) - base) > STRICTNESS_MARGIN:
-            record("cloning", w)
-
-        # bill_gates: S strictly increases along a geometric growth grid
-        # applied to one coordinate, starting from 10 * ||w||_1.
-        i = int(rng.integers(w.size))
-        grid = 10.0 * float(w.sum()) * 2.0 ** np.arange(6)
-        values = []
-        for alpha in grid:
-            v = w.copy()
-            v[i] += alpha
-            values.append(S(v))
-        if any(b - a < -STRICTNESS_MARGIN for a, b in zip(values, values[1:])):
-            record("bill_gates", w)
-
-        # babies: appending a zero raises S.
-        if S(np.append(w, 0.0)) - base < -STRICTNESS_MARGIN:
-            record("babies", w)
-
+    for start in range(0, trials, AUDIT_CHUNK):
+        drawn = [_draw_trial(rng) for _ in range(min(AUDIT_CHUNK, trials - start))]
+        values = _measure_all(measure.evaluator, [v for vectors in drawn for v in vectors])
+        violated = _violations(values.reshape(len(drawn), -1))
+        for name, flags in violated.items():
+            hits = np.flatnonzero(flags)
+            result = results[name]
+            result.violations += hits.size
+            if hits.size and result.first_counterexample is None:
+                result.first_counterexample = drawn[hits[0]][0].tolist()
     return PropertyReport(measure=measure.name, results=list(results.values()))
 
 

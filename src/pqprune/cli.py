@@ -44,9 +44,12 @@ def cmd_measure(args) -> int:
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            values = np.loadtxt(args.file, ndmin=1)
+            values = np.loadtxt(args.file, ndmin=2)
         if values.size == 0:
             raise ValueError("no values to measure")
+        if values.shape[1] != 1:  # pq_index would measure each line as a row
+            raise ValueError(f"expected a non-empty 1-D vector, got {values.shape[1]} columns")
+        values = values[:, 0]
         index = pq_index(values, norms)
     except ValueError as exc:  # an undefined index keeps its type, so its prefix
         raise type(exc)(f"{args.file}: {exc}") from None

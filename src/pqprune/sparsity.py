@@ -1,8 +1,11 @@
 """Norm-ratio sparsity indices and the retention lower bound.
 
-All functions operate on 1-D vectors of magnitudes. Signed inputs are
-accepted; absolute values are taken internally. An all-zero vector has no
-defined index and raises :class:`UndefinedIndexError`.
+`pq_index` and `gini_index` reduce along the last axis: a 1-D vector gives
+one Python float, and an (n, d) matrix gives an array with one value per
+row, each equal bit for bit to the value of that row alone. `eta_r` takes
+one 1-D vector. Signed inputs are accepted; absolute values are taken
+internally. An all-zero vector or row has no defined index and raises
+:class:`UndefinedIndexError`.
 """
 
 from __future__ import annotations
@@ -38,46 +41,58 @@ class NormPair:
             )
 
 
-def _as_magnitudes(w) -> np.ndarray:
+def _as_magnitudes(w, max_ndim: int = 1) -> np.ndarray:
     arr = np.asarray(w, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("expected a non-empty 1-D vector")
+    if not 1 <= arr.ndim <= max_ndim or arr.size == 0:
+        shapes = "1-D vector" if max_ndim == 1 else "1-D vector or 2-D matrix"
+        raise ValueError(f"expected a non-empty {shapes}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite entry in magnitude vector")
     return np.abs(arr)
 
 
-def pq_index(w, norms: NormPair) -> float:
-    """Sparsity index 1 - d^(1/q - 1/p) * ||w||_p / ||w||_q.
+def _magnitude_rows(w) -> tuple[np.ndarray, bool]:
+    """`w` as an (n, d) matrix of magnitudes, and whether it was 1-D (one row)."""
+    arr = _as_magnitudes(w, max_ndim=2)
+    return arr.reshape(-1, arr.shape[-1]), arr.ndim == 1
+
+
+def pq_index(w, norms: NormPair) -> float | np.ndarray:
+    """Sparsity index 1 - d^(1/q - 1/p) * ||w||_p / ||w||_q of each row.
 
     Lies in [0, 1 - d^(1/q - 1/p)] for the valid norm regime; 0 for a
     uniform vector, maximal for a one-hot vector. Larger means sparser.
+    The roots and the scale are taken on Python floats, row by row:
+    numpy's array ``**`` can differ from them in the last bit.
     """
-    w = _as_magnitudes(w)
-    m = float(w.max())
-    if m == 0.0:
+    rows, one = _magnitude_rows(w)
+    m = rows.max(axis=1, keepdims=True)
+    if not m.all():
         raise UndefinedIndexError("index undefined for all-zero vector")
-    d = w.size
-    s = w / m
-    ratio_p = float(np.sum(s ** norms.p)) ** (1.0 / norms.p)
-    ratio_q = float(np.sum(s ** norms.q)) ** (1.0 / norms.q)
-    return 1.0 - d ** (1.0 / norms.q - 1.0 / norms.p) * ratio_p / ratio_q
+    s = rows / m
+    sums_p = (s ** norms.p).sum(axis=1).tolist()
+    sums_q = (s ** norms.q).sum(axis=1).tolist()
+    root_p, root_q = 1.0 / norms.p, 1.0 / norms.q
+    scale = rows.shape[1] ** (root_q - root_p)
+    values = [1.0 - scale * a ** root_p / b ** root_q for a, b in zip(sums_p, sums_q)]
+    return values[0] if one else np.array(values)
 
 
-def gini_index(w) -> float:
-    """Gini index of a magnitude vector, in [0, 1).
+def gini_index(w) -> float | np.ndarray:
+    """Gini index of each row of magnitudes, in [0, 1).
 
     Uses the sorted-magnitude form 1 - 2 * sum_k (w_(k)/||w||_1) *
     ((d - k + 1/2)/d) with w ascending; 0 for uniform, 1 - 1/d one-hot.
     """
-    w = _as_magnitudes(w)
-    total = float(w.sum())
-    if total == 0.0:
+    rows, one = _magnitude_rows(w)
+    total = rows.sum(axis=1, keepdims=True)
+    if not total.all():
         raise UndefinedIndexError("index undefined for all-zero vector")
-    d = w.size
-    ordered = np.sort(w)
+    d = rows.shape[1]
+    ordered = np.sort(rows, axis=1)
     k = np.arange(1, d + 1)
-    return 1.0 - 2.0 * float(np.sum((ordered / total) * ((d - k + 0.5) / d)))
+    values = 1.0 - 2.0 * ((ordered / total) * ((d - k + 0.5) / d)).sum(axis=1)
+    return float(values[0]) if one else values
 
 
 def eta_r(w, p: float) -> np.ndarray:

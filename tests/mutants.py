@@ -48,6 +48,7 @@ class Mutant:
 PRUNING = "src/pqprune/pruning.py"
 NN = "src/pqprune/nn.py"
 CONFIG = "src/pqprune/config.py"
+AUDIT = "src/pqprune/audit.py"
 
 MUTANTS = [
     Mutant(
@@ -179,6 +180,27 @@ MUTANTS = [
         'raise type(exc)(f"{args.file}: {exc}") from None',
         "raise",
         ("tests/test_config_cli.py",),
+    ),
+    Mutant(
+        "audit: values scattered back in the wrong order",
+        AUDIT,
+        "values[ks] = S(np.stack([vectors[k] for k in ks]))",
+        "values[ks[::-1]] = S(np.stack([vectors[k] for k in ks]))",
+        ("tests/test_audit.py",),
+    ),
+    Mutant(
+        "audit: a later chunk overwrites first_counterexample",
+        AUDIT,
+        "if hits.size and result.first_counterexample is None:",
+        "if hits.size:",
+        ("tests/test_audit.py",),
+    ),
+    Mutant(
+        "pq_index: roots taken with numpy's array **",
+        "src/pqprune/sparsity.py",
+        "values = [1.0 - scale * a ** root_p / b ** root_q for a, b in zip(sums_p, sums_q)]",
+        "values = (1.0 - scale * np.array(sums_p) ** root_p / np.array(sums_q) ** root_q).tolist()",
+        ("tests/test_sparsity.py",),
     ),
 ]
 

@@ -304,8 +304,9 @@ class TestMeasureCommand:
             ("1 2\n3 4\n", "expected a non-empty 1-D vector"),
             ("1\nnan\n", "non-finite entry in magnitude vector"),
             ("1\nabc\n", "could not convert string"),
+            ("1 2\n", "expected a non-empty 1-D vector, got 2 columns"),
         ],
-        ids=["two_columns", "nan", "unparsable"],
+        ids=["two_columns", "nan", "unparsable", "one_line_two_columns"],
     )
     def test_bad_input_exits_2_naming_the_file(self, tmp_path, capsys, text, message):
         path = tmp_path / "w.txt"

@@ -174,6 +174,97 @@ class TestEtaCurve:
             eta_r([0.0, 0.0], 0.5)
 
 
+def oracle_pq_index(w, norms):
+    """pq_index of one 1-D vector, as the scalar formula was first written."""
+    w = np.abs(np.asarray(w, dtype=float))
+    s = w / float(w.max())
+    ratio_p = float(np.sum(s ** norms.p)) ** (1.0 / norms.p)
+    ratio_q = float(np.sum(s ** norms.q)) ** (1.0 / norms.q)
+    return 1.0 - w.size ** (1.0 / norms.q - 1.0 / norms.p) * ratio_p / ratio_q
+
+
+def oracle_gini_index(w):
+    """gini_index of one 1-D vector, as the scalar formula was first written."""
+    w = np.abs(np.asarray(w, dtype=float))
+    total = float(w.sum())
+    d = w.size
+    k = np.arange(1, d + 1)
+    return 1.0 - 2.0 * float(np.sum((np.sort(w) / total) * ((d - k + 0.5) / d)))
+
+
+# Pairs whose roots 1/p and 1/q are not exact powers of two, so a root
+# taken another way shows up in the last bit.
+ROW_PAIRS = [
+    NormPair(0.5, 1.0),
+    NormPair(1.0, 3.0),
+    NormPair(0.5, 2.0),
+    NormPair(2.0, 3.0, relaxed=True),
+    NormPair(0.3, 0.7, relaxed=True),
+]
+
+# Every width from 1 to 200, a 784-input neuron, and rows as long as the
+# desk MLP's and the MNIST-shaped MLP's flat weights.
+ROW_SHAPES = [(8, d) for d in range(1, 201)] + [(8, 784), (4, 35_840), (2, 135_680)]
+
+
+def tied_and_zero_matrices(seed):
+    """Signed matrices with shared values and zeros; no row is all zero."""
+    rng = np.random.default_rng(seed)
+    for n, d in ROW_SHAPES:
+        W = rng.laplace(size=(n, d))
+        W[rng.random((n, d)) < 0.3] = 0.0
+        W[rng.random((n, d)) < 0.3] = 0.75
+        W[np.arange(n), rng.integers(d, size=n)] = -1.5
+        yield W
+
+
+class TestRowwise:
+    def test_pq_rows_equal_one_row_calls_and_the_oracle(self):
+        for W in tied_and_zero_matrices(8):
+            for norms in ROW_PAIRS:
+                rows = pq_index(W, norms)
+                assert rows.shape == (W.shape[0],)
+                for k, w in enumerate(W):
+                    one = pq_index(w, norms)
+                    assert type(one) is float
+                    assert one == oracle_pq_index(w, norms)
+                    assert rows[k] == one
+
+    def test_gini_rows_equal_one_row_calls_and_the_oracle(self):
+        for W in tied_and_zero_matrices(9):
+            rows = gini_index(W)
+            assert rows.shape == (W.shape[0],)
+            for k, w in enumerate(W):
+                one = gini_index(w)
+                assert type(one) is float
+                assert one == oracle_gini_index(w)
+                assert rows[k] == one
+
+    @pytest.mark.parametrize("index", [lambda w: pq_index(w, PQ05_1), gini_index])
+    @pytest.mark.parametrize(
+        "w, message",
+        [
+            (np.zeros((3, 0)), "non-empty"),
+            (np.zeros((0, 3)), "non-empty"),
+            (np.ones((2, 2, 2)), "non-empty 1-D vector or 2-D matrix"),
+            ([[1.0, 2.0], [3.0, np.inf]], "non-finite"),
+        ],
+        ids=["no_columns", "no_rows", "3d", "nonfinite"],
+    )
+    def test_bad_shapes_and_values_rejected(self, index, w, message):
+        with pytest.raises(ValueError, match=message):
+            index(w)
+
+    @pytest.mark.parametrize("index", [lambda w: pq_index(w, PQ05_1), gini_index])
+    def test_all_zero_row_undefined(self, index):
+        with pytest.raises(UndefinedIndexError):
+            index([[1.0, 2.0], [0.0, 0.0]])
+
+    def test_eta_r_takes_one_vector(self):
+        with pytest.raises(ValueError, match="non-empty 1-D vector"):
+            eta_r([[1.0, 2.0], [3.0, 4.0]], 0.5)
+
+
 class TestLowerBound:
     def test_sparsest_case_equality(self):
         assert pqi_lower_bound(4, 0.75, 0.0, PQ05_1) == pytest.approx(1.0, abs=1e-12)
