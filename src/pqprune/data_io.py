@@ -41,17 +41,29 @@ class SyntheticSpec:
             raise ValueError("need at least 2 classes")
         if self.n_classes > self.n_samples:
             raise ValueError("more classes than samples")
+        if not 0 < self.n_train < self.n_samples:
+            raise ValueError(
+                f"n_samples = {self.n_samples} leaves the 80/20 split with "
+                f"{self.n_train} train and {self.n_samples - self.n_train} test rows; "
+                "both sides must be non-empty"
+            )
         if self.class_separation < 0:
             raise ValueError("class_separation must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+
+    @property
+    def n_train(self) -> int:
+        """Rows in the train side of the 80/20 split."""
+        return int(round(self.n_samples * 0.8))
 
 
 def gen_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
     """Deterministic (train, test) split, 80/20, labels balanced within 1.
 
     Class k is a unit-variance Gaussian centered at k * class_separation
-    along the first feature axis.
+    along the first feature axis. The rows are shuffled in place, so the
+    call holds one copy of the data matrix; the two sides are views of it.
     """
     rng = np.random.default_rng(spec.seed)
     counts = [spec.n_samples // spec.n_classes] * spec.n_classes
@@ -61,12 +73,36 @@ def gen_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
     X = rng.standard_normal((spec.n_samples, spec.n_features))
     X[:, 0] += labels * spec.class_separation
     perm = rng.permutation(spec.n_samples)
-    X, labels = X[perm], labels[perm]
-    n_train = int(round(spec.n_samples * 0.8))
+    _permute_rows(X, perm)
+    labels = labels[perm]
+    n_train = spec.n_train
     return (
         Dataset(X[:n_train], labels[:n_train]),
         Dataset(X[n_train:], labels[n_train:]),
     )
+
+
+def _permute_rows(X: np.ndarray, perm: np.ndarray) -> None:
+    """Set X to X[perm] in place, with one spare row.
+
+    Each cycle of `perm` is walked from its smallest index: the row there
+    is saved, every row then takes X[perm[i]], which is still unwritten,
+    and the saved row closes the cycle.
+    """
+    spare = np.empty_like(X[0])
+    perm = perm.tolist()
+    done = bytearray(len(perm))
+    for start in range(len(perm)):
+        if done[start]:
+            continue
+        spare[...] = X[start]
+        i = start
+        done[i] = 1
+        while perm[i] != start:
+            X[i] = X[perm[i]]
+            i = perm[i]
+            done[i] = 1
+        X[i] = spare
 
 
 def _read_idx(path: Path, magic: int, what: str) -> tuple[tuple[int, ...], np.ndarray]:

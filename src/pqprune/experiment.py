@@ -8,9 +8,7 @@ import itertools
 import json
 import logging
 import math
-import multiprocessing
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -94,8 +92,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers=None) -> dict[str, Ru
     _loaded[cfg.dataset] = load_datasets(cfg)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        fork = multiprocessing.get_context("fork")
-        pool = ProcessPoolExecutor(min(workers, len(cells)), fork) if workers > 1 else None
+        pool = None
+        if workers > 1:  # imported here, so a run without a pool does not pay for it
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            fork = multiprocessing.get_context("fork")
+            pool = ProcessPoolExecutor(min(workers, len(cells)), fork)
         with pool or nullcontext():
             calls = [  # each returns the cell's record or raises
                 pool.submit(_persist_cell, cfg, alg, seed, out_dir).result if pool

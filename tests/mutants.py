@@ -49,6 +49,7 @@ PRUNING = "src/pqprune/pruning.py"
 NN = "src/pqprune/nn.py"
 CONFIG = "src/pqprune/config.py"
 AUDIT = "src/pqprune/audit.py"
+DATA_IO = "src/pqprune/data_io.py"
 
 MUTANTS = [
     Mutant(
@@ -116,10 +117,24 @@ MUTANTS = [
     ),
     Mutant(
         "read_run_record: missing-file clause off",
-        "src/pqprune/data_io.py",
+        DATA_IO,
         "    except (FileNotFoundError, NotADirectoryError) as exc:\n",
         "    except ArithmeticError as exc:\n",
         ("tests/test_data_io.py", "tests/test_config_cli.py"),
+    ),
+    Mutant(
+        "gen_synthetic: cycle walk applies the inverse permutation",
+        DATA_IO,
+        "    perm = perm.tolist()\n",
+        "    perm = np.argsort(perm).tolist()\n",
+        ("tests/test_data_io.py",),
+    ),
+    Mutant(
+        "gen_synthetic: spare row never written back",
+        DATA_IO,
+        "        X[i] = spare\n",
+        "",
+        ("tests/test_data_io.py",),
     ),
     Mutant(
         "sap_decision: no zero clamp",

@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import dataclasses
 import inspect
 import json
@@ -184,6 +185,7 @@ class TestConfig:
             "scope = bogus",
             "seeds = -1",
             "dataset.seed = -1",
+            "dataset.n_samples = 2",  # an 80/20 split with no test rows
         ],
     )
     def test_run_with_bad_value_exits_2(self, tmp_path, capsys, line):
@@ -362,6 +364,19 @@ def test_package_imports_only_stdlib_and_numpy():
                 continue  # not an import, or a relative one
             outside += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in allowed]
     assert outside == []
+
+
+def test_cli_import_loads_no_process_pool():
+    import pqprune
+
+    src = str(Path(pqprune.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, pqprune.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 class TestAuditCommand:
@@ -639,13 +654,14 @@ class TestRunAndReport:
 
     def test_pool_has_one_fork_worker_per_cell(self, tmp_path, monkeypatch):
         made = []
-        executor = experiment.ProcessPoolExecutor
+        executor = concurrent.futures.ProcessPoolExecutor
 
         def recording_executor(*args, **kwargs):
             made.append(inspect.signature(executor).bind(*args, **kwargs).arguments)
             return executor(*args, **kwargs)
 
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", recording_executor)
+        # run_experiment imports the executor from the package when it makes a pool.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_executor)
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(TINY_CONFIG.replace("sap,lottery_ticket", "sap"))  # 2 cells
         argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"),

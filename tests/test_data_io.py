@@ -2,6 +2,7 @@ import fcntl
 import math
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from pqprune.data_io import (
     read_run_record,
     write_run_record,
 )
+from pqprune.nn import Dataset
 from pqprune.records import CSV_FIELDS, IterationMetrics, RunRecord
 
 
@@ -31,7 +33,63 @@ def write_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path):
         f.write(np.ascontiguousarray(labels, dtype=np.uint8).tobytes())
 
 
+def reference_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
+    """gen_synthetic with the shuffle as a fancy-index copy, `X[perm]`: the
+    reference that the in-place shuffle must match bit for bit."""
+    rng = np.random.default_rng(spec.seed)
+    counts = [spec.n_samples // spec.n_classes] * spec.n_classes
+    for k in range(spec.n_samples % spec.n_classes):
+        counts[k] += 1
+    labels = np.concatenate([np.full(c, k, dtype=int) for k, c in enumerate(counts)])
+    X = rng.standard_normal((spec.n_samples, spec.n_features))
+    X[:, 0] += labels * spec.class_separation
+    perm = rng.permutation(spec.n_samples)
+    X, labels = X[perm], labels[perm]
+    n_train = int(round(spec.n_samples * 0.8))
+    return (
+        Dataset(X[:n_train], labels[:n_train]),
+        Dataset(X[n_train:], labels[n_train:]),
+    )
+
+
+def traced_peak(fn):
+    """`fn()` and the peak bytes traced by tracemalloc while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestSynthetic:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SyntheticSpec(n_samples=3),
+            SyntheticSpec(n_samples=101, n_features=4, n_classes=3, seed=1),
+            SyntheticSpec(n_samples=50, n_features=1, n_classes=5, seed=3),
+            SyntheticSpec(n_samples=1000, n_features=20, seed=7),
+            SyntheticSpec(n_samples=4000, n_features=784, n_classes=10, seed=5),
+        ],
+        ids=["n3", "101x4x3", "one_feature", "1000x20", "4000x784"],
+    )
+    def test_equals_the_fancy_index_reference(self, spec):
+        for got, want in zip(gen_synthetic(spec), reference_synthetic(spec)):
+            assert got.inputs.tobytes() == want.inputs.tobytes()
+            assert got.labels.tobytes() == want.labels.tobytes()
+            assert got.inputs.shape == want.inputs.shape
+
+    def test_holds_one_copy_of_the_matrix(self):
+        spec = SyntheticSpec(n_samples=4000, n_features=784, n_classes=10)
+        (train, test), peak = traced_peak(lambda: gen_synthetic(spec))
+        nbytes = train.inputs.nbytes + test.inputs.nbytes
+        assert peak <= 1.25 * nbytes, f"peak {peak / nbytes:.2f}x the data matrix"
+
+    def test_split_with_an_empty_side_rejected(self):
+        with pytest.raises(ValueError, match="n_samples = 2 leaves .* 2 train and 0 test rows"):
+            SyntheticSpec(n_samples=2)
+
     def test_deterministic(self):
         spec = SyntheticSpec(n_samples=100, n_features=5, seed=42)
         a_train, a_test = gen_synthetic(spec)
@@ -82,6 +140,16 @@ class TestIdx:
         assert data.inputs.shape == (8, 25)
         assert np.array_equal(data.inputs, images.reshape(8, 25) / 255.0)
         assert np.array_equal(data.labels, labels)
+
+    def test_scaling_holds_one_float_matrix(self, tmp_path):
+        rng = np.random.default_rng(1)
+        images = rng.integers(0, 256, size=(6000, 28, 28), dtype=np.uint8)
+        ip, lp = tmp_path / "img.idx", tmp_path / "lbl.idx"
+        write_idx(images, np.zeros(6000, dtype=np.uint8), ip, lp)
+        data, peak = traced_peak(lambda: load_idx(ip, lp))
+        assert np.array_equal(data.inputs, images.reshape(6000, 784) / 255.0)
+        nbytes = data.inputs.nbytes
+        assert peak <= 1.25 * nbytes, f"peak {peak / nbytes:.2f}x the float matrix"
 
     def test_label_byte_is_class_id(self, tmp_path):
         images = np.zeros((1, 2, 2), dtype=np.uint8)
