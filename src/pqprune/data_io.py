@@ -136,11 +136,13 @@ def load_idx(images_path, labels_path) -> Dataset:
     """Parse a big-endian IDX image/label file pair into a flat Dataset.
 
     Pixels are scaled to [0, 1] and images flattened to rows * cols
-    features. Magic numbers, truncation, and image/label count mismatches
-    raise IdxFormatError with the byte offset.
+    features. Magic numbers, truncation, an image count of 0, and
+    image/label count mismatches raise IdxFormatError with the byte offset.
     """
     images_path, labels_path = Path(images_path), Path(labels_path)
     (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, "image")
+    if count == 0:
+        raise IdxFormatError(f"{images_path}: declares 0 images (count at byte 4)")
     (n_labels,), labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label")
     if n_labels != count:
         raise IdxFormatError(
@@ -168,14 +170,15 @@ def _dir_lock(directory: Path):
         yield
 
 
-def write_text_atomic(path: Path, text: str) -> None:
-    """Write `text` to a temporary file beside `path`, then move it onto
+def _write_atomic(path: Path, write) -> None:
+    """Call `write(tmp)` on a temporary file beside `path`, then move it onto
     `path` with os.replace. A writer that fails mid-write leaves the previous
-    complete file, never a truncated one. An error that names the temporary
-    file is raised again, as the same OSError subclass, naming `path`."""
+    complete file, never a truncated one, and no temporary file. An error
+    that names the temporary file is raised again, as the same OSError
+    subclass, naming `path`."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        write(tmp)
         os.replace(tmp, path)
     except OSError as exc:
         if exc.filename is None:
@@ -186,8 +189,13 @@ def write_text_atomic(path: Path, text: str) -> None:
             tmp.unlink()
 
 
+def write_text_atomic(path: Path, text: str) -> None:
+    """Replace `path` whole with `text` (`_write_atomic`)."""
+    _write_atomic(path, lambda tmp: tmp.write_text(text))
+
+
 def _record_fields(o):
-    """A record's fields for `json.dumps`, in declaration order."""
+    """A record's fields for the JSON encoder, in declaration order."""
     if isinstance(o, (RunRecord, IterationMetrics)):
         return vars(o)
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
@@ -196,15 +204,23 @@ def _record_fields(o):
 def write_run_record(rec: RunRecord, directory) -> None:
     """Write run.json (full record) and iterations.csv to `directory`.
 
-    Output bytes are deterministic for an identical record. Writers hold an
-    exclusive flock on the directory's `.lock` file while they write, and
-    each file is replaced whole (`write_text_atomic`).
+    Output bytes are deterministic for an identical record: run.json holds
+    `json.dumps(rec, indent=2)` and a newline. The record is streamed into
+    the temporary file chunk by chunk as it is encoded, so the whole text is
+    never held in memory. Writers hold an exclusive flock on the directory's
+    `.lock` file while they write, and each file is replaced whole
+    (`_write_atomic`).
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+
+    def stream(tmp: Path) -> None:
+        with open(tmp, "w") as f:
+            f.writelines(json.JSONEncoder(indent=2, default=_record_fields).iterencode(rec))
+            f.write("\n")
+
     with _dir_lock(directory):
-        text = json.dumps(rec, indent=2, default=_record_fields)
-        write_text_atomic(directory / "run.json", text + "\n")
+        _write_atomic(directory / "run.json", stream)
         write_text_atomic(directory / "iterations.csv", rec.iterations_csv())
 
 

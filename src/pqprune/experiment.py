@@ -8,8 +8,8 @@ import itertools
 import json
 import logging
 import math
-from collections.abc import Iterator
-from contextlib import nullcontext
+from collections.abc import Callable, Iterator
+from contextlib import nullcontext, suppress
 from pathlib import Path
 
 import numpy as np
@@ -76,9 +76,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers=None) -> dict[str, Ru
     pool of at most one worker per cell. A cell that raises, or whose worker
     died, is marked failed with its traceback logged and does not abort the
     others; failed cells are listed in failed_cells.txt, which a run without
-    failures removes. A worker that dies (killed, or exiting without
-    returning) breaks its pool: its own cell and every cell still pending in
-    that pool fail, and summary.csv covers the cells that completed.
+    failures removes, and summary.csv covers the cells that completed. A
+    worker that dies (killed, or exiting without returning) breaks its pool,
+    so each cell that the broken pool did not return runs again alone, in a
+    fresh one-worker pool (`_pooled_call`); a cell whose worker dies there
+    too fails as `worker died`.
 
     The datasets are read once, before the output directory is created, so
     a bad dataset raises (IdxFormatError for a malformed IDX file) with
@@ -92,16 +94,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers=None) -> dict[str, Ru
     _loaded[cfg.dataset] = load_datasets(cfg)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        pool = None
-        if workers > 1:  # imported here, so a run without a pool does not pay for it
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            fork = multiprocessing.get_context("fork")
-            pool = ProcessPoolExecutor(min(workers, len(cells)), fork)
+        pool = _fork_pool(min(workers, len(cells))) if workers > 1 else None
         with pool or nullcontext():
             calls = [  # each returns the cell's record or raises
-                pool.submit(_persist_cell, cfg, alg, seed, out_dir).result if pool
+                _pooled_call(pool, cfg, alg, seed, out_dir) if pool
                 else functools.partial(_persist_cell, cfg, alg, seed, out_dir)
                 for alg, seed in cells
             ]
@@ -129,6 +125,41 @@ def _persist_cell(cfg: ExperimentConfig, alg: AlgorithmSpec, seed: int, out_dir)
     record = run_cell(cfg, alg, seed)
     write_run_record(record, out_dir / cell_name(alg.kind, seed))
     return record
+
+
+def _fork_pool(workers: int):
+    """A process pool whose workers are started by fork, so they inherit the
+    loaded datasets. Imported here, so a run without a pool does not pay
+    for it."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+
+
+def _pooled_call(pool, *args) -> Callable[[], RunRecord]:
+    """Submit `_persist_cell(*args)` to `pool`; the call returned gives its
+    record. If a dead worker broke the pool before the cell returned, the
+    cell runs again alone in a fresh one-worker pool, and if that worker
+    dies too the call raises RuntimeError("worker died")."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    future = None
+    with suppress(BrokenProcessPool):  # a worker may have died already
+        future = pool.submit(_persist_cell, *args)
+
+    def call() -> RunRecord:
+        if future is not None:
+            with suppress(BrokenProcessPool):
+                return future.result()
+        pool.shutdown()  # the broken pool's threads end before the fork below
+        with _fork_pool(1) as fresh:
+            try:
+                return fresh.submit(_persist_cell, *args).result()
+            except BrokenProcessPool:
+                raise RuntimeError("worker died") from None
+
+    return call
 
 
 def per_iteration(runs: list[RunRecord], fields) -> Iterator[tuple[int, list[float]]]:

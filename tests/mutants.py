@@ -137,6 +137,28 @@ MUTANTS = [
         ("tests/test_data_io.py",),
     ),
     Mutant(
+        "load_idx: zero-image check off",
+        DATA_IO,
+        "    if count == 0:\n"
+        '        raise IdxFormatError(f"{images_path}: declares 0 images (count at byte 4)")\n',
+        "",
+        ("tests/test_data_io.py",),
+    ),
+    Mutant(
+        "write_run_record: run.json streamed in place, with no temporary file",
+        DATA_IO,
+        '_write_atomic(directory / "run.json", stream)',
+        'stream(directory / "run.json")',
+        ("tests/test_data_io.py",),
+    ),
+    Mutant(
+        "write_run_record: no newline after the record",
+        DATA_IO,
+        '            f.write("\\n")\n',
+        "",
+        ("tests/test_data_io.py",),
+    ),
+    Mutant(
         "sap_decision: no zero clamp",
         PRUNING,
         "c = max(int(math.floor(min(hp.gamma * (d - r), hp.beta * d))), 0)",

@@ -652,6 +652,31 @@ class TestRunAndReport:
         summary = (tmp_path / "summary.csv").read_text()
         assert summary == experiment.summarize_records(completed)
 
+    def test_dead_worker_fails_only_its_own_cell(self, tmp_path, monkeypatch, caplog):
+        # Every cell that the broken pool did not return runs again alone in a
+        # fresh pool; sap_seed1 kills that worker too, and only it fails.
+        run_cell = experiment.run_cell
+
+        def die_on_sap_seed1(cfg, alg, seed):
+            if (alg.kind, seed) == ("sap", 1):
+                os._exit(1)
+            return run_cell(cfg, alg, seed)
+
+        monkeypatch.setattr(experiment, "run_cell", die_on_sap_seed1)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CONFIG.replace("seeds = 0,1", "seeds = 0,1,2,3"))  # 8 cells
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(cfg_path), "--out", str(out), "--workers", "2"]
+        assert cli.main(argv) == 1
+        assert (out / "failed_cells.txt").read_text() == "sap_seed1\n"
+        assert "cell sap_seed1 failed" in caplog.text
+        assert "RuntimeError: worker died" in caplog.text
+        cells = {f"{kind}_seed{s}" for kind in ("sap", "lottery_ticket") for s in range(4)}
+        assert {p.name for p in out.iterdir() if p.is_dir()} == cells - {"sap_seed1"}
+        completed = {name: read_run_record(out / name) for name in cells - {"sap_seed1"}}
+        assert all(rec.completed for rec in completed.values())
+        assert (out / "summary.csv").read_text() == experiment.summarize_records(completed)
+
     def test_pool_has_one_fork_worker_per_cell(self, tmp_path, monkeypatch):
         made = []
         executor = concurrent.futures.ProcessPoolExecutor
@@ -714,6 +739,24 @@ class TestGridData:
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"{images}: truncated image data at byte 30" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_idx_of_zero_images_exits_2_naming_the_file(self, tmp_path, capsys):
+        images, labels = tmp_path / "train-img.idx", tmp_path / "train-lbl.idx"
+        images.write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, 0, 28, 28))
+        labels.write_bytes(struct.pack(">II", IDX_LABEL_MAGIC, 0))
+        cfg_path = tmp_path / "idx.cfg"
+        cfg_path.write_text(
+            "model = Linear\ndataset.kind = idx\n"
+            f"dataset.train_images = {images}\ndataset.train_labels = {labels}\n"
+            f"dataset.test_images = {images}\ndataset.test_labels = {labels}\n"
+            "algorithm.iterations = 1\nseeds = 0\n"
+        )
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{images}: declares 0 images (count at byte 4)" in err
         assert "Traceback" not in err
         assert not out.exists()
 

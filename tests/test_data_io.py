@@ -1,23 +1,26 @@
 import fcntl
+import json
 import math
 import re
 import struct
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pqprune.config import parse_config
 from pqprune.data_io import (
     IDX_IMAGE_MAGIC,
     IDX_LABEL_MAGIC,
     IdxFormatError,
     SyntheticSpec,
+    _record_fields,
     gen_synthetic,
     load_idx,
     read_run_record,
     write_run_record,
 )
+from pqprune.experiment import run_cell
 from pqprune.nn import Dataset
 from pqprune.records import CSV_FIELDS, IterationMetrics, RunRecord
 
@@ -189,6 +192,14 @@ class TestIdx:
         with pytest.raises(IdxFormatError, match=r"byte \d+"):
             load_idx(ip, lp)
 
+    def test_zero_images_rejected_naming_the_file(self, tmp_path):
+        ip, lp = tmp_path / "img.idx", tmp_path / "lbl.idx"
+        ip.write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, 0, 28, 28))
+        lp.write_bytes(struct.pack(">II", IDX_LABEL_MAGIC, 0))
+        with pytest.raises(IdxFormatError, match=re.escape(f"{ip}: declares 0 images "
+                                                           "(count at byte 4)")):
+            load_idx(ip, lp)
+
     def test_count_mismatch(self, tmp_path):
         images, labels, ip, lp = self.fixture_pair(tmp_path)
         write_idx(images[:4], labels[:4], tmp_path / "short.idx", tmp_path / "unused.idx")
@@ -331,6 +342,7 @@ class TestRunRecordIO:
         with pytest.raises(TypeError, match="object is not JSON serializable"):
             write_run_record(rec, tmp_path)
         assert not (tmp_path / "run.json").exists()
+        assert [p.name for p in tmp_path.iterdir()] == [".lock"]  # no temporary file
 
     def test_csv_rows_and_header(self, tmp_path):
         rec = make_record(iterations=6)
@@ -378,13 +390,14 @@ class TestRunRecordIO:
     def test_failed_write_keeps_previous_record(self, tmp_path, monkeypatch):
         target = tmp_path / "run"
         write_run_record(make_record(), target)
-        write_text = Path.write_text
+        iterencode = json.JSONEncoder.iterencode
 
-        def write_half_then_fail(path, text, *args, **kwargs):
-            write_text(path, text[: len(text) // 2], *args, **kwargs)
+        def encode_half_then_fail(self, o, *args, **kwargs):
+            chunks = list(iterencode(self, o, *args, **kwargs))
+            yield from chunks[: len(chunks) // 2]
             raise OSError("disk full")
 
-        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        monkeypatch.setattr(json.JSONEncoder, "iterencode", encode_half_then_fail)
         with pytest.raises(OSError, match="disk full"):
             write_run_record(make_record(iterations=2), target)
         monkeypatch.undo()
@@ -399,3 +412,62 @@ class TestRunRecordIO:
         (tmp_path / "run.json").mkdir()
         with pytest.raises(RuntimeError, match=re.escape(f"cannot read run record at {tmp_path}")):
             read_run_record(tmp_path)
+
+
+def reference_run_json(rec: RunRecord) -> str:
+    """run.json as a whole-string encoding would write it."""
+    return json.dumps(rec, indent=2, default=_record_fields) + "\n"
+
+
+GRID_CONFIG = """
+model = Linear
+dataset.n_samples = 100
+dataset.n_features = 6
+dataset.n_classes = 3
+algorithm.kinds = sap,lottery_ticket,one_shot
+algorithm.iterations = 2
+train.epochs = 1
+train.batch_size = 20
+seeds = 0
+"""
+
+
+def sweep_sized_record(iterations=31, groups=394) -> RunRecord:
+    """A record with the iterations and neuron_wise groups of the benchmark's
+    one_shot sweep (784-128-256-10 MLP, T=30); one_shot logs no bound."""
+    rec = make_record(iterations=iterations, d0=10**6)
+    for it in rec.iterations:
+        it.groups = [
+            {"label": f"layer{g // 128}/neuron{g % 128}", "d": 700 - it.t, "c": 1 + g % 3}
+            for g in range(groups)
+        ]
+    return rec
+
+
+class TestStreamedRecord:
+    @pytest.mark.parametrize("kind", ["sap", "lottery_ticket", "one_shot"])
+    @pytest.mark.parametrize("scope", ["global", "layer_wise", "neuron_wise"])
+    def test_equals_the_whole_string_encoding(self, tmp_path, scope, kind):
+        cfg = parse_config(GRID_CONFIG + f"scope = {scope}\n")
+        [alg] = [a for a in cfg.algorithms if a.kind == kind]
+        rec = run_cell(cfg, alg, 0)
+        assert rec.completed and rec.iterations[1].groups
+        write_run_record(rec, tmp_path)
+        assert (tmp_path / "run.json").read_bytes() == reference_run_json(rec).encode()
+
+    def test_special_floats_and_non_ascii_text(self, tmp_path):
+        rec = golden_record()
+        first = rec.iterations[0]
+        first.acc_pruned, first.loss_retrained, first.loss_pruned = math.nan, math.inf, -math.inf
+        rec.events.append("iteration 1: group layer0/neuron3 survivors ≈ 0; skipped (Größe µ)")
+        write_run_record(rec, tmp_path)
+        raw = (tmp_path / "run.json").read_bytes()
+        assert raw == reference_run_json(rec).encode()
+        assert b"Infinity" in raw and b"-Infinity" in raw and b"\\u2248" in raw
+
+    def test_sweep_sized_record_peaks_below_its_file(self, tmp_path):
+        rec = sweep_sized_record()
+        _, peak = traced_peak(lambda: write_run_record(rec, tmp_path))
+        size = (tmp_path / "run.json").stat().st_size
+        assert size > 10**6
+        assert peak < size, f"peak {peak / size:.2f}x the run.json written"
