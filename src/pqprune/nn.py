@@ -125,6 +125,10 @@ def init_network(specs: list[LayerSpec], seed: int) -> NetworkParams:
     return params
 
 
+# Test rows per forward pass in `evaluate`.
+EVAL_ROWS = 250
+
+
 def _forward(params: NetworkParams, X: np.ndarray):
     """Returns (logits, activations): the input, then each layer's output."""
     acts = [X]
@@ -139,16 +143,22 @@ def _forward(params: NetworkParams, X: np.ndarray):
     return a, acts
 
 
+def _log_softmax_parts(logits: np.ndarray, labels: np.ndarray):
+    """(each row's log-softmax at its label, exp(logits - row max), its row sums)."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=1, keepdims=True)
+    loglik = shifted[np.arange(logits.shape[0]), labels] - np.log(total[:, 0])
+    return loglik, exp, total
+
+
 def _softmax_xent(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy and d(loss)/d(logits)."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    grad = np.exp(shifted)
-    total = grad.sum(axis=1, keepdims=True)
+    loglik, grad, total = _log_softmax_parts(logits, labels)
     n = logits.shape[0]
-    rows = np.arange(n)
-    loss = -float((shifted[rows, labels] - np.log(total[:, 0])).mean())
+    loss = -float(loglik.mean())
     grad /= total
-    grad[rows, labels] -= 1.0
+    grad[np.arange(n), labels] -= 1.0
     grad /= n
     return loss, grad
 
@@ -234,12 +244,24 @@ def train(params: NetworkParams, mask, data: Dataset, cfg: TrainConfig) -> Netwo
 def evaluate(params: NetworkParams, mask, data: Dataset) -> tuple[float, float]:
     """(accuracy, mean cross-entropy) with the mask applied.
 
+    The rows pass through the network `EVAL_ROWS` at a time, so the call
+    holds one block's activations, never the whole split's. Each row's
+    log-likelihood and correctness land in one vector each, reduced once,
+    so the results equal those of one pass over every row bit for bit.
     Argmax ties resolve to the lowest class id.
     """
-    logits, _ = _forward(_masked_copy(params, mask), data.inputs)
-    loss, _ = _softmax_xent(logits, data.labels)
-    pred = logits.argmax(axis=1)
-    return float((pred == data.labels).mean()), loss
+    net = _masked_copy(params, mask)
+    n = len(data)
+    loglik = np.empty(n)
+    correct = np.empty(n, dtype=bool)
+    for start in range(0, n, EVAL_ROWS):
+        rows = slice(start, start + EVAL_ROWS)
+        # Only the logits outlive the call, not the block's hidden activations.
+        logits = _forward(net, data.inputs[rows])[0]
+        labels = data.labels[rows]
+        loglik[rows] = _log_softmax_parts(logits, labels)[0]
+        correct[rows] = logits.argmax(axis=1) == labels
+    return float(correct.mean()), -float(loglik.mean())
 
 
 def flatten_prunable(params: NetworkParams) -> np.ndarray:

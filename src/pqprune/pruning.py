@@ -114,16 +114,35 @@ def magnitude_prune(mags: np.ndarray, keep: np.ndarray, counts: np.ndarray) -> n
     `counts[r]` smallest magnitudes that `keep` marks in each row r.
 
     Ties break toward the lowest position. Each count must lie in
-    [0, survivors of its row].
+    [0, survivors of its row]. A one-row block (global and layer_wise
+    scopes) is pruned by selection rather than a sort of the whole row.
     """
     counts = np.asarray(counts)
     if np.any(counts < 0) or np.any(counts > np.count_nonzero(keep, axis=1)):
         raise ValueError("each count must be in [0, survivors of its row]")
+    if mags.shape[0] == 1:
+        return _select_smallest(mags[0], keep[0], int(counts[0]))
     # Dropped entries sort after every survivor; the stable sort keeps equal
     # magnitudes in position order.
     order = np.argsort(np.where(keep, mags, np.inf), axis=1, kind="stable")
     first = np.arange(mags.shape[1]) < counts[:, None]
     return np.nonzero(first)[0] * mags.shape[1] + order[first]
+
+
+def _select_smallest(mags: np.ndarray, keep: np.ndarray, count: int) -> np.ndarray:
+    """`magnitude_prune` of one row by selection: the work scales with the
+    row's survivors, and only the `count` picked ones are sorted."""
+    survivors = np.flatnonzero(keep)
+    if count == 0:
+        return survivors[:0]
+    values = mags[keep]
+    kth = np.partition(values, count - 1)[count - 1]
+    picked = values < kth
+    # Of the survivors equal to the count-th smallest, the first in position.
+    tied = np.flatnonzero(values == kth)[: count - np.count_nonzero(picked)]
+    picked[tied] = True
+    chosen = np.flatnonzero(picked)
+    return survivors[chosen[np.argsort(values[chosen], kind="stable")]]
 
 
 def sap_decision(d: int, pqi: float, hp: SapHyperParams) -> dict:
@@ -205,8 +224,9 @@ def run_pruning(
         }
     )
 
+    pruned = True  # whether the last round changed the mask
     for t in range(alg.iterations + 1):
-        if alg.kind != "one_shot" or t == 0:
+        if t == 0 or (alg.kind != "one_shot" and pruned):
             try:
                 model = nn.train(params, mask, train_data, cfg)
             except nn.TrainingDivergedError as exc:
@@ -217,13 +237,15 @@ def run_pruning(
             acc_r, loss_r = nn.evaluate(model, mask, test_data)
             pqi_r, gini_r = _surviving_index(mags, mask, index_norms)
         else:
-            # One shot never retrains: this round's weights and mask are the
-            # ones last round's pruned metrics were taken under.
+            # This round's weights and mask are the ones last round's pruned
+            # metrics were taken under: one shot never retrains, and after a
+            # round that pruned nothing the same params, mask, seed and data
+            # would train the same network again.
             acc_r, loss_r, pqi_r, gini_r = acc_p, loss_p, pqi_p, gini_p
         d_t = mask.ones_count()
 
-        next_mask = PruningMask(mask.flat.copy())
         group_logs = []
+        drops = []  # (offset, magnitudes, keep, counts) of each block
         for labels, offset, rows, cols in blocks:
             keep = mask.flat[offset : offset + rows * cols].reshape(rows, cols)
             block = mags[offset : offset + rows * cols].reshape(rows, cols)
@@ -243,10 +265,19 @@ def run_pruning(
                     continue
                 counts[r] = entry["c"]
                 group_logs.append(entry)
-            next_mask.flat[offset + magnitude_prune(block, keep, counts)] = False
+            drops.append((offset, block, keep, counts))
+        c_total = sum(entry["c"] for entry in group_logs)
 
-        acc_p, loss_p = nn.evaluate(model, next_mask, test_data)
-        pqi_p, gini_p = _surviving_index(mags, next_mask, index_norms)
+        pruned = c_total > 0
+        if pruned:
+            next_mask = PruningMask(mask.flat.copy())
+            for offset, block, keep, counts in drops:
+                next_mask.flat[offset + magnitude_prune(block, keep, counts)] = False
+            acc_p, loss_p = nn.evaluate(model, next_mask, test_data)
+            pqi_p, gini_p = _surviving_index(mags, next_mask, index_norms)
+        else:  # the mask stays as it is, and so does every metric
+            next_mask = mask
+            acc_p, loss_p, pqi_p, gini_p = acc_r, loss_r, pqi_r, gini_r
 
         record.iterations.append(
             IterationMetrics(
@@ -262,7 +293,7 @@ def run_pruning(
                 gini_retrained=gini_r,
                 delta_acc=acc_r - acc_p,
                 delta_pqi=pqi_r - pqi_p,
-                c_total=sum(entry["c"] for entry in group_logs),
+                c_total=c_total,
                 groups=group_logs,
             )
         )

@@ -42,6 +42,8 @@ class NormPair:
 
 
 def _as_magnitudes(w, max_ndim: int = 1) -> np.ndarray:
+    """The absolute values of `w` in a new float array: the indices divide,
+    power and sort it in place, and `w` itself is never written."""
     arr = np.asarray(w, dtype=float)
     if not 1 <= arr.ndim <= max_ndim or arr.size == 0:
         shapes = "1-D vector" if max_ndim == 1 else "1-D vector or 2-D matrix"
@@ -69,9 +71,10 @@ def pq_index(w, norms: NormPair) -> float | np.ndarray:
     m = rows.max(axis=1, keepdims=True)
     if not m.all():
         raise UndefinedIndexError("index undefined for all-zero vector")
-    s = rows / m
-    sums_p = (s ** norms.p).sum(axis=1).tolist()
-    sums_q = (s ** norms.q).sum(axis=1).tolist()
+    rows /= m
+    sums_q = (rows ** norms.q).sum(axis=1).tolist()
+    rows **= norms.p
+    sums_p = rows.sum(axis=1).tolist()
     root_p, root_q = 1.0 / norms.p, 1.0 / norms.q
     scale = rows.shape[1] ** (root_q - root_p)
     values = [1.0 - scale * a ** root_p / b ** root_q for a, b in zip(sums_p, sums_q)]
@@ -85,13 +88,17 @@ def gini_index(w) -> float | np.ndarray:
     ((d - k + 1/2)/d) with w ascending; 0 for uniform, 1 - 1/d one-hot.
     """
     rows, one = _magnitude_rows(w)
-    total = rows.sum(axis=1, keepdims=True)
+    total = rows.sum(axis=1, keepdims=True)  # in the given order, before the sort
     if not total.all():
         raise UndefinedIndexError("index undefined for all-zero vector")
     d = rows.shape[1]
-    ordered = np.sort(rows, axis=1)
-    k = np.arange(1, d + 1)
-    values = 1.0 - 2.0 * ((ordered / total) * ((d - k + 0.5) / d)).sum(axis=1)
+    rows.sort(axis=1)
+    rows /= total
+    weights = np.arange(d, 0, -1, dtype=float)  # (d - k + 1/2) / d for k = 1..d
+    weights -= 0.5
+    weights /= d
+    rows *= weights
+    values = 1.0 - 2.0 * rows.sum(axis=1)
     return float(values[0]) if one else values
 
 

@@ -50,6 +50,7 @@ NN = "src/pqprune/nn.py"
 CONFIG = "src/pqprune/config.py"
 AUDIT = "src/pqprune/audit.py"
 DATA_IO = "src/pqprune/data_io.py"
+SPARSITY = "src/pqprune/sparsity.py"
 
 MUTANTS = [
     Mutant(
@@ -72,6 +73,35 @@ MUTANTS = [
         "* mags.shape[1] + order[first]",
         "* mags.shape[1] + np.nonzero(first)[1]",
         ("tests/test_pruning.py",),
+    ),
+    Mutant(
+        "magnitude_prune: selection keeps the last tied survivors",
+        PRUNING,
+        "tied = np.flatnonzero(values == kth)[:",
+        "tied = np.flatnonzero(values == kth)[::-1][:",
+        ("tests/test_pruning.py",),
+    ),
+    Mutant(
+        "run_pruning: no-op round when only the last block's counts are zero",
+        PRUNING,
+        "        pruned = c_total > 0\n",
+        "        pruned = bool(counts.any())\n",
+        ("tests/test_pruning.py",),
+    ),
+    Mutant(
+        "evaluate: last partial block dropped",
+        NN,
+        "    for start in range(0, n, EVAL_ROWS):\n",
+        "    for start in range(0, n - EVAL_ROWS + 1, EVAL_ROWS):\n",
+        ("tests/test_nn.py",),
+    ),
+    Mutant(
+        "evaluate: loss is the mean of block means",
+        NN,
+        "return float(correct.mean()), -float(loglik.mean())",
+        "return float(correct.mean()), -float(\n"
+        "        np.mean([loglik[s : s + EVAL_ROWS].mean() for s in range(0, n, EVAL_ROWS)]))",
+        ("tests/test_nn.py",),
     ),
     Mutant(
         "train: reordered Nesterov step",
@@ -233,8 +263,15 @@ MUTANTS = [
         ("tests/test_audit.py",),
     ),
     Mutant(
+        "pq_index, gini_index: in-place arithmetic on the caller's array",
+        SPARSITY,
+        "    return np.abs(arr)\n",
+        "    return np.abs(arr, out=arr)\n",
+        ("tests/test_sparsity.py",),
+    ),
+    Mutant(
         "pq_index: roots taken with numpy's array **",
-        "src/pqprune/sparsity.py",
+        SPARSITY,
         "values = [1.0 - scale * a ** root_p / b ** root_q for a, b in zip(sums_p, sums_q)]",
         "values = (1.0 - scale * np.array(sums_p) ** root_p / np.array(sums_q) ** root_q).tolist()",
         ("tests/test_sparsity.py",),

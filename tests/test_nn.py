@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,58 @@ class TestEvaluate:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             nn.Dataset(np.zeros((0, 5)), np.zeros(0, dtype=int))
+
+
+def single_pass_evaluate(params, mask, data):
+    """`evaluate` as one forward pass over every row at once: the reference
+    that the row blocks must match bit for bit."""
+    logits, _ = nn._forward(nn._masked_copy(params, mask), data.inputs)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    total = np.exp(shifted).sum(axis=1, keepdims=True)
+    rows = np.arange(len(data))
+    loss = -float((shifted[rows, data.labels] - np.log(total[:, 0])).mean())
+    return float((logits.argmax(axis=1) == data.labels).mean()), loss
+
+
+def mnist_shaped(n, seed=0):
+    """The MLP at the MNIST shape under a random half mask, with biases and
+    weights large enough for the logits to differ, and an (n, 784) split."""
+    rng = np.random.default_rng(seed)
+    params = nn.init_network(nn.model_specs("MLP", 784, 10), seed=seed)
+    params.flat *= 8.0
+    params.flat[params.n_weights :] = rng.standard_normal(params.flat.size - params.n_weights)
+    mask = PruningMask(rng.random(params.n_weights) < 0.5)
+    data = nn.Dataset(rng.standard_normal((n, 784)), rng.integers(0, 10, n))
+    return params, mask, data
+
+
+def traced_peak(fn, *args):
+    """Bytes that `fn(*args)` holds at its peak beyond what was held before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestEvaluateInBlocks:
+    @pytest.mark.parametrize(
+        "n", [1, nn.EVAL_ROWS - 1, nn.EVAL_ROWS, 2 * nn.EVAL_ROWS + 7, 2000]
+    )
+    def test_equals_one_pass_over_every_row(self, n):
+        params, mask, data = mnist_shaped(n, seed=n)
+        acc, loss = nn.evaluate(params, mask, data)
+        assert (acc, loss) == single_pass_evaluate(params, mask, data)
+        assert 0.0 < loss and (n == 1 or 0.0 < acc < 1.0)
+
+    def test_peak_is_the_masked_copy_and_one_block(self):
+        params, mask, data = mnist_shaped(2000)
+        block = nn.EVAL_ROWS * sum(s.out_size for s in params.specs) * 8
+        peak = traced_peak(nn.evaluate, params, mask, data)
+        # A whole-split forward pass holds 6.3 MB of activations here.
+        assert peak <= params.flat.nbytes + block + 256 * 1024
 
 
 class TestGradients:

@@ -11,6 +11,7 @@ from pqprune.pruning import (
     PruningMask,
     SapHyperParams,
     Scope,
+    _surviving_index,
     magnitude_prune,
     partition,
     replay_count,
@@ -176,6 +177,29 @@ class TestMagnitudePrune:
             assert got.ones_count() == mask.ones_count() - sum(counts)
 
 
+def argsort_prune(mags, keep, counts):
+    """`magnitude_prune` as one stable sort along the rows, with dropped
+    entries sorted last: the reference for pruning a row by selection."""
+    order = np.argsort(np.where(keep, mags, np.inf), axis=1, kind="stable")
+    first = np.arange(mags.shape[1]) < np.asarray(counts)[:, None]
+    return np.nonzero(first)[0] * mags.shape[1] + order[first]
+
+
+@pytest.mark.parametrize("density", [1.0, 0.5, 0.1, 0.01])
+def test_selection_matches_stable_argsort(density):
+    rng = np.random.default_rng(int(density * 100))
+    for trial in range(150):
+        d = int(rng.integers(1, 2000))
+        # Quarter steps tie often; a fifth of the entries are zero.
+        mags = rng.integers(0, 8, d) / 4 if trial % 2 else rng.random(d)
+        mags[rng.random(d) < 0.2] = 0.0
+        keep = rng.random((1, d)) < density
+        survivors = int(keep.sum())
+        for count in (0, survivors, int(rng.integers(0, survivors + 1))):
+            got = magnitude_prune(mags[None], keep, [count])
+            np.testing.assert_array_equal(got, argsort_prune(mags[None], keep, [count]))
+
+
 class TestSapCount:
     # At (p, q) = (0.5, 1) and eta = 0 the bound is r = d * (1 - pqi).
     HP = SapHyperParams(norms=NormPair(0.5, 1.0), eta=0.0, gamma=1.0, beta=0.9)
@@ -262,10 +286,59 @@ class TestRunPruning:
         rec = run_pruning(
             AlgorithmSpec(kind="one_shot", iterations=4), Scope.NEURON_WISE, specs, cfg, train, test
         )
-        assert len(calls) == len(rec.iterations) + 1
+        # Round 0's retrained metrics, then one call per round that pruned:
+        # a round whose counts are all zero keeps its mask and its metrics.
+        assert len(calls) == 1 + sum(it.c_total > 0 for it in rec.iterations)
+        assert rec.iterations[-1].c_total == 0
         # The carried-over retrained index equals last round's pruned index.
         for a, b in zip(rec.iterations, rec.iterations[1:]):
             assert a.pqi_pruned == b.pqi_retrained
+
+    @pytest.mark.parametrize(
+        "kind, scope, iterations",
+        [
+            ("sap", Scope.LAYER_WISE, 12),
+            ("sap", Scope.NEURON_WISE, 4),
+            ("lottery_ticket", Scope.NEURON_WISE, 6),
+            # layer1 stops pruning several rounds before layer0 does.
+            ("lottery_ticket", Scope.LAYER_WISE, 15),
+        ],
+    )
+    def test_round_that_prunes_nothing_reuses_its_network(
+        self, kind, scope, iterations, monkeypatch
+    ):
+        specs, cfg, train, test = tiny_run_setup()
+        trained, evaluations = [], []
+        train_fn, evaluate = nn.train, nn.evaluate
+
+        def recording_train(params, mask, data, train_cfg):
+            model = train_fn(params, mask, data, train_cfg)
+            trained.append((model, PruningMask(mask.flat.copy())))
+            return model
+
+        monkeypatch.setattr(nn, "train", recording_train)
+        monkeypatch.setattr(nn, "evaluate", lambda *a: evaluations.append(1) or evaluate(*a))
+        alg = AlgorithmSpec(kind=kind, iterations=iterations)
+        rec = run_pruning(alg, scope, specs, cfg, train, test)
+        for a, b in zip(rec.iterations, rec.iterations[1:]):
+            assert b.d_t == a.d_t - a.c_total
+        # Rounds 0..k-1 prune; round k trains under their mask and prunes
+        # nothing, and so, with the same network, does every later round.
+        pruned = [it.c_total > 0 for it in rec.iterations]
+        k = pruned.index(False)
+        assert 0 < k < iterations
+        assert pruned == [True] * k + [False] * (iterations + 1 - k)
+        assert len(trained) == k + 1
+        assert len(evaluations) == 2 * k + 1
+        model, mask = trained[-1]
+        acc, loss = evaluate(model, mask, test)
+        pqi, gini = _surviving_index(nn.flatten_prunable(model), mask, NormPair(0.5, 1.0))
+        for it in rec.iterations[k:]:
+            assert it.d_t == mask.ones_count()
+            assert (it.acc_retrained, it.loss_retrained) == (acc, loss)
+            assert (it.acc_pruned, it.loss_pruned) == (acc, loss)
+            assert (it.pqi_retrained, it.pqi_pruned, it.gini_retrained) == (pqi, pqi, gini)
+            assert (it.delta_acc, it.delta_pqi) == (0.0, 0.0)
 
     def test_sap_replay_exact(self):
         specs, cfg, train, test = tiny_run_setup()

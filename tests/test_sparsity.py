@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_nn import traced_peak
+
 from pqprune.sparsity import (
     NormPair,
     UndefinedIndexError,
@@ -263,6 +265,32 @@ class TestRowwise:
     def test_eta_r_takes_one_vector(self):
         with pytest.raises(ValueError, match="non-empty 1-D vector"):
             eta_r([[1.0, 2.0], [3.0, 4.0]], 0.5)
+
+
+class TestInPlace:
+    """The indices divide, power and sort one private copy of the magnitudes."""
+
+    @pytest.mark.parametrize(
+        "index",
+        [lambda w: pq_index(w, PQ05_1), lambda w: pq_index(w, NormPair(0.5, 2.0)), gini_index],
+        ids=["pq_05_1", "pq_05_2", "gini"],
+    )
+    def test_caller_array_unchanged(self, index):
+        for W in tied_and_zero_matrices(10):
+            for w in (W, W[-1], np.abs(W)):
+                before = w.copy()
+                index(w)
+                np.testing.assert_array_equal(w, before)
+
+    # The MNIST-shaped MLP's weights as one vector: a whole-vector temporary
+    # is 1.09 MB. The private copy is one, and the Gini rank weights or the
+    # powers to q another; a quarter of a vector is the margin.
+    @pytest.mark.parametrize(
+        "index", [lambda w: pq_index(w, PQ05_1), gini_index], ids=["pq", "gini"]
+    )
+    def test_peak_is_two_vectors(self, index):
+        w = np.random.default_rng(0).laplace(size=135_680)
+        assert traced_peak(index, w) <= 2 * w.nbytes + w.nbytes // 4
 
 
 class TestLowerBound:
