@@ -201,12 +201,12 @@ def train(params: NetworkParams, mask, data: Dataset, cfg: TrainConfig) -> Netwo
 
     Training starts from `params` with the masked weights zeroed; `params`
     itself is untouched. Masked gradients are zeroed before each update,
-    so the masked gradient, velocity and weight entries all stay exactly
-    zero. The shuffle order for epoch e is drawn from a generator keyed on
-    (seed, e), making runs reproducible.
+    by multiplying with the boolean `mask.flat` itself, not a float copy
+    of it, so the masked gradient, velocity and weight entries all stay
+    exactly zero. The shuffle order for epoch e is drawn from a generator
+    keyed on (seed, e), making runs reproducible.
     """
     net = _masked_copy(params, mask)
-    keep = mask.flat.astype(float)
     grads = NetworkParams(net.specs, np.empty_like(net.flat))
     grad, grad_prunable = grads.flat, grads.flat[: net.n_weights]
     vel = np.zeros_like(net.flat)
@@ -228,7 +228,7 @@ def train(params: NetworkParams, mask, data: Dataset, cfg: TrainConfig) -> Netwo
             # else vel): any other order rounds differently.
             np.multiply(net.flat, cfg.weight_decay, out=scratch)
             grad += scratch
-            grad_prunable *= keep
+            grad_prunable *= mask.flat
             vel *= cfg.momentum
             vel += grad
             if cfg.nesterov:

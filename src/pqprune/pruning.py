@@ -10,7 +10,7 @@ mask the same trained weights).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -224,9 +224,11 @@ def run_pruning(
         }
     )
 
-    pruned = True  # whether the last round changed the mask
     for t in range(alg.iterations + 1):
-        if t == 0 or (alg.kind != "one_shot" and pruned):
+        if t == 0 or alg.kind != "one_shot":
+            # The last round's network and magnitudes go before the next is
+            # trained, so a round holds one network at its peak.
+            model = mags = None
             try:
                 model = nn.train(params, mask, train_data, cfg)
             except nn.TrainingDivergedError as exc:
@@ -237,46 +239,19 @@ def run_pruning(
             acc_r, loss_r = nn.evaluate(model, mask, test_data)
             pqi_r, gini_r = _surviving_index(mags, mask, index_norms)
         else:
-            # This round's weights and mask are the ones last round's pruned
-            # metrics were taken under: one shot never retrains, and after a
-            # round that pruned nothing the same params, mask, seed and data
-            # would train the same network again.
+            # One shot never retrains: this round's weights and mask are the
+            # ones last round's pruned metrics were taken under.
             acc_r, loss_r, pqi_r, gini_r = acc_p, loss_p, pqi_p, gini_p
         d_t = mask.ones_count()
 
-        group_logs = []
-        drops = []  # (offset, magnitudes, keep, counts) of each block
-        for labels, offset, rows, cols in blocks:
-            keep = mask.flat[offset : offset + rows * cols].reshape(rows, cols)
-            block = mags[offset : offset + rows * cols].reshape(rows, cols)
-            survivors = np.count_nonzero(keep, axis=1)
-            counts = np.zeros(rows, dtype=int)
-            for r in np.flatnonzero(survivors).tolist():  # exhausted rows log nothing
-                entry = {"label": labels[r], "d": int(survivors[r])}
-                try:
-                    if alg.kind == "sap":
-                        entry.update(sap_count(block[r][keep[r]], alg.sap))
-                    else:
-                        entry["c"] = math.floor(entry["d"] * alg.ratio)
-                except UndefinedIndexError:
-                    record.events.append(
-                        f"iteration {t}: group {labels[r]} all-zero survivors; skipped"
-                    )
-                    continue
-                counts[r] = entry["c"]
-                group_logs.append(entry)
-            drops.append((offset, block, keep, counts))
+        group_logs, skipped, counts = _decide(alg, blocks, mags, mask)
+        record.events.extend(f"iteration {t}: {event}" for event in skipped)
         c_total = sum(entry["c"] for entry in group_logs)
-
-        pruned = c_total > 0
-        if pruned:
-            next_mask = PruningMask(mask.flat.copy())
-            for offset, block, keep, counts in drops:
-                next_mask.flat[offset + magnitude_prune(block, keep, counts)] = False
+        if c_total > 0:
+            next_mask = _pruned_mask(blocks, mags, mask, counts)
             acc_p, loss_p = nn.evaluate(model, next_mask, test_data)
             pqi_p, gini_p = _surviving_index(mags, next_mask, index_norms)
         else:  # the mask stays as it is, and so does every metric
-            next_mask = mask
             acc_p, loss_p, pqi_p, gini_p = acc_r, loss_r, pqi_r, gini_r
 
         record.iterations.append(
@@ -297,8 +272,58 @@ def run_pruning(
                 groups=group_logs,
             )
         )
+        if c_total == 0:
+            # Every later round has this round's network and mask, so it
+            # would make the same decisions: repeat this round under each t.
+            for later in range(t + 1, alg.iterations + 1):
+                record.events.extend(f"iteration {later}: {event}" for event in skipped)
+                record.iterations.append(replace(record.iterations[t], t=later))
+            break
         mask = next_mask
     return record
+
+
+def _block_view(flat: np.ndarray, offset: int, rows: int, cols: int) -> np.ndarray:
+    return flat[offset : offset + rows * cols].reshape(rows, cols)
+
+
+def _decide(alg: AlgorithmSpec, blocks, mags: np.ndarray, mask: PruningMask):
+    """One round's decisions over the flat magnitudes `mags` under `mask`:
+    the group log entries, the events of the groups skipped for all-zero
+    survivors, and each block's per-row prune counts."""
+    group_logs, skipped, counts = [], [], []
+    for labels, offset, rows, cols in blocks:
+        keep = _block_view(mask.flat, offset, rows, cols)
+        block = _block_view(mags, offset, rows, cols)
+        survivors = np.count_nonzero(keep, axis=1)
+        block_counts = np.zeros(rows, dtype=int)
+        for r in np.flatnonzero(survivors).tolist():  # exhausted rows log nothing
+            entry = {"label": labels[r], "d": int(survivors[r])}
+            try:
+                if alg.kind == "sap":
+                    entry.update(sap_count(block[r][keep[r]], alg.sap))
+                else:
+                    entry["c"] = math.floor(entry["d"] * alg.ratio)
+            except UndefinedIndexError:
+                skipped.append(f"group {labels[r]} all-zero survivors; skipped")
+                continue
+            block_counts[r] = entry["c"]
+            group_logs.append(entry)
+        counts.append(block_counts)
+    return group_logs, skipped, counts
+
+
+def _pruned_mask(blocks, mags: np.ndarray, mask: PruningMask, counts) -> PruningMask:
+    """A copy of `mask` without the weights that each block's `counts` prune."""
+    next_mask = PruningMask(mask.flat.copy())
+    for (_, offset, rows, cols), block_counts in zip(blocks, counts):
+        drop = magnitude_prune(
+            _block_view(mags, offset, rows, cols),
+            _block_view(mask.flat, offset, rows, cols),
+            block_counts,
+        )
+        next_mask.flat[offset + drop] = False
+    return next_mask
 
 
 def replay_count(entry: dict, hp: SapHyperParams) -> int:

@@ -84,8 +84,22 @@ MUTANTS = [
     Mutant(
         "run_pruning: no-op round when only the last block's counts are zero",
         PRUNING,
-        "        pruned = c_total > 0\n",
-        "        pruned = bool(counts.any())\n",
+        "        if c_total == 0:\n",
+        "        if not counts[-1].any():\n",
+        ("tests/test_pruning.py",),
+    ),
+    Mutant(
+        "run_pruning: a repeated round's events keep the stall round's t",
+        PRUNING,
+        'record.events.extend(f"iteration {later}: {event}" for event in skipped)',
+        'record.events.extend(f"iteration {t}: {event}" for event in skipped)',
+        ("tests/test_pruning.py",),
+    ),
+    Mutant(
+        "run_pruning: the last round's network kept alive while retraining",
+        PRUNING,
+        "            model = mags = None\n",
+        "",
         ("tests/test_pruning.py",),
     ),
     Mutant(
@@ -108,6 +122,13 @@ MUTANTS = [
         NN,
         "scratch += grad\n                scratch *= lr\n",
         "scratch *= lr\n                scratch += lr * grad\n",
+        ("tests/test_nn.py",),
+    ),
+    Mutant(
+        "train: the gradient masked by a float copy of the mask",
+        NN,
+        "grad_prunable *= mask.flat\n",
+        "grad_prunable *= mask.flat.astype(float)\n",
         ("tests/test_nn.py",),
     ),
     Mutant(

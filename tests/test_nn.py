@@ -231,6 +231,19 @@ class TestEvaluateInBlocks:
         assert peak <= params.flat.nbytes + block + 256 * 1024
 
 
+class TestTrainMemory:
+    def test_peak_is_four_parameter_vectors_and_one_batch(self):
+        rng = np.random.default_rng(0)
+        params = nn.init_network(nn.model_specs("Linear", 2000, 50), seed=0)
+        mask = PruningMask(rng.random(params.n_weights) < 0.5)
+        data = nn.Dataset(rng.standard_normal((8, 2000)), rng.integers(0, 50, 8))
+        cfg = nn.TrainConfig(epochs=1, batch_size=4)
+        peak = traced_peak(nn.train, params, mask, data, cfg)
+        # The trained copy, gradient, velocity and scratch, plus a 4-row
+        # batch of 64 kB; a float copy of the mask would be a fifth vector.
+        assert peak < 4.5 * params.flat.nbytes
+
+
 class TestGradients:
     def test_matches_central_differences(self):
         # 5-4-3-2 toy network, 47 parameters total. Seed chosen so no

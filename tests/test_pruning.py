@@ -1,16 +1,19 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from pqprune import nn
+from pqprune import nn, pruning
 from pqprune.data_io import SyntheticSpec, gen_synthetic
 from pqprune.pruning import (
     AlgorithmSpec,
     PruningMask,
     SapHyperParams,
     Scope,
+    _pruned_mask,
     _surviving_index,
     magnitude_prune,
     partition,
@@ -45,17 +48,6 @@ def row_slices(blocks):
         for labels, offset, rows, cols in blocks
         for r in range(rows)
     ]
-
-
-def block_step(blocks, mags, mask, counts):
-    """The one-pass step: every block's drops cleared in one mask copy."""
-    next_mask = PruningMask(mask.flat.copy())
-    for (_, offset, rows, cols), c in zip(blocks, counts):
-        end = offset + rows * cols
-        keep = mask.flat[offset:end].reshape(rows, cols)
-        block = mags[offset:end].reshape(rows, cols)
-        next_mask.flat[offset + magnitude_prune(block, keep, c)] = False
-    return next_mask
 
 
 def single_row_prune(values, keep, count):
@@ -128,7 +120,7 @@ class TestMagnitudePrune:
         params = single_row_params([0.5, 0.1, 0.3, 0.7])
         mask = PruningMask.all_ones(params)
         blocks = partition(params, Scope.GLOBAL)
-        out = block_step(blocks, nn.flatten_prunable(params), mask, [[2]])
+        out = _pruned_mask(blocks, nn.flatten_prunable(params), mask, [[2]])
         assert list(out.flat) == [True, False, False, True]
         assert list(mask.flat) == [True, True, True, True]  # input untouched
 
@@ -172,7 +164,7 @@ class TestMagnitudePrune:
             for (_, lo, hi), count in zip(slices, counts):
                 expected = sequential_prune(mags, expected, lo, hi, count)
             per_block = np.split(np.array(counts), np.cumsum([b[2] for b in blocks])[:-1])
-            got = block_step(blocks, mags, mask, per_block)
+            got = _pruned_mask(blocks, mags, mask, per_block)
             np.testing.assert_array_equal(got.flat, expected.flat)
             assert got.ones_count() == mask.ones_count() - sum(counts)
 
@@ -308,8 +300,8 @@ class TestRunPruning:
         self, kind, scope, iterations, monkeypatch
     ):
         specs, cfg, train, test = tiny_run_setup()
-        trained, evaluations = [], []
-        train_fn, evaluate = nn.train, nn.evaluate
+        trained, evaluations, decisions = [], [], []
+        train_fn, evaluate, count = nn.train, nn.evaluate, pruning.sap_count
 
         def recording_train(params, mask, data, train_cfg):
             model = train_fn(params, mask, data, train_cfg)
@@ -318,6 +310,7 @@ class TestRunPruning:
 
         monkeypatch.setattr(nn, "train", recording_train)
         monkeypatch.setattr(nn, "evaluate", lambda *a: evaluations.append(1) or evaluate(*a))
+        monkeypatch.setattr(pruning, "sap_count", lambda *a: decisions.append(1) or count(*a))
         alg = AlgorithmSpec(kind=kind, iterations=iterations)
         rec = run_pruning(alg, scope, specs, cfg, train, test)
         for a, b in zip(rec.iterations, rec.iterations[1:]):
@@ -330,6 +323,13 @@ class TestRunPruning:
         assert pruned == [True] * k + [False] * (iterations + 1 - k)
         assert len(trained) == k + 1
         assert len(evaluations) == 2 * k + 1
+        # SAP decides each surviving row once per round up to the first
+        # round that prunes nothing; later rounds repeat its decisions.
+        rows_with_survivors = sum(
+            len(it.groups) + sum(e.startswith(f"iteration {it.t}: ") for e in rec.events)
+            for it in rec.iterations[: k + 1]
+        )
+        assert len(decisions) == (rows_with_survivors if kind == "sap" else 0)
         model, mask = trained[-1]
         acc, loss = evaluate(model, mask, test)
         pqi, gini = _surviving_index(nn.flatten_prunable(model), mask, NormPair(0.5, 1.0))
@@ -339,6 +339,65 @@ class TestRunPruning:
             assert (it.acc_pruned, it.loss_pruned) == (acc, loss)
             assert (it.pqi_retrained, it.pqi_pruned, it.gini_retrained) == (pqi, pqi, gini)
             assert (it.delta_acc, it.delta_pqi) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("kind", ["sap", "lottery_ticket"])
+    def test_retraining_round_lets_the_last_network_go(self, kind, monkeypatch):
+        specs, cfg, train, test = tiny_run_setup()
+        earlier = []  # weak references to every network and magnitudes made so far
+        trainings = []
+        train_fn, flatten = nn.train, nn.flatten_prunable
+
+        def checking_train(params, mask, data, train_cfg):
+            gc.collect()
+            assert [ref() for ref in earlier] == [None] * len(earlier)
+            trainings.append(len(earlier))
+            model = train_fn(params, mask, data, train_cfg)
+            earlier.extend([weakref.ref(model), weakref.ref(model.flat)])
+            return model
+
+        def recording_flatten(model):
+            mags = flatten(model)
+            earlier.append(weakref.ref(mags))
+            return mags
+
+        monkeypatch.setattr(nn, "train", checking_train)
+        monkeypatch.setattr(nn, "flatten_prunable", recording_flatten)
+        rec = run_pruning(AlgorithmSpec(kind=kind, iterations=3), Scope.LAYER_WISE,
+                          specs, cfg, train, test)
+        assert all(it.c_total > 0 for it in rec.iterations)
+        assert trainings == [0, 3, 6, 9]
+
+    def test_stalled_rounds_repeat_the_skipped_groups_under_their_own_t(self, monkeypatch):
+        specs, cfg, train, test = tiny_run_setup()
+        train_fn, count = nn.train, pruning.sap_count
+        decisions = []
+
+        def train_to_zero(params, mask, data, train_cfg):
+            model = train_fn(params, mask, data, train_cfg)
+            model.flat[: model.n_weights] = 0.0
+            return model
+
+        monkeypatch.setattr(nn, "train", train_to_zero)
+        monkeypatch.setattr(pruning, "sap_count", lambda *a: decisions.append(1) or count(*a))
+        iterations = 3
+        rec = run_pruning(AlgorithmSpec(kind="sap", iterations=iterations), Scope.NEURON_WISE,
+                          specs, cfg, train, test)
+        # Every row is all zero, so round 0 prunes nothing and rounds 1-3
+        # repeat it: the same metrics and groups, and the same skipped rows.
+        labels = [label for labels, *_ in partition(nn.init_network(specs, 0), Scope.NEURON_WISE)
+                  for label in labels]
+        assert len(decisions) == len(labels)
+        assert rec.completed
+        assert rec.events == [
+            f"iteration {t}: group {label} all-zero survivors; skipped"
+            for t in range(iterations + 1)
+            for label in labels
+        ]
+        assert [it.t for it in rec.iterations] == list(range(iterations + 1))
+        first = dataclasses.asdict(rec.iterations[0])
+        for it in rec.iterations[1:]:
+            assert dataclasses.asdict(it) == {**first, "t": it.t}
+        assert first["c_total"] == 0 and first["groups"] == []
 
     def test_sap_replay_exact(self):
         specs, cfg, train, test = tiny_run_setup()
