@@ -136,13 +136,19 @@ def load_idx(images_path, labels_path) -> Dataset:
     """Parse a big-endian IDX image/label file pair into a flat Dataset.
 
     Pixels are scaled to [0, 1] and images flattened to rows * cols
-    features. Magic numbers, truncation, an image count of 0, and
-    image/label count mismatches raise IdxFormatError with the byte offset.
+    features. Magic numbers, truncation, an image file that declares 0
+    images, rows or columns, and image/label count mismatches raise
+    IdxFormatError with the byte offset.
     """
     images_path, labels_path = Path(images_path), Path(labels_path)
     (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, "image")
-    if count == 0:
-        raise IdxFormatError(f"{images_path}: declares 0 images (count at byte 4)")
+    for size, what, field in (
+        (count, "images", "count at byte 4"),
+        (rows, "rows", "rows at byte 8"),
+        (cols, "columns", "cols at byte 12"),
+    ):
+        if size == 0:
+            raise IdxFormatError(f"{images_path}: declares 0 {what} ({field})")
     (n_labels,), labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label")
     if n_labels != count:
         raise IdxFormatError(

@@ -186,58 +186,74 @@ def cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
     return base_lr * (1.0 + math.cos(math.pi * epoch / total_epochs)) / 2.0
 
 
-def _masked_copy(params: NetworkParams, mask) -> NetworkParams:
-    """A copy of `params` with the weights that `mask.flat` drops zeroed."""
+def _check_mask(params: NetworkParams, mask) -> None:
     if mask.flat.shape != (params.n_weights,):
         raise ValueError("mask length does not match the network's weights")
+
+
+def _masked_copy(params: NetworkParams, mask) -> NetworkParams:
+    """A copy of `params` with the weights that `mask.flat` drops zeroed."""
+    _check_mask(params, mask)
     out = params.copy()
     out.flat[: out.n_weights] *= mask.flat
     return out
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the finite-loss check reports divergence
-def train(params: NetworkParams, mask, data: Dataset, cfg: TrainConfig) -> NetworkParams:
+def train(net: NetworkParams, mask, data: Dataset, cfg: TrainConfig) -> NetworkParams:
     """SGD with momentum/Nesterov/weight-decay under a frozen pruning mask.
 
-    Training starts from `params` with the masked weights zeroed; `params`
-    itself is untouched. Masked gradients are zeroed before each update,
+    Trains `net` itself in place and returns it: the weights that the mask
+    drops are zeroed first, so a caller that rewinds hands over a freshly
+    built initial network. Masked gradients are zeroed before each update,
     by multiplying with the boolean `mask.flat` itself, not a float copy
     of it, so the masked gradient, velocity and weight entries all stay
     exactly zero. The shuffle order for epoch e is drawn from a generator
     keyed on (seed, e), making runs reproducible.
+
+    Besides `net`, the call holds the gradient, the velocity and one work
+    vector: each step's batch is gathered into it, and once the gradient
+    is taken, the update is built in it.
     """
-    net = _masked_copy(params, mask)
+    _check_mask(net, mask)
+    net.flat[: net.n_weights] *= mask.flat
     grads = NetworkParams(net.specs, np.empty_like(net.flat))
     grad, grad_prunable = grads.flat, grads.flat[: net.n_weights]
     vel = np.zeros_like(net.flat)
-    scratch = np.empty_like(net.flat)
-    n = len(data)
+    n, features = data.inputs.shape
     batch = min(cfg.batch_size, n)
+    work = np.empty(max(batch * features, net.flat.size))
+    rows = work[: batch * features].reshape(batch, features)
+    update = work[: net.flat.size]
     for epoch in range(cfg.epochs):
         lr = cosine_lr(cfg.learning_rate, epoch, cfg.epochs)
         order = np.random.default_rng([cfg.seed, epoch]).permutation(n)
         for start in range(0, n, batch):
             idx = order[start : start + batch]
-            loss = loss_and_grads(net, data.inputs[idx], data.labels[idx], grads)
+            # `order` is a permutation, so no index is clipped; "raise" would
+            # gather into a temporary batch first.
+            X = np.take(data.inputs, idx, axis=0, out=rows[: idx.size], mode="clip")
+            loss = loss_and_grads(net, X, data.labels[idx], grads)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch offset {start}"
                 )
-            # The operations, in order, of grad += wd * flat; grad *= mask;
-            # vel = m * vel + grad; flat -= lr * (grad + m * vel if nesterov
-            # else vel): any other order rounds differently.
-            np.multiply(net.flat, cfg.weight_decay, out=scratch)
-            grad += scratch
+            # The batch is spent: `update` may overwrite it. The operations,
+            # in order, of grad += wd * flat; grad *= mask; vel = m * vel +
+            # grad; flat -= lr * (grad + m * vel if nesterov else vel): any
+            # other order rounds differently.
+            np.multiply(net.flat, cfg.weight_decay, out=update)
+            grad += update
             grad_prunable *= mask.flat
             vel *= cfg.momentum
             vel += grad
             if cfg.nesterov:
-                np.multiply(vel, cfg.momentum, out=scratch)
-                scratch += grad
-                scratch *= lr
+                np.multiply(vel, cfg.momentum, out=update)
+                update += grad
+                update *= lr
             else:
-                np.multiply(vel, lr, out=scratch)
-            net.flat -= scratch
+                np.multiply(vel, lr, out=update)
+            net.flat -= update
     return net
 
 

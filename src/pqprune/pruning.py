@@ -191,12 +191,18 @@ def run_pruning(
     under mask m_t ("retrained") and under m_{t+1} ("pruned", no retraining).
     The reported sparsity indices use the SAP norm pair, or the default
     pair (0.5, 1.0) for the baselines.
+
+    Each training round trains, in place, the one network it is handed.
+    Rewinding to the initial weights rebuilds them with `nn.init_network`
+    from `cfg.seed`, bit for bit, once the last round's network and
+    magnitudes have gone, so no copy of the initial network is held while
+    a round trains. One shot hands over its only network at t=0.
     """
     index_norms = (alg.sap or SapHyperParams()).norms
-    params = nn.init_network(layer_specs, cfg.seed)
-    mask = PruningMask.all_ones(params)
+    model = nn.init_network(layer_specs, cfg.seed)
+    mask = PruningMask.all_ones(model)
     d0 = mask.ones_count()
-    blocks = partition(params, scope)
+    blocks = partition(model, scope)
     record = RunRecord(
         config={
             "algorithm": alg.kind,
@@ -226,11 +232,13 @@ def run_pruning(
 
     for t in range(alg.iterations + 1):
         if t == 0 or alg.kind != "one_shot":
-            # The last round's network and magnitudes go before the next is
-            # trained, so a round holds one network at its peak.
-            model = mags = None
+            if t > 0:
+                # Rewind: the last round's network and magnitudes go before
+                # the initial network is rebuilt, so a round holds one.
+                model = mags = None
+                model = nn.init_network(layer_specs, cfg.seed)
             try:
-                model = nn.train(params, mask, train_data, cfg)
+                model = nn.train(model, mask, train_data, cfg)
             except nn.TrainingDivergedError as exc:
                 record.events.append(f"iteration {t}: training diverged: {exc}")
                 record.completed = False

@@ -98,8 +98,23 @@ MUTANTS = [
     Mutant(
         "run_pruning: the last round's network kept alive while retraining",
         PRUNING,
-        "            model = mags = None\n",
+        "                model = mags = None\n",
         "",
+        ("tests/test_pruning.py",),
+    ),
+    Mutant(
+        "run_pruning: the initial network rebuilt from the next seed",
+        PRUNING,
+        "                model = nn.init_network(layer_specs, cfg.seed)\n",
+        "                model = nn.init_network(layer_specs, cfg.seed + 1)\n",
+        ("tests/test_pruning.py",),
+    ),
+    Mutant(
+        "run_pruning: one_shot rebuilds the initial network every round",
+        PRUNING,
+        "        else:\n            # One shot never retrains",
+        "        else:\n            model = nn.init_network(layer_specs, cfg.seed)\n"
+        "            # One shot never retrains",
         ("tests/test_pruning.py",),
     ),
     Mutant(
@@ -120,8 +135,8 @@ MUTANTS = [
     Mutant(
         "train: reordered Nesterov step",
         NN,
-        "scratch += grad\n                scratch *= lr\n",
-        "scratch *= lr\n                scratch += lr * grad\n",
+        "update += grad\n                update *= lr\n",
+        "update *= lr\n                update += lr * grad\n",
         ("tests/test_nn.py",),
     ),
     Mutant(
@@ -129,6 +144,13 @@ MUTANTS = [
         NN,
         "grad_prunable *= mask.flat\n",
         "grad_prunable *= mask.flat.astype(float)\n",
+        ("tests/test_nn.py",),
+    ),
+    Mutant(
+        "train: the handed-over network left unmasked",
+        NN,
+        "    net.flat[: net.n_weights] *= mask.flat\n",
+        "",
         ("tests/test_nn.py",),
     ),
     Mutant(
@@ -190,8 +212,14 @@ MUTANTS = [
     Mutant(
         "load_idx: zero-image check off",
         DATA_IO,
-        "    if count == 0:\n"
-        '        raise IdxFormatError(f"{images_path}: declares 0 images (count at byte 4)")\n',
+        '        (count, "images", "count at byte 4"),\n',
+        "",
+        ("tests/test_data_io.py",),
+    ),
+    Mutant(
+        "load_idx: zero-column check off",
+        DATA_IO,
+        '        (cols, "columns", "cols at byte 12"),\n',
         "",
         ("tests/test_data_io.py",),
     ),

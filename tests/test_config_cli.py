@@ -760,6 +760,24 @@ class TestGridData:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_idx_of_zero_columns_exits_2_naming_the_file(self, tmp_path, capsys):
+        images, labels = tmp_path / "train-img.idx", tmp_path / "train-lbl.idx"
+        images.write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, 4, 28, 0))
+        labels.write_bytes(struct.pack(">II", IDX_LABEL_MAGIC, 4) + bytes(4))
+        cfg_path = tmp_path / "idx.cfg"
+        cfg_path.write_text(
+            "model = Linear\ndataset.kind = idx\n"
+            f"dataset.train_images = {images}\ndataset.train_labels = {labels}\n"
+            f"dataset.test_images = {images}\ndataset.test_labels = {labels}\n"
+            "algorithm.iterations = 1\nseeds = 0\n"
+        )
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{images}: declares 0 columns (cols at byte 12)" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_idx_grid_reads_its_files_once(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(0)
         keys = []

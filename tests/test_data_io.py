@@ -200,6 +200,18 @@ class TestIdx:
                                                            "(count at byte 4)")):
             load_idx(ip, lp)
 
+    @pytest.mark.parametrize(
+        "rows, cols, message",
+        [(0, 28, "declares 0 rows (rows at byte 8)"),
+         (28, 0, "declares 0 columns (cols at byte 12)")],
+        ids=["rows", "columns"],
+    )
+    def test_zero_rows_or_columns_rejected_naming_the_file(self, tmp_path, rows, cols, message):
+        ip, lp = tmp_path / "img.idx", tmp_path / "lbl.idx"
+        write_idx(np.zeros((3, rows, cols), dtype=np.uint8), np.zeros(3, dtype=np.uint8), ip, lp)
+        with pytest.raises(IdxFormatError, match=re.escape(f"{ip}: {message}")):
+            load_idx(ip, lp)
+
     def test_count_mismatch(self, tmp_path):
         images, labels, ip, lp = self.fixture_pair(tmp_path)
         write_idx(images[:4], labels[:4], tmp_path / "short.idx", tmp_path / "unused.idx")

@@ -55,9 +55,9 @@ class TestInit:
 
 def start_weights(params, mask):
     """The weights training starts from: with no learning rate and no weight
-    decay, `train` returns them unchanged."""
+    decay, `train` leaves them unchanged. `params` itself is not trained."""
     cfg = nn.TrainConfig(epochs=1, batch_size=8, learning_rate=0.0, weight_decay=0.0)
-    return nn.train(params, mask, separable_data(), cfg)
+    return nn.train(params.copy(), mask, separable_data(), cfg)
 
 
 class TestRewind:
@@ -87,13 +87,16 @@ class TestRewind:
         expected[0, 0] = 0.0
         assert np.array_equal(start.weights[0], expected)
 
-    def test_original_untouched(self):
+    def test_trains_the_network_it_is_given(self):
         params = nn.init_network(toy_specs(), seed=1)
         before = params.flat.copy()
-        mask = PruningMask.all_ones(params)
-        mask.flat[:] = False
-        start_weights(params, mask)
+        mask = holed_mask(params, seed=1)
+        cfg = nn.TrainConfig(epochs=1, batch_size=8, learning_rate=0.0, weight_decay=0.0)
+        out = nn.train(params, mask, separable_data(), cfg)
+        assert out is params
+        before[: params.n_weights] *= mask.flat
         assert np.array_equal(params.flat, before)
+        assert not mask.flat.all() and np.any(params.flat != 0.0)
 
 
 class TestTrain:
@@ -124,8 +127,8 @@ class TestTrain:
         params = nn.init_network(toy_specs(), seed=4)
         mask = PruningMask.all_ones(params)
         cfg = nn.TrainConfig(epochs=4, batch_size=8, seed=4)
-        a = nn.train(params, mask, separable_data(), cfg)
-        b = nn.train(params, mask, separable_data(), cfg)
+        a = nn.train(params.copy(), mask, separable_data(), cfg)
+        b = nn.train(params.copy(), mask, separable_data(), cfg)
         for wa, wb in zip(a.weights, b.weights):
             assert np.array_equal(wa, wb)
 
@@ -133,7 +136,7 @@ class TestTrain:
         params = nn.init_network(toy_specs(), seed=5)
         mask = PruningMask.all_ones(params)
         cfg = nn.TrainConfig(epochs=2, batch_size=8, learning_rate=0.0, weight_decay=0.0)
-        out = nn.train(params, mask, separable_data(), cfg)
+        out = nn.train(params.copy(), mask, separable_data(), cfg)
         for w, w0 in zip(out.weights, params.weights):
             assert np.array_equal(w, w0)
 
@@ -231,17 +234,39 @@ class TestEvaluateInBlocks:
         assert peak <= params.flat.nbytes + block + 256 * 1024
 
 
+def linear_training(features, classes, n, seed=0):
+    """A Linear network under a random half mask, and an (n, features) split."""
+    rng = np.random.default_rng(seed)
+    params = nn.init_network(nn.model_specs("Linear", features, classes), seed=seed)
+    mask = PruningMask(rng.random(params.n_weights) < 0.5)
+    data = nn.Dataset(rng.standard_normal((n, features)), rng.integers(0, classes, n))
+    return params, mask, data
+
+
 class TestTrainMemory:
-    def test_peak_is_four_parameter_vectors_and_one_batch(self):
-        rng = np.random.default_rng(0)
-        params = nn.init_network(nn.model_specs("Linear", 2000, 50), seed=0)
-        mask = PruningMask(rng.random(params.n_weights) < 0.5)
-        data = nn.Dataset(rng.standard_normal((8, 2000)), rng.integers(0, 50, 8))
+    """`train` holds, beside the network it is given, the gradient, the
+    velocity and one work vector for the batch and then the update."""
+
+    def test_peak_is_three_parameter_vectors(self):
+        params, mask, data = linear_training(2000, 50, 8)
         cfg = nn.TrainConfig(epochs=1, batch_size=4)
         peak = traced_peak(nn.train, params, mask, data, cfg)
-        # The trained copy, gradient, velocity and scratch, plus a 4-row
-        # batch of 64 kB; a float copy of the mask would be a fifth vector.
-        assert peak < 4.5 * params.flat.nbytes
+        # The 4-row batch (64 kB) fits in the work vector; a copy of the
+        # network, a separate batch or a float copy of the mask would each
+        # add about a vector.
+        assert peak < 3.5 * params.flat.nbytes
+
+    def test_peak_is_two_parameter_vectors_and_one_batch(self):
+        params, mask, data = linear_training(2000, 20, 512)
+        cfg = nn.TrainConfig(epochs=1, batch_size=256)
+        batch = cfg.batch_size * 2000 * 8
+        assert batch > 10 * params.flat.nbytes
+        peak = traced_peak(nn.train, params, mask, data, cfg)
+        # The update fits in the batch-sized work vector. The margin covers
+        # the softmax's 40 kB arrays of logits and numpy's 64 kB buffer for
+        # casting the boolean mask; a copy of the network (320 kB) and a
+        # gathered batch beside the work vector would exceed it.
+        assert peak < 2 * params.flat.nbytes + batch + 256 * 1024
 
 
 class TestGradients:
@@ -406,7 +431,7 @@ class TestReferenceTrainer:
                 epochs=3, batch_size=batch_size, learning_rate=0.3, momentum=momentum,
                 weight_decay=weight_decay, nesterov=nesterov, seed=5,
             )
-            got = nn.train(params, mask, data, cfg)
+            got = nn.train(params.copy(), mask, data, cfg)
             want = reference_train(params, mask, data, cfg)
             assert np.array_equal(got.flat, want.flat), cfg
             assert not np.array_equal(got.flat, params.flat)

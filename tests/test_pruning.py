@@ -272,15 +272,18 @@ class TestRunPruning:
 
     def test_one_shot_evaluates_once_per_round(self, monkeypatch):
         specs, cfg, train, test = tiny_run_setup()
-        calls = []
-        evaluate = nn.evaluate
-        monkeypatch.setattr(nn, "evaluate", lambda *a: calls.append(1) or evaluate(*a))
+        calls, trained = [], []
+        evaluate, train_fn = nn.evaluate, nn.train
+        monkeypatch.setattr(nn, "evaluate", lambda *a: calls.append(a[0]) or evaluate(*a))
+        monkeypatch.setattr(nn, "train", lambda *a: trained.append(train_fn(*a)) or trained[-1])
         rec = run_pruning(
             AlgorithmSpec(kind="one_shot", iterations=4), Scope.NEURON_WISE, specs, cfg, train, test
         )
         # Round 0's retrained metrics, then one call per round that pruned:
         # a round whose counts are all zero keeps its mask and its metrics.
         assert len(calls) == 1 + sum(it.c_total > 0 for it in rec.iterations)
+        # Every round evaluates the one network trained at t=0.
+        assert len(trained) == 1 and all(model is trained[0] for model in calls)
         assert rec.iterations[-1].c_total == 0
         # The carried-over retrained index equals last round's pruned index.
         for a, b in zip(rec.iterations, rec.iterations[1:]):
@@ -340,32 +343,43 @@ class TestRunPruning:
             assert (it.pqi_retrained, it.pqi_pruned, it.gini_retrained) == (pqi, pqi, gini)
             assert (it.delta_acc, it.delta_pqi) == (0.0, 0.0)
 
-    @pytest.mark.parametrize("kind", ["sap", "lottery_ticket"])
+    @pytest.mark.parametrize("kind", ["sap", "lottery_ticket", "one_shot"])
     def test_retraining_round_lets_the_last_network_go(self, kind, monkeypatch):
         specs, cfg, train, test = tiny_run_setup()
-        earlier = []  # weak references to every network and magnitudes made so far
+        made = []  # weak references to every network, weight vector and magnitudes made
         trainings = []
-        train_fn, flatten = nn.train, nn.flatten_prunable
+        train_fn, init, flatten = nn.train, nn.init_network, nn.flatten_prunable
+        initial = init(specs, cfg.seed).flat
+
+        def recording_init(layer_specs, seed):
+            params = init(layer_specs, seed)
+            made.extend([weakref.ref(params), weakref.ref(params.flat)])
+            return params
 
         def checking_train(params, mask, data, train_cfg):
             gc.collect()
-            assert [ref() for ref in earlier] == [None] * len(earlier)
-            trainings.append(len(earlier))
+            # The network built at the top is trained at t=0 and rebuilt for
+            # every later round, never held beside the one being trained.
+            alive = [obj for obj in (ref() for ref in made) if obj is not None]
+            assert len(alive) == 2 and alive[0] is params and alive[1] is params.flat
+            assert np.array_equal(params.flat, initial)
+            trainings.append(len(made))
             model = train_fn(params, mask, data, train_cfg)
-            earlier.extend([weakref.ref(model), weakref.ref(model.flat)])
+            assert model is params
             return model
 
         def recording_flatten(model):
             mags = flatten(model)
-            earlier.append(weakref.ref(mags))
+            made.append(weakref.ref(mags))
             return mags
 
+        monkeypatch.setattr(nn, "init_network", recording_init)
         monkeypatch.setattr(nn, "train", checking_train)
         monkeypatch.setattr(nn, "flatten_prunable", recording_flatten)
         rec = run_pruning(AlgorithmSpec(kind=kind, iterations=3), Scope.LAYER_WISE,
                           specs, cfg, train, test)
         assert all(it.c_total > 0 for it in rec.iterations)
-        assert trainings == [0, 3, 6, 9]
+        assert trainings == ([2] if kind == "one_shot" else [2, 5, 8, 11])
 
     def test_stalled_rounds_repeat_the_skipped_groups_under_their_own_t(self, monkeypatch):
         specs, cfg, train, test = tiny_run_setup()
