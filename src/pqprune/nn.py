@@ -4,7 +4,7 @@ Networks are lists of dense layers with ReLU on hidden layers and raw
 logits at the output. Training is mini-batch SGD with momentum, optional
 Nesterov, weight decay, and a per-epoch cosine-annealed learning rate.
 A pruning mask freezes entries: their gradients are zeroed before every
-update and the weights themselves stay exactly zero.
+update, and the network stands pruned, its dropped weights exactly zero.
 """
 
 from __future__ import annotations
@@ -186,28 +186,24 @@ def cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
     return base_lr * (1.0 + math.cos(math.pi * epoch / total_epochs)) / 2.0
 
 
-def _check_mask(params: NetworkParams, mask) -> None:
-    if mask.flat.shape != (params.n_weights,):
+def apply_mask(net: NetworkParams, mask) -> NetworkParams:
+    """Zeroes in place the weights of `net` that `mask.flat` drops, each
+    to a zero with its sign, and returns `net`."""
+    if mask.flat.shape != (net.n_weights,):
         raise ValueError("mask length does not match the network's weights")
-
-
-def _masked_copy(params: NetworkParams, mask) -> NetworkParams:
-    """A copy of `params` with the weights that `mask.flat` drops zeroed."""
-    _check_mask(params, mask)
-    out = params.copy()
-    out.flat[: out.n_weights] *= mask.flat
-    return out
+    net.flat[: net.n_weights] *= mask.flat
+    return net
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the finite-loss check reports divergence
 def train(net: NetworkParams, mask, data: Dataset, cfg: TrainConfig) -> NetworkParams:
     """SGD with momentum/Nesterov/weight-decay under a frozen pruning mask.
 
-    Trains `net` itself in place and returns it: the weights that the mask
-    drops are zeroed first, so a caller that rewinds hands over a freshly
-    built initial network. Masked gradients are zeroed before each update,
-    by multiplying with the boolean `mask.flat` itself, not a float copy
-    of it, so the masked gradient, velocity and weight entries all stay
+    Trains `net` itself in place and returns it pruned to `mask`: it is
+    pruned first (`apply_mask`), so a caller that rewinds hands over a
+    freshly built initial network. Masked gradients are zeroed before each
+    update, by multiplying with the boolean `mask.flat` itself, not a float
+    copy of it, so the masked gradient, velocity and weight entries all stay
     exactly zero. The shuffle order for epoch e is drawn from a generator
     keyed on (seed, e), making runs reproducible.
 
@@ -215,8 +211,7 @@ def train(net: NetworkParams, mask, data: Dataset, cfg: TrainConfig) -> NetworkP
     vector: each step's batch is gathered into it, and once the gradient
     is taken, the update is built in it.
     """
-    _check_mask(net, mask)
-    net.flat[: net.n_weights] *= mask.flat
+    apply_mask(net, mask)
     grads = NetworkParams(net.specs, np.empty_like(net.flat))
     grad, grad_prunable = grads.flat, grads.flat[: net.n_weights]
     vel = np.zeros_like(net.flat)
@@ -257,16 +252,18 @@ def train(net: NetworkParams, mask, data: Dataset, cfg: TrainConfig) -> NetworkP
     return net
 
 
-def evaluate(params: NetworkParams, mask, data: Dataset) -> tuple[float, float]:
-    """(accuracy, mean cross-entropy) with the mask applied.
+@np.errstate(over="ignore", invalid="ignore")  # the caller checks the loss is finite
+def evaluate(net: NetworkParams, data: Dataset) -> tuple[float, float]:
+    """(accuracy, mean cross-entropy) of `net` as it stands, pruned to its
+    current mask. The call holds no copy of the network.
 
     The rows pass through the network `EVAL_ROWS` at a time, so the call
     holds one block's activations, never the whole split's. Each row's
     log-likelihood and correctness land in one vector each, reduced once,
     so the results equal those of one pass over every row bit for bit.
-    Argmax ties resolve to the lowest class id.
+    Argmax ties resolve to the lowest class id. An overflow gives a
+    non-finite loss, not a numpy warning.
     """
-    net = _masked_copy(params, mask)
     n = len(data)
     loglik = np.empty(n)
     correct = np.empty(n, dtype=bool)

@@ -177,6 +177,16 @@ def _surviving_index(mags: np.ndarray, mask: PruningMask, norms: NormPair):
         return float("nan"), float("nan")
 
 
+def _evaluate(model: nn.NetworkParams, test_data: nn.Dataset) -> tuple[float, float]:
+    """`nn.evaluate`, raising TrainingDivergedError on a non-finite test loss:
+    training checks its loss only before each update, so its last update
+    can leave finite weights that overflow on the test split."""
+    acc, loss = nn.evaluate(model, test_data)
+    if not math.isfinite(loss):
+        raise nn.TrainingDivergedError("non-finite test loss")
+    return acc, loss
+
+
 def run_pruning(
     alg: AlgorithmSpec,
     scope: Scope,
@@ -196,7 +206,10 @@ def run_pruning(
     Rewinding to the initial weights rebuilds them with `nn.init_network`
     from `cfg.seed`, bit for bit, once the last round's network and
     magnitudes have gone, so no copy of the initial network is held while
-    a round trains. One shot hands over its only network at t=0.
+    a round trains. One shot hands over its only network at t=0. The
+    network stands pruned to the current mask: masks only shrink, so
+    `nn.apply_mask` prunes it to m_{t+1} in place before the pruned
+    evaluation. A non-finite training or test loss ends the cell as diverged.
     """
     index_norms = (alg.sap or SapHyperParams()).norms
     model = nn.init_network(layer_specs, cfg.seed)
@@ -230,64 +243,63 @@ def run_pruning(
         }
     )
 
-    for t in range(alg.iterations + 1):
-        if t == 0 or alg.kind != "one_shot":
-            if t > 0:
-                # Rewind: the last round's network and magnitudes go before
-                # the initial network is rebuilt, so a round holds one.
-                model = mags = None
-                model = nn.init_network(layer_specs, cfg.seed)
-            try:
+    try:
+        for t in range(alg.iterations + 1):
+            if t == 0 or alg.kind != "one_shot":
+                if t > 0:
+                    # Rewind: the last round's network and magnitudes go before
+                    # the initial network is rebuilt, so a round holds one.
+                    model = mags = None
+                    model = nn.init_network(layer_specs, cfg.seed)
                 model = nn.train(model, mask, train_data, cfg)
-            except nn.TrainingDivergedError as exc:
-                record.events.append(f"iteration {t}: training diverged: {exc}")
-                record.completed = False
-                return record
-            mags = nn.flatten_prunable(model)
-            acc_r, loss_r = nn.evaluate(model, mask, test_data)
-            pqi_r, gini_r = _surviving_index(mags, mask, index_norms)
-        else:
-            # One shot never retrains: this round's weights and mask are the
-            # ones last round's pruned metrics were taken under.
-            acc_r, loss_r, pqi_r, gini_r = acc_p, loss_p, pqi_p, gini_p
-        d_t = mask.ones_count()
+                mags = nn.flatten_prunable(model)
+                acc_r, loss_r = _evaluate(model, test_data)
+                pqi_r, gini_r = _surviving_index(mags, mask, index_norms)
+            else:
+                # One shot never retrains: this round's weights and mask are the
+                # ones last round's pruned metrics were taken under.
+                acc_r, loss_r, pqi_r, gini_r = acc_p, loss_p, pqi_p, gini_p
+            d_t = mask.ones_count()
 
-        group_logs, skipped, counts = _decide(alg, blocks, mags, mask)
-        record.events.extend(f"iteration {t}: {event}" for event in skipped)
-        c_total = sum(entry["c"] for entry in group_logs)
-        if c_total > 0:
-            next_mask = _pruned_mask(blocks, mags, mask, counts)
-            acc_p, loss_p = nn.evaluate(model, next_mask, test_data)
-            pqi_p, gini_p = _surviving_index(mags, next_mask, index_norms)
-        else:  # the mask stays as it is, and so does every metric
-            acc_p, loss_p, pqi_p, gini_p = acc_r, loss_r, pqi_r, gini_r
+            group_logs, skipped, counts = _decide(alg, blocks, mags, mask)
+            record.events.extend(f"iteration {t}: {event}" for event in skipped)
+            c_total = sum(entry["c"] for entry in group_logs)
+            if c_total > 0:
+                next_mask = _pruned_mask(blocks, mags, mask, counts)
+                acc_p, loss_p = _evaluate(nn.apply_mask(model, next_mask), test_data)
+                pqi_p, gini_p = _surviving_index(mags, next_mask, index_norms)
+            else:  # the mask stays as it is, and so does every metric
+                acc_p, loss_p, pqi_p, gini_p = acc_r, loss_r, pqi_r, gini_r
 
-        record.iterations.append(
-            IterationMetrics(
-                t=t,
-                d_t=d_t,
-                percent_remaining=d_t / d0,
-                acc_retrained=acc_r,
-                loss_retrained=loss_r,
-                acc_pruned=acc_p,
-                loss_pruned=loss_p,
-                pqi_retrained=pqi_r,
-                pqi_pruned=pqi_p,
-                gini_retrained=gini_r,
-                delta_acc=acc_r - acc_p,
-                delta_pqi=pqi_r - pqi_p,
-                c_total=c_total,
-                groups=group_logs,
+            record.iterations.append(
+                IterationMetrics(
+                    t=t,
+                    d_t=d_t,
+                    percent_remaining=d_t / d0,
+                    acc_retrained=acc_r,
+                    loss_retrained=loss_r,
+                    acc_pruned=acc_p,
+                    loss_pruned=loss_p,
+                    pqi_retrained=pqi_r,
+                    pqi_pruned=pqi_p,
+                    gini_retrained=gini_r,
+                    delta_acc=acc_r - acc_p,
+                    delta_pqi=pqi_r - pqi_p,
+                    c_total=c_total,
+                    groups=group_logs,
+                )
             )
-        )
-        if c_total == 0:
-            # Every later round has this round's network and mask, so it
-            # would make the same decisions: repeat this round under each t.
-            for later in range(t + 1, alg.iterations + 1):
-                record.events.extend(f"iteration {later}: {event}" for event in skipped)
-                record.iterations.append(replace(record.iterations[t], t=later))
-            break
-        mask = next_mask
+            if c_total == 0:
+                # Every later round has this round's network and mask, so it
+                # would make the same decisions: repeat this round under each t.
+                for later in range(t + 1, alg.iterations + 1):
+                    record.events.extend(f"iteration {later}: {event}" for event in skipped)
+                    record.iterations.append(replace(record.iterations[t], t=later))
+                break
+            mask = next_mask
+    except nn.TrainingDivergedError as exc:
+        record.events.append(f"iteration {t}: training diverged: {exc}")
+        record.completed = False
     return record
 
 

@@ -84,8 +84,8 @@ MUTANTS = [
     Mutant(
         "run_pruning: no-op round when only the last block's counts are zero",
         PRUNING,
-        "        if c_total == 0:\n",
-        "        if not counts[-1].any():\n",
+        "            if c_total == 0:\n",
+        "            if not counts[-1].any():\n",
         ("tests/test_pruning.py",),
     ),
     Mutant(
@@ -98,24 +98,52 @@ MUTANTS = [
     Mutant(
         "run_pruning: the last round's network kept alive while retraining",
         PRUNING,
-        "                model = mags = None\n",
+        "                    model = mags = None\n",
         "",
         ("tests/test_pruning.py",),
     ),
     Mutant(
         "run_pruning: the initial network rebuilt from the next seed",
         PRUNING,
-        "                model = nn.init_network(layer_specs, cfg.seed)\n",
-        "                model = nn.init_network(layer_specs, cfg.seed + 1)\n",
+        "                    model = nn.init_network(layer_specs, cfg.seed)\n",
+        "                    model = nn.init_network(layer_specs, cfg.seed + 1)\n",
         ("tests/test_pruning.py",),
     ),
     Mutant(
         "run_pruning: one_shot rebuilds the initial network every round",
         PRUNING,
-        "        else:\n            # One shot never retrains",
-        "        else:\n            model = nn.init_network(layer_specs, cfg.seed)\n"
-        "            # One shot never retrains",
+        "            else:\n                # One shot never retrains",
+        "            else:\n                model = nn.init_network(layer_specs, cfg.seed)\n"
+        "                # One shot never retrains",
         ("tests/test_pruning.py",),
+    ),
+    Mutant(
+        "run_pruning: the pruned evaluation without apply_mask",
+        PRUNING,
+        "_evaluate(nn.apply_mask(model, next_mask), test_data)",
+        "_evaluate(model, test_data)",
+        ("tests/test_pruning.py",),
+    ),
+    Mutant(
+        "run_pruning: the pruned evaluation under mask instead of next_mask",
+        PRUNING,
+        "_evaluate(nn.apply_mask(model, next_mask), test_data)",
+        "_evaluate(nn.apply_mask(model, mask), test_data)",
+        ("tests/test_pruning.py",),
+    ),
+    Mutant(
+        "run_pruning: non-finite test-loss check off",
+        PRUNING,
+        "    if not math.isfinite(loss):\n        raise nn.TrainingDivergedError",
+        "    if False:\n        raise nn.TrainingDivergedError",
+        ("tests/test_pruning.py", "tests/test_config_cli.py"),
+    ),
+    Mutant(
+        "evaluate: errstate removed",
+        NN,
+        '@np.errstate(over="ignore", invalid="ignore")  # the caller checks the loss is finite\n',
+        "",
+        ("tests/test_nn.py", "tests/test_pruning.py"),
     ),
     Mutant(
         "evaluate: last partial block dropped",
@@ -149,8 +177,8 @@ MUTANTS = [
     Mutant(
         "train: the handed-over network left unmasked",
         NN,
-        "    net.flat[: net.n_weights] *= mask.flat\n",
-        "",
+        "    apply_mask(net, mask)\n",
+        "    apply_mask(net.copy(), mask)\n",
         ("tests/test_nn.py",),
     ),
     Mutant(

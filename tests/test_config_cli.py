@@ -2,6 +2,7 @@ import ast
 import concurrent.futures
 import dataclasses
 import inspect
+import itertools
 import json
 import os
 import re
@@ -714,6 +715,33 @@ class TestRunAndReport:
             ]
             assert rec.iterations == []
         assert (out / "summary.csv").read_text() == experiment.summarize_records({})
+        assert not (out / "failed_cells.txt").exists()
+
+    def test_cells_whose_test_loss_overflows_are_recorded_as_diverged(self, tmp_path):
+        # Training's loss stays finite, but its last update leaves weights
+        # whose forward pass overflows on the test split; under warnings as
+        # errors, those cells are still recorded, not failed.
+        cfg_path = tmp_path / "overflow.cfg"
+        cfg_path.write_text(
+            "model = MLP\nscope = global\ndataset.n_samples = 300\n"
+            "algorithm.kinds = sap,lottery_ticket,one_shot\nalgorithm.iterations = 3\n"
+            "train.epochs = 2\ntrain.learning_rate = 30\nseeds = 0,1,2\n"
+        )
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        diverged = {"sap_seed0": 0, "lottery_ticket_seed0": 0, "lottery_ticket_seed1": 1,
+                    "lottery_ticket_seed2": 1, "one_shot_seed0": 0}
+        for kind, seed in itertools.product(("sap", "lottery_ticket", "one_shot"), range(3)):
+            rec = read_run_record(out / f"{kind}_seed{seed}")
+            at = diverged.get(f"{kind}_seed{seed}")
+            if at is None:
+                assert rec.completed and rec.events == [] and len(rec.iterations) == 4
+            else:
+                assert not rec.completed
+                assert rec.events == [f"iteration {at}: training diverged: non-finite test loss"]
+                assert len(rec.iterations) == at
+        for path in out.rglob("*.csv"):
+            assert "nan" not in path.read_text() and "inf" not in path.read_text()
         assert not (out / "failed_cells.txt").exists()
 
     def test_env_var_output_root(self, run_root, tmp_path, monkeypatch):

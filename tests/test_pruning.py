@@ -334,7 +334,7 @@ class TestRunPruning:
         )
         assert len(decisions) == (rows_with_survivors if kind == "sap" else 0)
         model, mask = trained[-1]
-        acc, loss = evaluate(model, mask, test)
+        acc, loss = evaluate(model, test)
         pqi, gini = _surviving_index(nn.flatten_prunable(model), mask, NormPair(0.5, 1.0))
         for it in rec.iterations[k:]:
             assert it.d_t == mask.ones_count()
@@ -380,6 +380,41 @@ class TestRunPruning:
                           specs, cfg, train, test)
         assert all(it.c_total > 0 for it in rec.iterations)
         assert trainings == ([2] if kind == "one_shot" else [2, 5, 8, 11])
+
+    @pytest.mark.parametrize("kind", ["sap", "lottery_ticket", "one_shot"])
+    def test_each_round_is_evaluated_under_its_own_masks(self, kind, monkeypatch):
+        specs, cfg, train, test = tiny_run_setup()
+        trained, next_masks = [], []
+        train_fn, prune = nn.train, pruning._pruned_mask
+
+        def recording_train(*args):
+            model = train_fn(*args)
+            trained.append(model.flat.copy())
+            return model
+
+        def recording_prune(*args):
+            next_masks.append(prune(*args))
+            return next_masks[-1]
+
+        monkeypatch.setattr(nn, "train", recording_train)
+        monkeypatch.setattr(pruning, "_pruned_mask", recording_prune)
+        rec = run_pruning(AlgorithmSpec(kind=kind, iterations=3), Scope.LAYER_WISE,
+                          specs, cfg, train, test)
+        assert all(it.c_total > 0 for it in rec.iterations)
+        masks = [PruningMask(np.ones(next_masks[0].flat.size, dtype=bool)), *next_masks]
+
+        def measured(flat, mask):
+            return nn.evaluate(nn.apply_mask(nn.NetworkParams(specs, flat.copy()), mask), test)
+
+        for t, it in enumerate(rec.iterations):
+            # Round t's network as training left it, once with m_t applied and
+            # once with m_{t+1}; one shot's network is the one trained at t=0.
+            flat = trained[0 if kind == "one_shot" else t]
+            assert (it.acc_retrained, it.loss_retrained) == measured(flat, masks[t])
+            assert (it.acc_pruned, it.loss_pruned) == measured(flat, masks[t + 1])
+            assert it.d_t == masks[t].ones_count()
+        # m_{t+1} drops weights that m_t keeps, so some round's metrics move.
+        assert any(it.loss_pruned != it.loss_retrained for it in rec.iterations)
 
     def test_stalled_rounds_repeat_the_skipped_groups_under_their_own_t(self, monkeypatch):
         specs, cfg, train, test = tiny_run_setup()
@@ -453,6 +488,24 @@ class TestRunPruning:
         assert rec.events == [
             "iteration 0: training diverged: non-finite loss at epoch 1, batch offset 64"
         ]
+        assert rec.iterations == []
+
+    @pytest.mark.parametrize("kind", ["sap", "one_shot"])
+    def test_non_finite_test_loss_is_recorded_as_diverged(self, kind, monkeypatch):
+        specs, cfg, train, test = tiny_run_setup()
+        train_fn = nn.train
+
+        def train_to_huge_weights(params, mask, data, train_cfg):
+            # Finite weights whose forward pass overflows on the test split.
+            model = train_fn(params, mask, data, train_cfg)
+            model.flat[: model.n_weights] *= 1e300
+            return model
+
+        monkeypatch.setattr(nn, "train", train_to_huge_weights)
+        rec = run_pruning(AlgorithmSpec(kind=kind, iterations=2), Scope.GLOBAL,
+                          specs, cfg, train, test)
+        assert not rec.completed
+        assert rec.events == ["iteration 0: training diverged: non-finite test loss"]
         assert rec.iterations == []
 
     def test_all_zero_row_is_skipped(self, monkeypatch):
