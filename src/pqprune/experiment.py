@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import json
 import logging
 import math
-from collections.abc import Callable, Iterator
-from contextlib import nullcontext, suppress
+import traceback
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +42,8 @@ def cell_name(kind: str, seed: int) -> str:
 
 
 # The (train, test) pair of the grid that `run_experiment` is running, keyed
-# on its dataset spec. It is filled before any cell starts, so pooled workers,
-# started by fork, inherit it, and emptied when the grid ends.
+# on its dataset spec. It is filled before any cell starts, so a cell's forked
+# child (`_forked`) inherits it, and emptied when the grid ends.
 _loaded: dict[SyntheticSpec | IdxPaths, tuple[nn.Dataset, nn.Dataset]] = {}
 
 
@@ -72,15 +71,12 @@ def run_cell(cfg: ExperimentConfig, alg: AlgorithmSpec, seed: int) -> RunRecord:
 def run_experiment(cfg: ExperimentConfig, out_dir, workers=None) -> dict[str, RunRecord]:
     """Run every (seed x algorithm) cell, persist records, write summary.csv.
 
-    `workers` None or 0 means the config's; above 1, the cells run in a
-    pool of at most one worker per cell. A cell that raises, or whose worker
-    died, is marked failed with its traceback logged and does not abort the
-    others; failed cells are listed in failed_cells.txt, which a run without
-    failures removes, and summary.csv covers the cells that completed. A
-    worker that dies (killed, or exiting without returning) breaks its pool,
-    so each cell that the broken pool did not return runs again alone, in a
-    fresh one-worker pool (`_pooled_call`); a cell whose worker dies there
-    too fails as `worker died`.
+    `workers` None or 0 means the config's; above 1, each cell runs in its
+    own forked child, at most `workers` at once. A cell that raises, or whose
+    child dies (`worker died`; the cell is not run again), is marked failed
+    with its traceback logged and does not abort the others; failed cells
+    are listed in failed_cells.txt, which a run without failures removes,
+    and summary.csv covers the cells that completed.
 
     The datasets are read once, before the output directory is created, so
     a bad dataset raises (IdxFormatError for a malformed IDX file) with
@@ -88,26 +84,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers=None) -> dict[str, Ru
     """
     out_dir = Path(out_dir)
     workers = workers or cfg.workers
-    cells = [(alg, seed) for alg in cfg.algorithms for seed in cfg.seeds]
+    calls = [(cfg, alg, seed, out_dir) for alg in cfg.algorithms for seed in cfg.seeds]
     results: dict[str, RunRecord] = {}
     failed: list[str] = []
     _loaded[cfg.dataset] = load_datasets(cfg)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        pool = _fork_pool(min(workers, len(cells))) if workers > 1 else None
-        with pool or nullcontext():
-            calls = [  # each returns the cell's record or raises
-                _pooled_call(pool, cfg, alg, seed, out_dir) if pool
-                else functools.partial(_persist_cell, cfg, alg, seed, out_dir)
-                for alg, seed in cells
-            ]
-            for (alg, seed), call in zip(cells, calls):
-                name = cell_name(alg.kind, seed)
-                try:
-                    results[name] = call()
-                except Exception:
-                    log.exception("cell %s failed", name)
-                    failed.append(name)
+        outcomes = _forked(calls, workers) if workers > 1 else itertools.starmap(_outcome, calls)
+        for (_, alg, seed, _), outcome in zip(calls, outcomes):
+            name = cell_name(alg.kind, seed)
+            if isinstance(outcome, RunRecord):
+                results[name] = outcome
+            else:
+                log.error("cell %s failed\n%s", name, outcome)
+                failed.append(name)
     finally:
         _loaded.clear()
     failed_path = out_dir / "failed_cells.txt"
@@ -120,46 +110,54 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers=None) -> dict[str, Ru
     return results
 
 
-def _persist_cell(cfg: ExperimentConfig, alg: AlgorithmSpec, seed: int, out_dir) -> RunRecord:
-    """Run one cell and write its record under `out_dir`."""
-    record = run_cell(cfg, alg, seed)
-    write_run_record(record, out_dir / cell_name(alg.kind, seed))
-    return record
+def _outcome(cfg: ExperimentConfig, alg: AlgorithmSpec, seed: int, out_dir) -> RunRecord | str:
+    """Run one cell and persist its record: the record, or the traceback it raised."""
+    try:
+        record = run_cell(cfg, alg, seed)
+        write_run_record(record, out_dir / cell_name(alg.kind, seed))
+        return record
+    except Exception:
+        return traceback.format_exc().rstrip()
 
 
-def _fork_pool(workers: int):
-    """A process pool whose workers are started by fork, so they inherit the
-    loaded datasets. Imported here, so a run without a pool does not pay
-    for it."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+def _send_outcome(send, *args) -> None:
+    send.send(_outcome(*args))
 
 
-def _pooled_call(pool, *args) -> Callable[[], RunRecord]:
-    """Submit `_persist_cell(*args)` to `pool`; the call returned gives its
-    record. If a dead worker broke the pool before the cell returned, the
-    cell runs again alone in a fresh one-worker pool, and if that worker
-    dies too the call raises RuntimeError("worker died")."""
-    from concurrent.futures.process import BrokenProcessPool
+def _forked(calls: list[tuple], workers: int) -> list[RunRecord | str]:
+    """`_outcome(*args)` for each of `calls`, in order, each in its own forked
+    child, at most `workers` at once; a child that dies before it sends gives
+    "RuntimeError: worker died". If the wait raises, the running children are
+    terminated and joined first."""
+    import multiprocessing.connection  # here, so a serial run does not load it
 
-    future = None
-    with suppress(BrokenProcessPool):  # a worker may have died already
-        future = pool.submit(_persist_cell, *args)
-
-    def call() -> RunRecord:
-        if future is not None:
-            with suppress(BrokenProcessPool):
-                return future.result()
-        pool.shutdown()  # the broken pool's threads end before the fork below
-        with _fork_pool(1) as fresh:
-            try:
-                return fresh.submit(_persist_cell, *args).result()
-            except BrokenProcessPool:
-                raise RuntimeError("worker died") from None
-
-    return call
+    fork = multiprocessing.get_context("fork")
+    outcomes: list = [None] * len(calls)
+    pending = list(enumerate(calls))[::-1]  # popped from the end, so in cell order
+    running = {}  # the read end of each running child's pipe: (cell index, child)
+    try:
+        while pending or running:
+            while pending and len(running) < workers:
+                i, args = pending.pop()
+                recv, send = fork.Pipe(duplex=False)
+                child = fork.Process(target=_send_outcome, args=(send, *args))
+                child.start()
+                send.close()  # so the read end sees EOF once the child is gone
+                running[recv] = i, child
+            # One ready child at a time, so each one that ends starts the next cell.
+            recv = multiprocessing.connection.wait(list(running))[0]
+            i, child = running.pop(recv)
+            with recv:
+                try:
+                    outcomes[i] = recv.recv()
+                except EOFError:  # the child died before it sent its outcome
+                    outcomes[i] = "RuntimeError: worker died"
+            child.join()
+    finally:
+        for _, child in running.values():
+            child.terminate()
+            child.join()
+    return outcomes
 
 
 def per_iteration(runs: list[RunRecord], fields) -> Iterator[tuple[int, list[float]]]:

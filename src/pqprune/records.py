@@ -43,7 +43,10 @@ class IterationMetrics:
 
     @classmethod
     def from_dict(cls, d: dict) -> "IterationMetrics":
-        return cls(**{f.name: d[f.name] for f in fields(cls)})
+        it = cls(**{f.name: d[f.name] for f in fields(cls)})
+        if [type(x) for x in (it.t, it.d_t, it.c_total, it.groups)] != [int, int, int, list]:
+            raise TypeError("an iteration's t, d_t and c_total must be integers and groups a list")
+        return it
 
 
 # The iterations.csv columns: every field but the group log.
@@ -61,14 +64,12 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
-        if not isinstance(d["config"], dict) or not isinstance(d["completed"], bool):
-            raise TypeError("config must be an object and completed a boolean")
-        return cls(
-            config=d["config"],
-            iterations=[IterationMetrics.from_dict(it) for it in d["iterations"]],
-            events=list(d["events"]),
-            completed=d["completed"],
-        )
+        shape = [type(d[k]) for k in ("config", "completed", "events", "iterations")]
+        if shape != [dict, bool, list, list] or any(type(e) is not str for e in d["events"]):
+            raise TypeError("config must be an object, completed a boolean, "
+                            "events a list of strings and iterations a list")
+        return cls(d["config"], d["completed"], d["events"],
+                   [IterationMetrics.from_dict(it) for it in d["iterations"]])
 
     def iterations_csv(self) -> str:
         rows = ([getattr(it, name) for name in CSV_FIELDS] for it in self.iterations)

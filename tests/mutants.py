@@ -51,6 +51,7 @@ CONFIG = "src/pqprune/config.py"
 AUDIT = "src/pqprune/audit.py"
 DATA_IO = "src/pqprune/data_io.py"
 SPARSITY = "src/pqprune/sparsity.py"
+EXPERIMENT = "src/pqprune/experiment.py"
 
 MUTANTS = [
     Mutant(
@@ -189,10 +190,33 @@ MUTANTS = [
         ("tests/test_nn.py",),
     ),
     Mutant(
-        "run_experiment: except ArithmeticError in the cell loop",
-        "src/pqprune/experiment.py",
-        "                except Exception:\n",
-        "                except ArithmeticError:\n",
+        "_outcome: except ArithmeticError around the cell",
+        EXPERIMENT,
+        "    except Exception:\n        return traceback.format_exc()",
+        "    except ArithmeticError:\n        return traceback.format_exc()",
+        ("tests/test_config_cli.py",),
+    ),
+    Mutant(
+        "_forked: one child more than workers at once",
+        EXPERIMENT,
+        "while pending and len(running) < workers:",
+        "while pending and len(running) <= workers:",
+        ("tests/test_config_cli.py",),
+    ),
+    Mutant(
+        "_forked: a dead child ends the wait loop",
+        EXPERIMENT,
+        '                    outcomes[i] = "RuntimeError: worker died"\n',
+        "                    break\n",
+        ("tests/test_config_cli.py",),
+    ),
+    Mutant(
+        "_forked: running children left alive when the wait raises",
+        EXPERIMENT,
+        "        for _, child in running.values():\n"
+        "            child.terminate()\n"
+        "            child.join()\n",
+        "        pass\n",
         ("tests/test_config_cli.py",),
     ),
     Mutant(
@@ -302,7 +326,7 @@ MUTANTS = [
     ),
     Mutant(
         "write_report: panels directory made before the trajectory stats",
-        "src/pqprune/experiment.py",
+        EXPERIMENT,
         "    stats = trajectory_stats(records)  # before any write, so a failure writes nothing\n"
         "    out_dir = Path(out_dir)\n"
         "    out_dir.mkdir(parents=True, exist_ok=True)\n",

@@ -1,15 +1,17 @@
 import ast
-import concurrent.futures
 import dataclasses
-import inspect
 import itertools
 import json
+import multiprocessing
+import multiprocessing.connection
+import multiprocessing.process
 import os
 import re
 import shutil
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -452,6 +454,29 @@ class TestOtherOSErrors:
         assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: '{out}'\n"
 
 
+@pytest.fixture
+def child_starts(monkeypatch):
+    """Records, for each child process started, its start method and the
+    number of children started and not yet joined, itself included."""
+    starts, live = [], set()
+    base = multiprocessing.process.BaseProcess
+    start, join = base.start, base.join
+
+    def recording_start(self):
+        live.add(self)
+        starts.append((self._start_method, len(live)))
+        start(self)
+
+    def recording_join(self, timeout=None):
+        join(self, timeout)
+        if self.exitcode is not None:
+            live.discard(self)
+
+    monkeypatch.setattr(base, "start", recording_start)
+    monkeypatch.setattr(base, "join", recording_join)
+    return starts
+
+
 @pytest.fixture(scope="module")
 def run_root(tmp_path_factory):
     root = tmp_path_factory.mktemp("cells")
@@ -569,9 +594,21 @@ class TestRunAndReport:
             (lambda text: json.dumps({**json.loads(text), "config": []}), "has the wrong shape"),
             (lambda text: json.dumps({**json.loads(text), "completed": "no"}),
              "has the wrong shape"),
+            # Each of these read back as a record before: "abc" as three events.
+            (lambda text: json.dumps({**json.loads(text), "events": "abc"}),
+             "has the wrong shape"),
+            (lambda text: json.dumps({**json.loads(text), "events": [1]}), "has the wrong shape"),
+            (lambda text: json.dumps({**json.loads(text), "iterations": {}}),
+             "has the wrong shape"),
+            (lambda text: damaged_iteration(text, t="zero"), "has the wrong shape"),
+            (lambda text: damaged_iteration(text, d_t=True), "has the wrong shape"),
+            (lambda text: damaged_iteration(text, c_total=1.0), "has the wrong shape"),
+            (lambda text: damaged_iteration(text, groups="x"), "has the wrong shape"),
         ],
         ids=["missing_field", "truncated", "not_an_object", "bad_iteration", "config_a_list",
-             "completed_a_string"],
+             "completed_a_string", "events_a_string", "event_not_a_string",
+             "iterations_an_object", "t_a_string", "d_t_a_bool", "c_total_a_float",
+             "groups_a_string"],
     )
     def test_report_damaged_record_exits_2(self, run_root, tmp_path, capsys, damage, message):
         text = (run_root / "out" / "sap_seed0" / "run.json").read_text()
@@ -646,7 +683,7 @@ class TestRunAndReport:
                 "--workers", "2"]
         assert cli.main(argv) == 1
         failed = (tmp_path / "failed_cells.txt").read_text().splitlines()
-        assert {"sap_seed1", "lottery_ticket_seed1"} <= set(failed)
+        assert failed == ["sap_seed1", "lottery_ticket_seed1"]
         cells = {f"{kind}_seed{s}" for kind in ("sap", "lottery_ticket") for s in (0, 1)}
         completed = {name: read_run_record(tmp_path / name) for name in cells - set(failed)}
         assert all(rec.completed for rec in completed.values())
@@ -654,8 +691,7 @@ class TestRunAndReport:
         assert summary == experiment.summarize_records(completed)
 
     def test_dead_worker_fails_only_its_own_cell(self, tmp_path, monkeypatch, caplog):
-        # Every cell that the broken pool did not return runs again alone in a
-        # fresh pool; sap_seed1 kills that worker too, and only it fails.
+        # Each cell has its own child, so sap_seed1's death reaches no other cell.
         run_cell = experiment.run_cell
 
         def die_on_sap_seed1(cfg, alg, seed):
@@ -678,24 +714,62 @@ class TestRunAndReport:
         assert all(rec.completed for rec in completed.values())
         assert (out / "summary.csv").read_text() == experiment.summarize_records(completed)
 
-    def test_pool_has_one_fork_worker_per_cell(self, tmp_path, monkeypatch):
-        made = []
-        executor = concurrent.futures.ProcessPoolExecutor
+    def test_pool_has_one_fork_worker_per_cell(self, tmp_path, child_starts):
+        # One forked child per cell, at most min(workers, cells) alive at once.
+        for kinds, workers, live in [("sap", 8, [1, 2]), ("sap,lottery_ticket", 3, [1, 2, 3, 3])]:
+            child_starts.clear()
+            cfg_path = tmp_path / "exp.cfg"
+            cfg_path.write_text(TINY_CONFIG.replace("sap,lottery_ticket", kinds))
+            argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / kinds),
+                    "--workers", str(workers)]
+            assert cli.main(argv) == 0
+            assert child_starts == [("fork", n) for n in live]
 
-        def recording_executor(*args, **kwargs):
-            made.append(inspect.signature(executor).bind(*args, **kwargs).arguments)
-            return executor(*args, **kwargs)
+    def test_dead_child_leaves_the_others_running_workers_at_once(self, tmp_path, monkeypatch,
+                                                                  child_starts):
+        # sap_seed1's child dies at once; it is not run again, and the other
+        # 11 cells still run two at a time.
+        run_cell = experiment.run_cell
 
-        # run_experiment imports the executor from the package when it makes a pool.
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_executor)
+        def die_on_sap_seed1(cfg, alg, seed):
+            if (alg.kind, seed) == ("sap", 1):
+                os._exit(1)
+            return run_cell(cfg, alg, seed)
+
+        monkeypatch.setattr(experiment, "run_cell", die_on_sap_seed1)
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(TINY_CONFIG.replace("sap,lottery_ticket", "sap"))  # 2 cells
-        argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
-                "--workers", "8"]
-        assert cli.main(argv) == 0
-        [arguments] = made
-        assert arguments["max_workers"] == 2
-        assert arguments["mp_context"].get_start_method() == "fork"
+        cfg_path.write_text(TINY_CONFIG.replace("sap,lottery_ticket", "sap,lottery_ticket,one_shot")
+                            .replace("seeds = 0,1", "seeds = 0,1,2,3"))  # 12 cells
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(cfg_path), "--out", str(out), "--workers", "2"]
+        assert cli.main(argv) == 1
+        assert (out / "failed_cells.txt").read_text() == "sap_seed1\n"
+        assert child_starts == [("fork", 1)] + [("fork", 2)] * 11
+        cells = {f"{kind}_seed{s}" for kind in ("sap", "lottery_ticket", "one_shot")
+                 for s in range(4)}
+        completed = {name: read_run_record(out / name) for name in cells - {"sap_seed1"}}
+        assert (out / "summary.csv").read_text() == experiment.summarize_records(completed)
+
+    def test_no_child_outlives_an_interrupted_run(self, tmp_path, monkeypatch, child_starts):
+        def never_return(cfg, alg, seed):
+            time.sleep(60)
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(experiment, "run_cell", never_return)
+        monkeypatch.setattr(multiprocessing.connection, "wait", interrupted)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                experiment.run_experiment(parse_config(TINY_CONFIG), tmp_path / "out", workers=2)
+            assert child_starts == [("fork", 1), ("fork", 2)]
+            assert multiprocessing.active_children() == []
+            assert experiment._loaded == {}
+        finally:  # a child left running must not outlive the test either
+            monkeypatch.undo()  # join's timeout calls wait
+            for child in multiprocessing.active_children():
+                child.kill()
+                child.join(timeout=10)
 
     def test_diverged_cells_are_recorded(self, tmp_path):
         # The suite runs with warnings as errors; a diverged cell is still
@@ -870,6 +944,13 @@ class TestGridData:
         # No data outlives its grid: the next grid generates its own.
         experiment.run_experiment(cfg, out_dir=tmp_path / "b")
         assert calls == [cfg.dataset] * 2
+
+
+def damaged_iteration(text, **changes):
+    """The run.json `text` with `changes` made to its first iteration."""
+    record = json.loads(text)
+    record["iterations"][0].update(changes)
+    return json.dumps(record)
 
 
 def diverged_copy(src, dst, at):
