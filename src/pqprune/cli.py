@@ -90,8 +90,9 @@ def cmd_run(args) -> int:
     cfg = parse_config(Path(args.config).read_text())
     if args.workers < 0:
         raise ValueError("--workers must be >= 1, or 0 to use the config's workers")
+    cfg.workers = args.workers or cfg.workers
     out = args.out or os.environ.get("PQI_PRUNE_OUT") or cfg.output_dir
-    results = run_experiment(cfg, out, args.workers)
+    results = run_experiment(cfg, out)
     summary_path = Path(out) / "summary.csv"
     print(f"wrote {len(results)} run directories under {out}")
     print(summary_path.read_text(), end="")

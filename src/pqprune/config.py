@@ -143,12 +143,13 @@ def parse_config(text: str) -> ExperimentConfig:
     template = _replace_fields(kv, "algorithm", cfg.algorithms[0])
     norms = _replace_fields(kv, "sap", template.sap.norms, skip={"relaxed"})
     sap = _replace_fields(kv, "sap", template.sap, norms=norms)
-    # Each cell's seed comes from `seeds`, not from the train section.
-    cfg.train = _replace_fields(kv, "train", cfg.train, skip={"seed"})
+    cfg.train = _replace_fields(kv, "train", cfg.train)
     cfg.seeds = _entries(kv, "seeds", int, cfg.seeds)
     if min(cfg.seeds) < 0:
         raise ValueError(f"seeds: negative entry {min(cfg.seeds)}")
     cfg.output_dir = kv.pop("output_dir", cfg.output_dir)
+    if not cfg.output_dir:
+        raise ValueError("output_dir: empty")
     cfg.workers = _pop(kv, "workers", int, cfg.workers)
     if cfg.workers < 1:
         raise ValueError("workers must be >= 1")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import logging
@@ -41,15 +40,10 @@ def cell_name(kind: str, seed: int) -> str:
     return f"{kind}_seed{seed}"
 
 
-# The (train, test) pair of the grid that `run_experiment` is running, keyed
-# on its dataset spec. It is filled before any cell starts, so a cell's forked
-# child (`_forked`) inherits it, and emptied when the grid ends.
-_loaded: dict[SyntheticSpec | IdxPaths, tuple[nn.Dataset, nn.Dataset]] = {}
+Datasets = tuple[nn.Dataset, nn.Dataset]  # a grid's (train, test) pair
 
 
-def load_datasets(cfg: ExperimentConfig) -> tuple[nn.Dataset, nn.Dataset]:
-    if cfg.dataset in _loaded:
-        return _loaded[cfg.dataset]
+def load_datasets(cfg: ExperimentConfig) -> Datasets:
     if isinstance(cfg.dataset, SyntheticSpec):
         return gen_synthetic(cfg.dataset)
     paths: IdxPaths = cfg.dataset
@@ -59,47 +53,43 @@ def load_datasets(cfg: ExperimentConfig) -> tuple[nn.Dataset, nn.Dataset]:
     )
 
 
-def run_cell(cfg: ExperimentConfig, alg: AlgorithmSpec, seed: int) -> RunRecord:
-    """Execute one (algorithm, seed) cell end to end."""
-    train_data, test_data = load_datasets(cfg)
+def run_cell(cfg: ExperimentConfig, alg: AlgorithmSpec, seed: int, data: Datasets) -> RunRecord:
+    """Execute one (algorithm, seed) cell end to end on the datasets `data`."""
+    train_data, test_data = data
     n_classes = int(max(train_data.labels.max(), test_data.labels.max())) + 1
     specs = nn.model_specs(cfg.model, train_data.inputs.shape[1], n_classes)
-    train_cfg = dataclasses.replace(cfg.train, seed=seed)
-    return run_pruning(alg, cfg.scope, specs, train_cfg, train_data, test_data)
+    return run_pruning(alg, cfg.scope, specs, cfg.train, seed, train_data, test_data)
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir, workers=None) -> dict[str, RunRecord]:
+def run_experiment(cfg: ExperimentConfig, out_dir) -> dict[str, RunRecord]:
     """Run every (seed x algorithm) cell, persist records, write summary.csv.
 
-    `workers` None or 0 means the config's; above 1, each cell runs in its
-    own forked child, at most `workers` at once. A cell that raises, or whose
-    child dies (`worker died`; the cell is not run again), is marked failed
-    with its traceback logged and does not abort the others; failed cells
-    are listed in failed_cells.txt, which a run without failures removes,
-    and summary.csv covers the cells that completed.
+    With `cfg.workers` above 1, each cell runs in its own forked child, at
+    most `cfg.workers` at once. A cell that raises, or whose child dies
+    (`worker died`; the cell is not run again), is marked failed with its
+    traceback logged and does not abort the others; failed cells are listed
+    in failed_cells.txt, which a run without failures removes, and
+    summary.csv covers the cells that completed.
 
     The datasets are read once, before the output directory is created, so
     a bad dataset raises (IdxFormatError for a malformed IDX file) with
-    nothing written.
+    nothing written; every cell is handed the same pair.
     """
     out_dir = Path(out_dir)
-    workers = workers or cfg.workers
-    calls = [(cfg, alg, seed, out_dir) for alg in cfg.algorithms for seed in cfg.seeds]
+    data = load_datasets(cfg)
+    calls = [(cfg, alg, seed, data, out_dir) for alg in cfg.algorithms for seed in cfg.seeds]
     results: dict[str, RunRecord] = {}
     failed: list[str] = []
-    _loaded[cfg.dataset] = load_datasets(cfg)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        outcomes = _forked(calls, workers) if workers > 1 else itertools.starmap(_outcome, calls)
-        for (_, alg, seed, _), outcome in zip(calls, outcomes):
-            name = cell_name(alg.kind, seed)
-            if isinstance(outcome, RunRecord):
-                results[name] = outcome
-            else:
-                log.error("cell %s failed\n%s", name, outcome)
-                failed.append(name)
-    finally:
-        _loaded.clear()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outcomes = (_forked(calls, cfg.workers) if cfg.workers > 1
+                else itertools.starmap(_outcome, calls))
+    for (_, alg, seed, _, _), outcome in zip(calls, outcomes):
+        name = cell_name(alg.kind, seed)
+        if isinstance(outcome, RunRecord):
+            results[name] = outcome
+        else:
+            log.error("cell %s failed\n%s", name, outcome)
+            failed.append(name)
     failed_path = out_dir / "failed_cells.txt"
     if failed:
         log.warning("failed cells: %s", ", ".join(failed))
@@ -110,10 +100,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers=None) -> dict[str, Ru
     return results
 
 
-def _outcome(cfg: ExperimentConfig, alg: AlgorithmSpec, seed: int, out_dir) -> RunRecord | str:
+def _outcome(cfg: ExperimentConfig, alg: AlgorithmSpec, seed: int, data: Datasets,
+             out_dir) -> RunRecord | str:
     """Run one cell and persist its record: the record, or the traceback it raised."""
     try:
-        record = run_cell(cfg, alg, seed)
+        record = run_cell(cfg, alg, seed, data)
         write_run_record(record, out_dir / cell_name(alg.kind, seed))
         return record
     except Exception:

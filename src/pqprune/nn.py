@@ -49,7 +49,6 @@ class TrainConfig:
     momentum: float = 0.9
     weight_decay: float = 5e-4
     nesterov: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -196,7 +195,7 @@ def apply_mask(net: NetworkParams, mask) -> NetworkParams:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the finite-loss check reports divergence
-def train(net: NetworkParams, mask, data: Dataset, cfg: TrainConfig) -> NetworkParams:
+def train(net: NetworkParams, mask, data: Dataset, cfg: TrainConfig, seed: int) -> NetworkParams:
     """SGD with momentum/Nesterov/weight-decay under a frozen pruning mask.
 
     Trains `net` itself in place and returns it pruned to `mask`: it is
@@ -205,7 +204,7 @@ def train(net: NetworkParams, mask, data: Dataset, cfg: TrainConfig) -> NetworkP
     update, by multiplying with the boolean `mask.flat` itself, not a float
     copy of it, so the masked gradient, velocity and weight entries all stay
     exactly zero. The shuffle order for epoch e is drawn from a generator
-    keyed on (seed, e), making runs reproducible.
+    keyed on (`seed`, e), making runs reproducible.
 
     Besides `net`, the call holds the gradient, the velocity and one work
     vector: each step's batch is gathered into it, and once the gradient
@@ -222,7 +221,7 @@ def train(net: NetworkParams, mask, data: Dataset, cfg: TrainConfig) -> NetworkP
     update = work[: net.flat.size]
     for epoch in range(cfg.epochs):
         lr = cosine_lr(cfg.learning_rate, epoch, cfg.epochs)
-        order = np.random.default_rng([cfg.seed, epoch]).permutation(n)
+        order = np.random.default_rng([seed, epoch]).permutation(n)
         for start in range(0, n, batch):
             idx = order[start : start + batch]
             # `order` is a permutation, so no index is clipped; "raise" would

@@ -192,6 +192,7 @@ def run_pruning(
     scope: Scope,
     layer_specs: list[nn.LayerSpec],
     cfg: nn.TrainConfig,
+    seed: int,
     train_data: nn.Dataset,
     test_data: nn.Dataset,
 ) -> RunRecord:
@@ -202,17 +203,18 @@ def run_pruning(
     The reported sparsity indices use the SAP norm pair, or the default
     pair (0.5, 1.0) for the baselines.
 
+    `seed` draws the initial network and each training's shuffle order.
     Each training round trains, in place, the one network it is handed.
     Rewinding to the initial weights rebuilds them with `nn.init_network`
-    from `cfg.seed`, bit for bit, once the last round's network and
-    magnitudes have gone, so no copy of the initial network is held while
-    a round trains. One shot hands over its only network at t=0. The
+    from `seed`, bit for bit, once the last round's network and magnitudes
+    have gone, so no copy of the initial network is held while a round
+    trains. One shot hands over its only network at t=0. The
     network stands pruned to the current mask: masks only shrink, so
     `nn.apply_mask` prunes it to m_{t+1} in place before the pruned
     evaluation. A non-finite training or test loss ends the cell as diverged.
     """
     index_norms = (alg.sap or SapHyperParams()).norms
-    model = nn.init_network(layer_specs, cfg.seed)
+    model = nn.init_network(layer_specs, seed)
     mask = PruningMask.all_ones(model)
     d0 = mask.ones_count()
     blocks = partition(model, scope)
@@ -233,8 +235,8 @@ def run_pruning(
             "scope": scope.value,
             "index_p": index_norms.p,
             "index_q": index_norms.q,
-            "seed": cfg.seed,
-            "train": {k: v for k, v in asdict(cfg).items() if k != "seed"},
+            "seed": seed,
+            "train": asdict(cfg),
             "layers": [  # a ReLU follows every layer but the last, which emits logits
                 {"in": s.in_size, "out": s.out_size,
                  "activation": "relu" if l < len(layer_specs) - 1 else "none"}
@@ -250,8 +252,8 @@ def run_pruning(
                     # Rewind: the last round's network and magnitudes go before
                     # the initial network is rebuilt, so a round holds one.
                     model = mags = None
-                    model = nn.init_network(layer_specs, cfg.seed)
-                model = nn.train(model, mask, train_data, cfg)
+                    model = nn.init_network(layer_specs, seed)
+                model = nn.train(model, mask, train_data, cfg, seed)
                 mags = nn.flatten_prunable(model)
                 acc_r, loss_r = _evaluate(model, test_data)
                 pqi_r, gini_r = _surviving_index(mags, mask, index_norms)

@@ -3,6 +3,7 @@ columns of iterations.csv, in the order the files hold them."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 
@@ -46,6 +47,10 @@ class IterationMetrics:
         it = cls(**{f.name: d[f.name] for f in fields(cls)})
         if [type(x) for x in (it.t, it.d_t, it.c_total, it.groups)] != [int, int, int, list]:
             raise TypeError("an iteration's t, d_t and c_total must be integers and groups a list")
+        for f in fields(cls):  # the writer writes only finite floats and NaN
+            x = getattr(it, f.name)
+            if f.type == "float" and (type(x) is not float or math.isinf(x)):
+                raise TypeError(f"an iteration's {f.name} must be a finite number or NaN")
         return it
 
 

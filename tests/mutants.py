@@ -46,6 +46,8 @@ class Mutant:
 
 
 PRUNING = "src/pqprune/pruning.py"
+RECORDS = "src/pqprune/records.py"
+CLI = "src/pqprune/cli.py"
 NN = "src/pqprune/nn.py"
 CONFIG = "src/pqprune/config.py"
 AUDIT = "src/pqprune/audit.py"
@@ -106,15 +108,15 @@ MUTANTS = [
     Mutant(
         "run_pruning: the initial network rebuilt from the next seed",
         PRUNING,
-        "                    model = nn.init_network(layer_specs, cfg.seed)\n",
-        "                    model = nn.init_network(layer_specs, cfg.seed + 1)\n",
+        "                    model = nn.init_network(layer_specs, seed)\n",
+        "                    model = nn.init_network(layer_specs, seed + 1)\n",
         ("tests/test_pruning.py",),
     ),
     Mutant(
         "run_pruning: one_shot rebuilds the initial network every round",
         PRUNING,
         "            else:\n                # One shot never retrains",
-        "            else:\n                model = nn.init_network(layer_specs, cfg.seed)\n"
+        "            else:\n                model = nn.init_network(layer_specs, seed)\n"
         "                # One shot never retrains",
         ("tests/test_pruning.py",),
     ),
@@ -305,7 +307,7 @@ MUTANTS = [
     ),
     Mutant(
         "csv_text: no newline after the last line",
-        "src/pqprune/records.py",
+        RECORDS,
         '"".join(",".join(map(format_value, row)) + "\\n" for row in [header, *rows])',
         '"\\n".join(",".join(map(format_value, row)) for row in [header, *rows])',
         ("tests/test_data_io.py",),
@@ -325,6 +327,34 @@ MUTANTS = [
         ("tests/test_nn.py",),
     ),
     Mutant(
+        "run_cell: loads the data itself instead of using data",
+        EXPERIMENT,
+        "    train_data, test_data = data\n",
+        "    train_data, test_data = load_datasets(cfg)\n",
+        ("tests/test_config_cli.py",),
+    ),
+    Mutant(
+        "run: --workers ignored",
+        CLI,
+        "    cfg.workers = args.workers or cfg.workers\n",
+        "",
+        ("tests/test_config_cli.py",),
+    ),
+    Mutant(
+        "parse_config: empty output_dir accepted",
+        CONFIG,
+        '    if not cfg.output_dir:\n        raise ValueError("output_dir: empty")\n',
+        "",
+        ("tests/test_config_cli.py",),
+    ),
+    Mutant(
+        "IterationMetrics.from_dict: float fields unchecked",
+        RECORDS,
+        'if f.type == "float" and (type(x) is not float or math.isinf(x)):',
+        "if False:",
+        ("tests/test_config_cli.py",),
+    ),
+    Mutant(
         "write_report: panels directory made before the trajectory stats",
         EXPERIMENT,
         "    stats = trajectory_stats(records)  # before any write, so a failure writes nothing\n"
@@ -337,14 +367,14 @@ MUTANTS = [
     ),
     Mutant(
         "report: $PQI_PRUNE_OUT fallback",
-        "src/pqprune/cli.py",
+        CLI,
         "stats = write_report(args.run_dirs, args.out)",
         'stats = write_report(args.run_dirs, os.environ.get("PQI_PRUNE_OUT") or args.out)',
         ("tests/test_config_cli.py",),
     ),
     Mutant(
         "measure: input error without the file name",
-        "src/pqprune/cli.py",
+        CLI,
         'raise type(exc)(f"{args.file}: {exc}") from None',
         "raise",
         ("tests/test_config_cli.py",),

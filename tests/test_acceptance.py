@@ -16,6 +16,7 @@ from pqprune.audit import audit_measure, gini_measure, pq_measure
 from pqprune.config import ExperimentConfig
 from pqprune.data_io import read_run_record
 from pqprune.experiment import (
+    load_datasets,
     run_cell,
     run_experiment,
     summarize_records,
@@ -183,11 +184,12 @@ def test_criterion_6_sap_replay(desk_run):
     # Ablation cells over the gamma/eta axes.
     cfg = ExperimentConfig()
     cfg.dataset = dataclasses.replace(cfg.dataset, n_samples=400, n_features=10)
+    data = load_datasets(cfg)
     for gamma in (0.5, 1.0, 2.0):
         for eta in (0.0, 1.0):
             hp = SapHyperParams(norms=NormPair(0.5, 1.0), eta=eta, gamma=gamma, beta=0.9)
             alg = AlgorithmSpec(kind="sap", iterations=5, sap=hp)
-            rec = run_cell(cfg, alg, seed=0)
+            rec = run_cell(cfg, alg, 0, data)
             for it in rec.iterations:
                 for entry in it.groups:
                     if replay_count(entry, hp) != entry["c"]:

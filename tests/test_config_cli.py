@@ -63,7 +63,7 @@ def tiny_config(dataset) -> ExperimentConfig:
             AlgorithmSpec("lottery_ticket", iterations=3, ratio=0.2, sap=None),
         ],
         train=TrainConfig(epochs=2, batch_size=32, learning_rate=0.1, momentum=0.9,
-                          weight_decay=0.05, nesterov=True, seed=0),
+                          weight_decay=0.05, nesterov=True),
         seeds=[0, 1],
         output_dir="runs",
         workers=1,
@@ -189,6 +189,7 @@ class TestConfig:
             "seeds = -1",
             "dataset.seed = -1",
             "dataset.n_samples = 2",  # an 80/20 split with no test rows
+            "output_dir = ",  # would write the grid into the working directory
         ],
     )
     def test_run_with_bad_value_exits_2(self, tmp_path, capsys, line):
@@ -604,11 +605,20 @@ class TestRunAndReport:
             (lambda text: damaged_iteration(text, d_t=True), "has the wrong shape"),
             (lambda text: damaged_iteration(text, c_total=1.0), "has the wrong shape"),
             (lambda text: damaged_iteration(text, groups="x"), "has the wrong shape"),
+            # The writer writes NaN as NaN, never as null, and no infinite metric.
+            (lambda text: damaged_iteration(text, pqi_retrained=None),
+             "has the wrong shape: an iteration's pqi_retrained"),
+            (lambda text: damaged_iteration(text, acc_retrained=np.inf),
+             "has the wrong shape: an iteration's acc_retrained"),
+            (lambda text: damaged_iteration(text, acc_retrained=True),
+             "has the wrong shape: an iteration's acc_retrained"),
+            (lambda text: damaged_iteration(text, acc_retrained="x"),
+             "has the wrong shape: an iteration's acc_retrained"),
         ],
         ids=["missing_field", "truncated", "not_an_object", "bad_iteration", "config_a_list",
              "completed_a_string", "events_a_string", "event_not_a_string",
              "iterations_an_object", "t_a_string", "d_t_a_bool", "c_total_a_float",
-             "groups_a_string"],
+             "groups_a_string", "pqi_null", "acc_infinite", "acc_a_bool", "acc_a_string"],
     )
     def test_report_damaged_record_exits_2(self, run_root, tmp_path, capsys, damage, message):
         text = (run_root / "out" / "sap_seed0" / "run.json").read_text()
@@ -647,10 +657,10 @@ class TestRunAndReport:
                                               workers):
         run_cell = experiment.run_cell
 
-        def fail_seed1(cfg, alg, seed):
+        def fail_seed1(cfg, alg, seed, data):
             if seed == 1:
                 raise RuntimeError("injected failure")
-            return run_cell(cfg, alg, seed)
+            return run_cell(cfg, alg, seed, data)
 
         argv = ["run", "--config", str(run_root / "exp.cfg"), "--out", str(tmp_path),
                 "--workers", workers]
@@ -673,10 +683,10 @@ class TestRunAndReport:
         # The worker exits without returning, as an OOM kill would end it.
         run_cell = experiment.run_cell
 
-        def die_on_seed1(cfg, alg, seed):
+        def die_on_seed1(cfg, alg, seed, data):
             if seed == 1:
                 os._exit(1)
-            return run_cell(cfg, alg, seed)
+            return run_cell(cfg, alg, seed, data)
 
         monkeypatch.setattr(experiment, "run_cell", die_on_seed1)
         argv = ["run", "--config", str(run_root / "exp.cfg"), "--out", str(tmp_path),
@@ -694,10 +704,10 @@ class TestRunAndReport:
         # Each cell has its own child, so sap_seed1's death reaches no other cell.
         run_cell = experiment.run_cell
 
-        def die_on_sap_seed1(cfg, alg, seed):
+        def die_on_sap_seed1(cfg, alg, seed, data):
             if (alg.kind, seed) == ("sap", 1):
                 os._exit(1)
-            return run_cell(cfg, alg, seed)
+            return run_cell(cfg, alg, seed, data)
 
         monkeypatch.setattr(experiment, "run_cell", die_on_sap_seed1)
         cfg_path = tmp_path / "exp.cfg"
@@ -731,10 +741,10 @@ class TestRunAndReport:
         # 11 cells still run two at a time.
         run_cell = experiment.run_cell
 
-        def die_on_sap_seed1(cfg, alg, seed):
+        def die_on_sap_seed1(cfg, alg, seed, data):
             if (alg.kind, seed) == ("sap", 1):
                 os._exit(1)
-            return run_cell(cfg, alg, seed)
+            return run_cell(cfg, alg, seed, data)
 
         monkeypatch.setattr(experiment, "run_cell", die_on_sap_seed1)
         cfg_path = tmp_path / "exp.cfg"
@@ -751,7 +761,7 @@ class TestRunAndReport:
         assert (out / "summary.csv").read_text() == experiment.summarize_records(completed)
 
     def test_no_child_outlives_an_interrupted_run(self, tmp_path, monkeypatch, child_starts):
-        def never_return(cfg, alg, seed):
+        def never_return(cfg, alg, seed, data):
             time.sleep(60)
 
         def interrupted(*args, **kwargs):
@@ -761,10 +771,10 @@ class TestRunAndReport:
         monkeypatch.setattr(multiprocessing.connection, "wait", interrupted)
         try:
             with pytest.raises(KeyboardInterrupt):
-                experiment.run_experiment(parse_config(TINY_CONFIG), tmp_path / "out", workers=2)
+                experiment.run_experiment(parse_config(TINY_CONFIG + "workers = 2\n"),
+                                          tmp_path / "out")
             assert child_starts == [("fork", 1), ("fork", 2)]
             assert multiprocessing.active_children() == []
-            assert experiment._loaded == {}
         finally:  # a child left running must not outlive the test either
             monkeypatch.undo()  # join's timeout calls wait
             for child in multiprocessing.active_children():
@@ -926,7 +936,8 @@ class TestGridData:
             dataset=SyntheticSpec(n_samples=100, n_features=8, n_classes=2),
             train=TrainConfig(epochs=1, batch_size=50),
         )
-        rec = experiment.run_cell(cfg, AlgorithmSpec("sap", iterations=1), seed=0)
+        rec = experiment.run_cell(cfg, AlgorithmSpec("sap", iterations=1), 0,
+                                  experiment.load_datasets(cfg))
         assert rec.config["layers"] == layers
 
     def test_desk_grid_generates_its_data_once(self, tmp_path, monkeypatch):

@@ -20,7 +20,7 @@ from pqprune.data_io import (
     read_run_record,
     write_run_record,
 )
-from pqprune.experiment import run_cell
+from pqprune.experiment import load_datasets, run_cell
 from pqprune.nn import Dataset
 from pqprune.records import CSV_FIELDS, IterationMetrics, RunRecord
 
@@ -462,7 +462,7 @@ class TestStreamedRecord:
     def test_equals_the_whole_string_encoding(self, tmp_path, scope, kind):
         cfg = parse_config(GRID_CONFIG + f"scope = {scope}\n")
         [alg] = [a for a in cfg.algorithms if a.kind == kind]
-        rec = run_cell(cfg, alg, 0)
+        rec = run_cell(cfg, alg, 0, load_datasets(cfg))
         assert rec.completed and rec.iterations[1].groups
         write_run_record(rec, tmp_path)
         assert (tmp_path / "run.json").read_bytes() == reference_run_json(rec).encode()

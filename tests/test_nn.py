@@ -58,7 +58,7 @@ def start_weights(params, mask):
     """The weights training starts from: with no learning rate and no weight
     decay, `train` leaves them unchanged. `params` itself is not trained."""
     cfg = nn.TrainConfig(epochs=1, batch_size=8, learning_rate=0.0, weight_decay=0.0)
-    return nn.train(params.copy(), mask, separable_data(), cfg)
+    return nn.train(params.copy(), mask, separable_data(), cfg, 0)
 
 
 class TestRewind:
@@ -93,7 +93,7 @@ class TestRewind:
         before = params.flat.copy()
         mask = holed_mask(params, seed=1)
         cfg = nn.TrainConfig(epochs=1, batch_size=8, learning_rate=0.0, weight_decay=0.0)
-        out = nn.train(params, mask, separable_data(), cfg)
+        out = nn.train(params, mask, separable_data(), cfg, 0)
         assert out is params
         before[: params.n_weights] *= mask.flat
         assert np.array_equal(params.flat, before)
@@ -110,16 +110,16 @@ class TestTrain:
         mask = PruningMask.all_ones(params)
         rng = np.random.default_rng(0)
         mask.flat[rng.random(mask.flat.size) < 0.4] = False
-        cfg = nn.TrainConfig(epochs=3, batch_size=8, seed=2)
-        out = nn.train(params, mask, separable_data(), cfg)
+        cfg = nn.TrainConfig(epochs=3, batch_size=8)
+        out = nn.train(params, mask, separable_data(), cfg, 2)
         assert np.all(nn.flatten_prunable(out)[~mask.flat] == 0.0)
 
     def test_memorizes_single_batch(self):
         params = nn.init_network(toy_specs(), seed=3)
         mask = PruningMask.all_ones(params)
-        cfg = nn.TrainConfig(epochs=200, batch_size=32, weight_decay=0.0, seed=3)
+        cfg = nn.TrainConfig(epochs=200, batch_size=32, weight_decay=0.0)
         data = separable_data()
-        out = nn.train(params, mask, data, cfg)
+        out = nn.train(params, mask, data, cfg, 3)
         acc, loss = nn.evaluate(out, data)
         assert acc == 1.0
         assert loss < 0.05
@@ -127,9 +127,9 @@ class TestTrain:
     def test_deterministic(self):
         params = nn.init_network(toy_specs(), seed=4)
         mask = PruningMask.all_ones(params)
-        cfg = nn.TrainConfig(epochs=4, batch_size=8, seed=4)
-        a = nn.train(params.copy(), mask, separable_data(), cfg)
-        b = nn.train(params.copy(), mask, separable_data(), cfg)
+        cfg = nn.TrainConfig(epochs=4, batch_size=8)
+        a = nn.train(params.copy(), mask, separable_data(), cfg, 4)
+        b = nn.train(params.copy(), mask, separable_data(), cfg, 4)
         for wa, wb in zip(a.weights, b.weights):
             assert np.array_equal(wa, wb)
 
@@ -137,7 +137,7 @@ class TestTrain:
         params = nn.init_network(toy_specs(), seed=5)
         mask = PruningMask.all_ones(params)
         cfg = nn.TrainConfig(epochs=2, batch_size=8, learning_rate=0.0, weight_decay=0.0)
-        out = nn.train(params.copy(), mask, separable_data(), cfg)
+        out = nn.train(params.copy(), mask, separable_data(), cfg, 0)
         for w, w0 in zip(out.weights, params.weights):
             assert np.array_equal(w, w0)
 
@@ -148,7 +148,7 @@ class TestTrain:
         mask = PruningMask.all_ones(params)
         cfg = nn.TrainConfig(epochs=1, batch_size=8)
         with pytest.raises(nn.TrainingDivergedError):
-            nn.train(params, mask, separable_data(), cfg)
+            nn.train(params, mask, separable_data(), cfg, 0)
 
 
 class TestEvaluate:
@@ -190,7 +190,7 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="mask length"):
             nn.apply_mask(params, short)
         with pytest.raises(ValueError, match="mask length"):
-            nn.train(params, short, separable_data(), cfg)
+            nn.train(params, short, separable_data(), cfg, 0)
         assert np.array_equal(params.flat, before)
 
     def test_empty_dataset_rejected(self):
@@ -267,7 +267,7 @@ class TestTrainMemory:
     def test_peak_is_three_parameter_vectors(self):
         params, mask, data = linear_training(2000, 50, 8)
         cfg = nn.TrainConfig(epochs=1, batch_size=4)
-        peak = traced_peak(nn.train, params, mask, data, cfg)
+        peak = traced_peak(nn.train, params, mask, data, cfg, 0)
         # The 4-row batch (64 kB) fits in the work vector; a copy of the
         # network, a separate batch or a float copy of the mask would each
         # add about a vector.
@@ -278,7 +278,7 @@ class TestTrainMemory:
         cfg = nn.TrainConfig(epochs=1, batch_size=256)
         batch = cfg.batch_size * 2000 * 8
         assert batch > 10 * params.flat.nbytes
-        peak = traced_peak(nn.train, params, mask, data, cfg)
+        peak = traced_peak(nn.train, params, mask, data, cfg, 0)
         # The update fits in the batch-sized work vector. The margin covers
         # the softmax's 40 kB arrays of logits and numpy's 64 kB buffer for
         # casting the boolean mask; a copy of the network (320 kB) and a
@@ -392,7 +392,7 @@ def reference_loss_and_grads(params, X, labels):
     return loss, grad_w, grad_b
 
 
-def reference_train(params, mask, data, cfg):
+def reference_train(params, mask, data, cfg, seed):
     net = params.copy()
     net.flat[: net.n_weights] *= mask.flat
     vel = np.zeros_like(net.flat)
@@ -400,7 +400,7 @@ def reference_train(params, mask, data, cfg):
     batch = min(cfg.batch_size, n)
     for epoch in range(cfg.epochs):
         lr = nn.cosine_lr(cfg.learning_rate, epoch, cfg.epochs)
-        order = np.random.default_rng([cfg.seed, epoch]).permutation(n)
+        order = np.random.default_rng([seed, epoch]).permutation(n)
         for start in range(0, n, batch):
             idx = order[start : start + batch]
             loss, grad_w, grad_b = reference_loss_and_grads(
@@ -446,10 +446,10 @@ class TestReferenceTrainer:
         for nesterov, weight_decay, momentum in settings:
             cfg = nn.TrainConfig(
                 epochs=3, batch_size=batch_size, learning_rate=0.3, momentum=momentum,
-                weight_decay=weight_decay, nesterov=nesterov, seed=5,
+                weight_decay=weight_decay, nesterov=nesterov,
             )
-            got = nn.train(params.copy(), mask, data, cfg)
-            want = reference_train(params, mask, data, cfg)
+            got = nn.train(params.copy(), mask, data, cfg, 5)
+            want = reference_train(params, mask, data, cfg, 5)
             assert np.array_equal(got.flat, want.flat), cfg
             assert not np.array_equal(got.flat, params.flat)
 

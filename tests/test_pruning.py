@@ -36,7 +36,7 @@ def tiny_run_setup(seed=0, n=200, features=8):
         SyntheticSpec(n_samples=n, n_features=features, n_classes=2, seed=seed)
     )
     specs = [nn.LayerSpec(features, 6), nn.LayerSpec(6, 2)]
-    cfg = nn.TrainConfig(epochs=2, batch_size=32, seed=seed)
+    cfg = nn.TrainConfig(epochs=2, batch_size=32)
     return specs, cfg, train, test
 
 
@@ -230,7 +230,7 @@ class TestRunPruning:
     def test_lottery_ticket_floor_recursion(self):
         specs, cfg, train, test = tiny_run_setup()
         alg = AlgorithmSpec(kind="lottery_ticket", iterations=6, ratio=0.2)
-        rec = run_pruning(alg, Scope.GLOBAL, specs, cfg, train, test)
+        rec = run_pruning(alg, Scope.GLOBAL, specs, cfg, 0, train, test)
         d = rec.iterations[0].d_t
         d0 = d
         for it in rec.iterations:
@@ -241,19 +241,17 @@ class TestRunPruning:
     def test_mask_monotone_and_bookkeeping(self):
         specs, cfg, train, test = tiny_run_setup()
         alg = AlgorithmSpec(kind="sap", iterations=5)
-        rec = run_pruning(alg, Scope.LAYER_WISE, specs, cfg, train, test)
+        rec = run_pruning(alg, Scope.LAYER_WISE, specs, cfg, 0, train, test)
         for a, b in zip(rec.iterations, rec.iterations[1:]):
             assert b.d_t == a.d_t - a.c_total
             assert b.d_t <= a.d_t
 
     def test_one_shot_matches_lottery_at_first_prune(self):
         specs, cfg, train, test = tiny_run_setup()
-        os_rec = run_pruning(
-            AlgorithmSpec(kind="one_shot", iterations=3), Scope.GLOBAL, specs, cfg, train, test
-        )
-        lt_rec = run_pruning(
-            AlgorithmSpec(kind="lottery_ticket", iterations=3), Scope.GLOBAL, specs, cfg, train, test
-        )
+        os_rec = run_pruning(AlgorithmSpec(kind="one_shot", iterations=3), Scope.GLOBAL,
+                             specs, cfg, 0, train, test)
+        lt_rec = run_pruning(AlgorithmSpec(kind="lottery_ticket", iterations=3), Scope.GLOBAL,
+                             specs, cfg, 0, train, test)
         # Same trained w_0, same prune rule: identical mask after iteration 0.
         assert os_rec.iterations[0].acc_pruned == lt_rec.iterations[0].acc_pruned
         assert os_rec.iterations[0].pqi_pruned == lt_rec.iterations[0].pqi_pruned
@@ -261,9 +259,8 @@ class TestRunPruning:
 
     def test_one_shot_never_retrains(self):
         specs, cfg, train, test = tiny_run_setup()
-        rec = run_pruning(
-            AlgorithmSpec(kind="one_shot", iterations=3), Scope.GLOBAL, specs, cfg, train, test
-        )
+        rec = run_pruning(AlgorithmSpec(kind="one_shot", iterations=3), Scope.GLOBAL,
+                          specs, cfg, 0, train, test)
         # Pruned metrics of iteration t equal retrained metrics of t+1: both
         # evaluate the same frozen weights under m_{t+1}.
         for a, b in zip(rec.iterations, rec.iterations[1:]):
@@ -276,9 +273,8 @@ class TestRunPruning:
         evaluate, train_fn = nn.evaluate, nn.train
         monkeypatch.setattr(nn, "evaluate", lambda *a: calls.append(a[0]) or evaluate(*a))
         monkeypatch.setattr(nn, "train", lambda *a: trained.append(train_fn(*a)) or trained[-1])
-        rec = run_pruning(
-            AlgorithmSpec(kind="one_shot", iterations=4), Scope.NEURON_WISE, specs, cfg, train, test
-        )
+        rec = run_pruning(AlgorithmSpec(kind="one_shot", iterations=4), Scope.NEURON_WISE,
+                          specs, cfg, 0, train, test)
         # Round 0's retrained metrics, then one call per round that pruned:
         # a round whose counts are all zero keeps its mask and its metrics.
         assert len(calls) == 1 + sum(it.c_total > 0 for it in rec.iterations)
@@ -306,8 +302,8 @@ class TestRunPruning:
         trained, evaluations, decisions = [], [], []
         train_fn, evaluate, count = nn.train, nn.evaluate, pruning.sap_count
 
-        def recording_train(params, mask, data, train_cfg):
-            model = train_fn(params, mask, data, train_cfg)
+        def recording_train(params, mask, data, train_cfg, seed):
+            model = train_fn(params, mask, data, train_cfg, seed)
             trained.append((model, PruningMask(mask.flat.copy())))
             return model
 
@@ -315,7 +311,7 @@ class TestRunPruning:
         monkeypatch.setattr(nn, "evaluate", lambda *a: evaluations.append(1) or evaluate(*a))
         monkeypatch.setattr(pruning, "sap_count", lambda *a: decisions.append(1) or count(*a))
         alg = AlgorithmSpec(kind=kind, iterations=iterations)
-        rec = run_pruning(alg, scope, specs, cfg, train, test)
+        rec = run_pruning(alg, scope, specs, cfg, 0, train, test)
         for a, b in zip(rec.iterations, rec.iterations[1:]):
             assert b.d_t == a.d_t - a.c_total
         # Rounds 0..k-1 prune; round k trains under their mask and prunes
@@ -349,14 +345,14 @@ class TestRunPruning:
         made = []  # weak references to every network, weight vector and magnitudes made
         trainings = []
         train_fn, init, flatten = nn.train, nn.init_network, nn.flatten_prunable
-        initial = init(specs, cfg.seed).flat
+        initial = init(specs, 0).flat
 
         def recording_init(layer_specs, seed):
             params = init(layer_specs, seed)
             made.extend([weakref.ref(params), weakref.ref(params.flat)])
             return params
 
-        def checking_train(params, mask, data, train_cfg):
+        def checking_train(params, mask, data, train_cfg, seed):
             gc.collect()
             # The network built at the top is trained at t=0 and rebuilt for
             # every later round, never held beside the one being trained.
@@ -364,7 +360,7 @@ class TestRunPruning:
             assert len(alive) == 2 and alive[0] is params and alive[1] is params.flat
             assert np.array_equal(params.flat, initial)
             trainings.append(len(made))
-            model = train_fn(params, mask, data, train_cfg)
+            model = train_fn(params, mask, data, train_cfg, seed)
             assert model is params
             return model
 
@@ -377,7 +373,7 @@ class TestRunPruning:
         monkeypatch.setattr(nn, "train", checking_train)
         monkeypatch.setattr(nn, "flatten_prunable", recording_flatten)
         rec = run_pruning(AlgorithmSpec(kind=kind, iterations=3), Scope.LAYER_WISE,
-                          specs, cfg, train, test)
+                          specs, cfg, 0, train, test)
         assert all(it.c_total > 0 for it in rec.iterations)
         assert trainings == ([2] if kind == "one_shot" else [2, 5, 8, 11])
 
@@ -399,7 +395,7 @@ class TestRunPruning:
         monkeypatch.setattr(nn, "train", recording_train)
         monkeypatch.setattr(pruning, "_pruned_mask", recording_prune)
         rec = run_pruning(AlgorithmSpec(kind=kind, iterations=3), Scope.LAYER_WISE,
-                          specs, cfg, train, test)
+                          specs, cfg, 0, train, test)
         assert all(it.c_total > 0 for it in rec.iterations)
         masks = [PruningMask(np.ones(next_masks[0].flat.size, dtype=bool)), *next_masks]
 
@@ -421,8 +417,8 @@ class TestRunPruning:
         train_fn, count = nn.train, pruning.sap_count
         decisions = []
 
-        def train_to_zero(params, mask, data, train_cfg):
-            model = train_fn(params, mask, data, train_cfg)
+        def train_to_zero(params, mask, data, train_cfg, seed):
+            model = train_fn(params, mask, data, train_cfg, seed)
             model.flat[: model.n_weights] = 0.0
             return model
 
@@ -430,7 +426,7 @@ class TestRunPruning:
         monkeypatch.setattr(pruning, "sap_count", lambda *a: decisions.append(1) or count(*a))
         iterations = 3
         rec = run_pruning(AlgorithmSpec(kind="sap", iterations=iterations), Scope.NEURON_WISE,
-                          specs, cfg, train, test)
+                          specs, cfg, 0, train, test)
         # Every row is all zero, so round 0 prunes nothing and rounds 1-3
         # repeat it: the same metrics and groups, and the same skipped rows.
         labels = [label for labels, *_ in partition(nn.init_network(specs, 0), Scope.NEURON_WISE)
@@ -452,7 +448,7 @@ class TestRunPruning:
         specs, cfg, train, test = tiny_run_setup()
         hp = SapHyperParams(norms=NormPair(0.5, 1.0), eta=0.5, gamma=1.5, beta=0.9)
         alg = AlgorithmSpec(kind="sap", iterations=4, sap=hp)
-        rec = run_pruning(alg, Scope.NEURON_WISE, specs, cfg, train, test)
+        rec = run_pruning(alg, Scope.NEURON_WISE, specs, cfg, 0, train, test)
         for it in rec.iterations:
             for entry in it.groups:
                 assert replay_count(entry, hp) == entry["c"]
@@ -461,7 +457,7 @@ class TestRunPruning:
         specs, cfg, train, test = tiny_run_setup()
         hp = SapHyperParams(norms=NormPair(0.5, 1.0), eta=0.0, gamma=1.0, beta=0.9)
         alg = AlgorithmSpec(kind="sap", iterations=4, sap=hp)
-        rec = run_pruning(alg, Scope.GLOBAL, specs, cfg, train, test)
+        rec = run_pruning(alg, Scope.GLOBAL, specs, cfg, 0, train, test)
         qp = hp.norms.q * hp.norms.p / (hp.norms.q - hp.norms.p)
         for it in rec.iterations:
             for entry in it.groups:
@@ -472,7 +468,7 @@ class TestRunPruning:
         specs, cfg, train, test = tiny_run_setup()
         hp = SapHyperParams(norms=NormPair(0.5, 1.0), eta=50.0, gamma=50.0, beta=1.0)
         alg = AlgorithmSpec(kind="sap", iterations=3, sap=hp)
-        rec = run_pruning(alg, Scope.GLOBAL, specs, cfg, train, test)
+        rec = run_pruning(alg, Scope.GLOBAL, specs, cfg, 0, train, test)
         assert rec.completed
         assert rec.iterations[-1].d_t == 0
         assert math.isnan(rec.iterations[-1].pqi_retrained)
@@ -483,7 +479,7 @@ class TestRunPruning:
         alg = AlgorithmSpec(kind="sap", iterations=2)
         # The suite runs with warnings as errors: numpy's overflow warnings
         # must not turn a diverged run into a raised one.
-        rec = run_pruning(alg, Scope.NEURON_WISE, specs, cfg, train, test)
+        rec = run_pruning(alg, Scope.NEURON_WISE, specs, cfg, 0, train, test)
         assert not rec.completed
         assert rec.events == [
             "iteration 0: training diverged: non-finite loss at epoch 1, batch offset 64"
@@ -495,15 +491,15 @@ class TestRunPruning:
         specs, cfg, train, test = tiny_run_setup()
         train_fn = nn.train
 
-        def train_to_huge_weights(params, mask, data, train_cfg):
+        def train_to_huge_weights(params, mask, data, train_cfg, seed):
             # Finite weights whose forward pass overflows on the test split.
-            model = train_fn(params, mask, data, train_cfg)
+            model = train_fn(params, mask, data, train_cfg, seed)
             model.flat[: model.n_weights] *= 1e300
             return model
 
         monkeypatch.setattr(nn, "train", train_to_huge_weights)
         rec = run_pruning(AlgorithmSpec(kind=kind, iterations=2), Scope.GLOBAL,
-                          specs, cfg, train, test)
+                          specs, cfg, 0, train, test)
         assert not rec.completed
         assert rec.events == ["iteration 0: training diverged: non-finite test loss"]
         assert rec.iterations == []
@@ -514,15 +510,15 @@ class TestRunPruning:
         masks = []
         train_fn = nn.train
 
-        def train_zeroing_row(params, mask, data, train_cfg):
+        def train_zeroing_row(params, mask, data, train_cfg, seed):
             masks.append(mask.flat.copy())
-            model = train_fn(params, mask, data, train_cfg)
+            model = train_fn(params, mask, data, train_cfg, seed)
             model.weights[0][k] = 0.0
             return model
 
         monkeypatch.setattr(nn, "train", train_zeroing_row)
         alg = AlgorithmSpec(kind="sap", iterations=1)
-        rec = run_pruning(alg, Scope.NEURON_WISE, specs, cfg, train, test)
+        rec = run_pruning(alg, Scope.NEURON_WISE, specs, cfg, 0, train, test)
         label = f"layer0/neuron{k}"
         assert f"iteration 0: group {label} all-zero survivors; skipped" in rec.events
         first, second = rec.iterations
@@ -537,6 +533,6 @@ class TestRunPruning:
     def test_record_row_count(self):
         specs, cfg, train, test = tiny_run_setup()
         alg = AlgorithmSpec(kind="lottery_ticket", iterations=4)
-        rec = run_pruning(alg, Scope.GLOBAL, specs, cfg, train, test)
+        rec = run_pruning(alg, Scope.GLOBAL, specs, cfg, 0, train, test)
         assert len(rec.iterations) == 5
         assert [it.t for it in rec.iterations] == list(range(5))
