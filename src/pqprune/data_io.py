@@ -215,8 +215,11 @@ def write_run_record(rec: RunRecord, directory) -> None:
     the temporary file chunk by chunk as it is encoded, so the whole text is
     never held in memory. Writers hold an exclusive flock on the directory's
     `.lock` file while they write, and each file is replaced whole
-    (`_write_atomic`).
+    (`_write_atomic`). An iteration that `read_run_record` would reject
+    raises TypeError before anything is written.
     """
+    for it in rec.iterations:  # the reader's check, so the writer writes only what it reads
+        IterationMetrics.from_dict(vars(it))
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 

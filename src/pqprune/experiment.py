@@ -8,6 +8,7 @@ import logging
 import math
 import traceback
 from collections.abc import Iterator
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -53,12 +54,38 @@ def load_datasets(cfg: ExperimentConfig) -> Datasets:
     )
 
 
+def cell_echo(cfg: ExperimentConfig, alg: AlgorithmSpec, seed: int, specs: list[nn.LayerSpec]):
+    """The `config` of run.json for the (`alg`, `seed`) cell of `cfg` over the
+    dense layers `specs`, in file order; it needs no run of the cell."""
+    hp = alg.sap
+    return {
+        "algorithm": alg.kind,
+        "iterations": alg.iterations,
+        "ratio": alg.ratio,
+        "sap": None if hp is None else {"p": hp.norms.p, "q": hp.norms.q, "eta": hp.eta,
+                                        "gamma": hp.gamma, "beta": hp.beta},
+        "scope": cfg.scope.value,
+        "index_p": alg.index_norms.p,
+        "index_q": alg.index_norms.q,
+        "seed": seed,
+        "train": asdict(cfg.train),
+        "layers": [  # a ReLU follows every layer but the last, which emits logits
+            {"in": s.in_size, "out": s.out_size,
+             "activation": "relu" if l < len(specs) - 1 else "none"}
+            for l, s in enumerate(specs)
+        ],
+    }
+
+
 def run_cell(cfg: ExperimentConfig, alg: AlgorithmSpec, seed: int, data: Datasets) -> RunRecord:
-    """Execute one (algorithm, seed) cell end to end on the datasets `data`."""
+    """Execute one (algorithm, seed) cell end to end on the datasets `data`:
+    the record of `run_pruning`, with `cell_echo` as its config."""
     train_data, test_data = data
     n_classes = int(max(train_data.labels.max(), test_data.labels.max())) + 1
     specs = nn.model_specs(cfg.model, train_data.inputs.shape[1], n_classes)
-    return run_pruning(alg, cfg.scope, specs, cfg.train, seed, train_data, test_data)
+    record = run_pruning(alg, cfg.scope, specs, cfg.train, seed, train_data, test_data)
+    record.config = cell_echo(cfg, alg, seed, specs)
+    return record
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict[str, RunRecord]:

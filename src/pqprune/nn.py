@@ -16,7 +16,7 @@ import numpy as np
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite during training."""
+    """A training or test loss became non-finite."""
 
 
 @dataclass(frozen=True)
@@ -251,7 +251,7 @@ def train(net: NetworkParams, mask, data: Dataset, cfg: TrainConfig, seed: int) 
     return net
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the caller checks the loss is finite
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite test loss raises below
 def evaluate(net: NetworkParams, data: Dataset) -> tuple[float, float]:
     """(accuracy, mean cross-entropy) of `net` as it stands, pruned to its
     current mask. The call holds no copy of the network.
@@ -260,8 +260,10 @@ def evaluate(net: NetworkParams, data: Dataset) -> tuple[float, float]:
     holds one block's activations, never the whole split's. Each row's
     log-likelihood and correctness land in one vector each, reduced once,
     so the results equal those of one pass over every row bit for bit.
-    Argmax ties resolve to the lowest class id. An overflow gives a
-    non-finite loss, not a numpy warning.
+    Argmax ties resolve to the lowest class id. A non-finite loss raises
+    TrainingDivergedError, with no numpy warning: training checks its loss
+    only before each update, so its last update can leave finite weights
+    that overflow on the test split.
     """
     n = len(data)
     loglik = np.empty(n)
@@ -273,7 +275,10 @@ def evaluate(net: NetworkParams, data: Dataset) -> tuple[float, float]:
         labels = data.labels[rows]
         loglik[rows] = _log_softmax_parts(logits, labels)[0]
         correct[rows] = logits.argmax(axis=1) == labels
-    return float(correct.mean()), -float(loglik.mean())
+    loss = -float(loglik.mean())
+    if not math.isfinite(loss):
+        raise TrainingDivergedError("non-finite test loss")
+    return float(correct.mean()), loss
 
 
 def flatten_prunable(params: NetworkParams) -> np.ndarray:

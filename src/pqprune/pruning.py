@@ -10,7 +10,7 @@ mask the same trained weights).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -83,6 +83,11 @@ class AlgorithmSpec:
             raise ValueError("ratio must be in (0, 1)")
         if self.kind == "sap" and self.sap is None:
             object.__setattr__(self, "sap", SapHyperParams())
+
+    @property
+    def index_norms(self) -> NormPair:
+        """The reported indices' norm pair: SAP's, or (0.5, 1.0) for the baselines."""
+        return (self.sap or SapHyperParams()).norms
 
 
 def partition(params: nn.NetworkParams, scope: Scope) -> list[tuple[list[str], int, int, int]]:
@@ -177,16 +182,6 @@ def _surviving_index(mags: np.ndarray, mask: PruningMask, norms: NormPair):
         return float("nan"), float("nan")
 
 
-def _evaluate(model: nn.NetworkParams, test_data: nn.Dataset) -> tuple[float, float]:
-    """`nn.evaluate`, raising TrainingDivergedError on a non-finite test loss:
-    training checks its loss only before each update, so its last update
-    can leave finite weights that overflow on the test split."""
-    acc, loss = nn.evaluate(model, test_data)
-    if not math.isfinite(loss):
-        raise nn.TrainingDivergedError("non-finite test loss")
-    return acc, loss
-
-
 def run_pruning(
     alg: AlgorithmSpec,
     scope: Scope,
@@ -196,54 +191,29 @@ def run_pruning(
     train_data: nn.Dataset,
     test_data: nn.Dataset,
 ) -> RunRecord:
-    """Run one pruning experiment and return its full iteration record.
+    """Run one pruning experiment and return its iteration record; its
+    `config` is left empty, for the caller's `experiment.cell_echo`.
 
     Produces iterations t = 0..T inclusive; row t holds metrics of the model
     under mask m_t ("retrained") and under m_{t+1} ("pruned", no retraining).
-    The reported sparsity indices use the SAP norm pair, or the default
-    pair (0.5, 1.0) for the baselines.
+    The reported sparsity indices use `alg.index_norms`.
 
     `seed` draws the initial network and each training's shuffle order.
     Each training round trains, in place, the one network it is handed.
     Rewinding to the initial weights rebuilds them with `nn.init_network`
     from `seed`, bit for bit, once the last round's network and magnitudes
     have gone, so no copy of the initial network is held while a round
-    trains. One shot hands over its only network at t=0. The
-    network stands pruned to the current mask: masks only shrink, so
-    `nn.apply_mask` prunes it to m_{t+1} in place before the pruned
-    evaluation. A non-finite training or test loss ends the cell as diverged.
+    trains. One shot hands over its only network at t=0. The cell holds
+    one mask, which `_prune` shrinks to m_{t+1} in place. The network
+    stands pruned to it: masks only shrink, so `nn.apply_mask` prunes it
+    to m_{t+1} in place before the pruned evaluation. A non-finite
+    training or test loss ends the cell as diverged.
     """
-    index_norms = (alg.sap or SapHyperParams()).norms
     model = nn.init_network(layer_specs, seed)
     mask = PruningMask.all_ones(model)
     d0 = mask.ones_count()
     blocks = partition(model, scope)
-    record = RunRecord(
-        config={
-            "algorithm": alg.kind,
-            "iterations": alg.iterations,
-            "ratio": alg.ratio,
-            "sap": None
-            if alg.sap is None
-            else {
-                "p": alg.sap.norms.p,
-                "q": alg.sap.norms.q,
-                "eta": alg.sap.eta,
-                "gamma": alg.sap.gamma,
-                "beta": alg.sap.beta,
-            },
-            "scope": scope.value,
-            "index_p": index_norms.p,
-            "index_q": index_norms.q,
-            "seed": seed,
-            "train": asdict(cfg),
-            "layers": [  # a ReLU follows every layer but the last, which emits logits
-                {"in": s.in_size, "out": s.out_size,
-                 "activation": "relu" if l < len(layer_specs) - 1 else "none"}
-                for l, s in enumerate(layer_specs)
-            ],
-        }
-    )
+    record = RunRecord(config={})
 
     try:
         for t in range(alg.iterations + 1):
@@ -255,8 +225,8 @@ def run_pruning(
                     model = nn.init_network(layer_specs, seed)
                 model = nn.train(model, mask, train_data, cfg, seed)
                 mags = nn.flatten_prunable(model)
-                acc_r, loss_r = _evaluate(model, test_data)
-                pqi_r, gini_r = _surviving_index(mags, mask, index_norms)
+                acc_r, loss_r = nn.evaluate(model, test_data)
+                pqi_r, gini_r = _surviving_index(mags, mask, alg.index_norms)
             else:
                 # One shot never retrains: this round's weights and mask are the
                 # ones last round's pruned metrics were taken under.
@@ -267,9 +237,9 @@ def run_pruning(
             record.events.extend(f"iteration {t}: {event}" for event in skipped)
             c_total = sum(entry["c"] for entry in group_logs)
             if c_total > 0:
-                next_mask = _pruned_mask(blocks, mags, mask, counts)
-                acc_p, loss_p = _evaluate(nn.apply_mask(model, next_mask), test_data)
-                pqi_p, gini_p = _surviving_index(mags, next_mask, index_norms)
+                _prune(blocks, mags, mask, counts)
+                acc_p, loss_p = nn.evaluate(nn.apply_mask(model, mask), test_data)
+                pqi_p, gini_p = _surviving_index(mags, mask, alg.index_norms)
             else:  # the mask stays as it is, and so does every metric
                 acc_p, loss_p, pqi_p, gini_p = acc_r, loss_r, pqi_r, gini_r
 
@@ -298,7 +268,6 @@ def run_pruning(
                     record.events.extend(f"iteration {later}: {event}" for event in skipped)
                     record.iterations.append(replace(record.iterations[t], t=later))
                 break
-            mask = next_mask
     except nn.TrainingDivergedError as exc:
         record.events.append(f"iteration {t}: training diverged: {exc}")
         record.completed = False
@@ -335,17 +304,15 @@ def _decide(alg: AlgorithmSpec, blocks, mags: np.ndarray, mask: PruningMask):
     return group_logs, skipped, counts
 
 
-def _pruned_mask(blocks, mags: np.ndarray, mask: PruningMask, counts) -> PruningMask:
-    """A copy of `mask` without the weights that each block's `counts` prune."""
-    next_mask = PruningMask(mask.flat.copy())
+def _prune(blocks, mags: np.ndarray, mask: PruningMask, counts) -> None:
+    """Clear from `mask`, in place, the weights that each block's `counts` prune."""
     for (_, offset, rows, cols), block_counts in zip(blocks, counts):
         drop = magnitude_prune(
             _block_view(mags, offset, rows, cols),
             _block_view(mask.flat, offset, rows, cols),
             block_counts,
         )
-        next_mask.flat[offset + drop] = False
-    return next_mask
+        mask.flat[offset + drop] = False
 
 
 def replay_count(entry: dict, hp: SapHyperParams) -> int:

@@ -70,9 +70,10 @@ class RunRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
         shape = [type(d[k]) for k in ("config", "completed", "events", "iterations")]
-        if shape != [dict, bool, list, list] or any(type(e) is not str for e in d["events"]):
-            raise TypeError("config must be an object, completed a boolean, "
-                            "events a list of strings and iterations a list")
+        if (shape != [dict, bool, list, list] or any(type(e) is not str for e in d["events"])
+                or d["completed"] and not d["iterations"]):
+            raise TypeError("config must be an object, completed a boolean, events a list "
+                            "of strings and iterations a list, not empty if completed")
         return cls(d["config"], d["completed"], d["events"],
                    [IterationMetrics.from_dict(it) for it in d["iterations"]])
 

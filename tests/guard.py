@@ -5,16 +5,19 @@
 The script checks REV out into a temporary local `git worktree`, runs one
 fixed table of `pqprune` commands (COMMANDS) on REV's `src/` and then on the
 working tree's, each in a child process with BLAS pinned to one thread, and
-removes the worktree. It then prints, for every output of either side, its
-sha256 and whether the two sides agree. The outputs are every file a command
-writes, its stdout and its exit code. For a `run.json` that differs, it names
-the top-level keys that differ, so a deliberate change to the config echo
-reads "differs in: config".
+removes the worktree. Each side's directory first gets the commands'
+inputs, drawn from fixed generators: a 100k-entry vector for `measure`
+and an IDX image set for one grid. It then prints, for every output of
+either side, its sha256 and whether the two sides agree. The outputs are
+every file a command writes, its stdout and its exit code. For a
+`run.json` that differs, it names the top-level keys that differ, so a
+deliberate change to the config echo reads "differs in: config".
 
 It exits 0 when every output is the same, 1 otherwise. OpenBLAS kernels
 differ between CPUs, so the guard holds no golden digests: it compares two
 revisions on one machine. Tier-1 does not collect this file;
-`tests/test_guard.py` checks that every config in the table parses.
+`tests/test_guard.py` checks that every config in the table parses and
+that the IDX grid's input loads.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -35,6 +39,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # The BLAS thread count changes output bytes; perfbench pins its children the same way.
 PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 VECTOR = "vector_100k.txt"  # the input of `measure`, written into each side's directory
+IDX_ROWS = {"train": 600, "test": 150}  # images in each split of the IDX grid's input
 
 
 @dataclass(frozen=True)
@@ -52,6 +57,8 @@ def grid(name: str, config: str, workers: int = 1) -> Command:
 DESK = "algorithm.kinds = sap,lottery_ticket\n"  # every other setting at its default
 MNIST = ("dataset.n_samples = 10000\ndataset.n_features = 784\ndataset.n_classes = 10\n"
          "train.batch_size = 250\ntrain.epochs = 1\nseeds = 0\n")
+IDX = "dataset.kind = idx\n" + "".join(f"dataset.{split}_{part} = {split}-{part}.idx\n"
+                                       for split in IDX_ROWS for part in ("images", "labels"))
 
 COMMANDS = [
     grid("desk", DESK),
@@ -60,6 +67,8 @@ COMMANDS = [
     *(grid(f"mnist_sap_{scope}",
            f"{MNIST}scope = {scope}\nalgorithm.kinds = sap\nalgorithm.iterations = 2\n")
       for scope in ("global", "layer_wise", "neuron_wise")),
+    grid("idx_layer_wise", f"{IDX}scope = layer_wise\nalgorithm.kinds = sap,lottery_ticket\n"
+                           "algorithm.iterations = 4\nseeds = 0,1\n"),
     grid("sweep_one_shot_neuron_wise",
          f"{MNIST}scope = neuron_wise\nalgorithm.kinds = one_shot\nalgorithm.iterations = 30\n"),
     grid("mnist_all_kinds_neuron_wise",
@@ -77,12 +86,27 @@ COMMANDS = [
 ]
 
 
+def write_idx(root: Path) -> None:
+    """The IDX grid's input in `root`: for each split, an image file of 8 x 8
+    pixels and a label file in three classes, each class brighter in its
+    own two rows, drawn from a fixed generator."""
+    rng = np.random.default_rng(0)
+    for split, n in IDX_ROWS.items():
+        labels = rng.integers(0, 3, n, dtype=np.uint8)
+        images = rng.integers(0, 128, (n, 8, 8), dtype=np.uint8)
+        images[np.arange(n)[:, None], 2 * labels[:, None] + [0, 1]] += 12
+        (root / f"{split}-images.idx").write_bytes(
+            struct.pack(">IIII", 0x803, n, 8, 8) + images.tobytes())
+        (root / f"{split}-labels.idx").write_bytes(struct.pack(">II", 0x801, n) + labels.tobytes())
+
+
 def run_side(src: Path, root: Path) -> dict[str, str]:
     """Run COMMANDS with `src` on the path, inside `root`; every output's
     label and digest (sha256 of its bytes; "exit N" for an exit code)."""
     root.mkdir()
     values = np.random.default_rng(0).laplace(size=100_000)
     (root / VECTOR).write_text("".join(f"{x!r}\n" for x in values.tolist()))
+    write_idx(root)
     env = {**os.environ, **PINNED_ENV, "PYTHONPATH": str(src)}
     outputs = {}
     for cmd in COMMANDS:

@@ -123,28 +123,37 @@ MUTANTS = [
     Mutant(
         "run_pruning: the pruned evaluation without apply_mask",
         PRUNING,
-        "_evaluate(nn.apply_mask(model, next_mask), test_data)",
-        "_evaluate(model, test_data)",
+        "nn.evaluate(nn.apply_mask(model, mask), test_data)",
+        "nn.evaluate(model, test_data)",
         ("tests/test_pruning.py",),
     ),
     Mutant(
-        "run_pruning: the pruned evaluation under mask instead of next_mask",
+        "run_pruning: the pruned evaluation before the prune",
         PRUNING,
-        "_evaluate(nn.apply_mask(model, next_mask), test_data)",
-        "_evaluate(nn.apply_mask(model, mask), test_data)",
+        "                _prune(blocks, mags, mask, counts)\n"
+        "                acc_p, loss_p = nn.evaluate(nn.apply_mask(model, mask), test_data)\n",
+        "                acc_p, loss_p = nn.evaluate(nn.apply_mask(model, mask), test_data)\n"
+        "                _prune(blocks, mags, mask, counts)\n",
         ("tests/test_pruning.py",),
     ),
     Mutant(
-        "run_pruning: non-finite test-loss check off",
+        "_prune: clears a discarded copy of the mask",
         PRUNING,
-        "    if not math.isfinite(loss):\n        raise nn.TrainingDivergedError",
-        "    if False:\n        raise nn.TrainingDivergedError",
-        ("tests/test_pruning.py", "tests/test_config_cli.py"),
+        "        mask.flat[offset + drop] = False\n",
+        "        mask.flat.copy()[offset + drop] = False\n",
+        ("tests/test_pruning.py",),
+    ),
+    Mutant(
+        "evaluate: non-finite test-loss check off",
+        NN,
+        '    if not math.isfinite(loss):\n        raise TrainingDivergedError("non-finite test loss")',
+        '    if False:\n        raise TrainingDivergedError("non-finite test loss")',
+        ("tests/test_nn.py", "tests/test_pruning.py", "tests/test_config_cli.py"),
     ),
     Mutant(
         "evaluate: errstate removed",
         NN,
-        '@np.errstate(over="ignore", invalid="ignore")  # the caller checks the loss is finite\n',
+        '@np.errstate(over="ignore", invalid="ignore")  # a non-finite test loss raises below\n',
         "",
         ("tests/test_nn.py", "tests/test_pruning.py"),
     ),
@@ -158,9 +167,10 @@ MUTANTS = [
     Mutant(
         "evaluate: loss is the mean of block means",
         NN,
-        "return float(correct.mean()), -float(loglik.mean())",
-        "return float(correct.mean()), -float(\n"
-        "        np.mean([loglik[s : s + EVAL_ROWS].mean() for s in range(0, n, EVAL_ROWS)]))",
+        "    loss = -float(loglik.mean())\n    if not math.isfinite(loss):\n",
+        "    loss = -float(\n"
+        "        np.mean([loglik[s : s + EVAL_ROWS].mean() for s in range(0, n, EVAL_ROWS)]))\n"
+        "    if not math.isfinite(loss):\n",
         ("tests/test_nn.py",),
     ),
     Mutant(
@@ -187,8 +197,8 @@ MUTANTS = [
     Mutant(
         "train: finite-loss check off",
         NN,
-        "if not math.isfinite(loss):",
-        "if False:",
+        "if not math.isfinite(loss):\n                raise TrainingDivergedError(\n",
+        "if False:\n                raise TrainingDivergedError(\n",
         ("tests/test_nn.py",),
     ),
     Mutant(
@@ -283,6 +293,27 @@ MUTANTS = [
         '_write_atomic(directory / "run.json", stream)',
         'stream(directory / "run.json")',
         ("tests/test_data_io.py",),
+    ),
+    Mutant(
+        "write_run_record: the reader's iteration check off",
+        DATA_IO,
+        "        IterationMetrics.from_dict(vars(it))\n",
+        "        pass\n",
+        ("tests/test_data_io.py",),
+    ),
+    Mutant(
+        "RunRecord.from_dict: a completed run with no iterations accepted",
+        RECORDS,
+        '                or d["completed"] and not d["iterations"]):',
+        "                ):",
+        ("tests/test_config_cli.py",),
+    ),
+    Mutant(
+        "cell_echo: index_p taken from the norm pair's q",
+        EXPERIMENT,
+        '"index_p": alg.index_norms.p,',
+        '"index_p": alg.index_norms.q,',
+        ("tests/test_config_cli.py",),
     ),
     Mutant(
         "write_run_record: no newline after the record",

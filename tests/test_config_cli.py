@@ -27,7 +27,7 @@ from pqprune.data_io import (
     write_run_record,
 )
 from pqprune.experiment import trajectory_stats
-from pqprune.nn import TrainConfig
+from pqprune.nn import TrainConfig, model_specs
 from pqprune.pruning import AlgorithmSpec, SapHyperParams, Scope
 from pqprune.records import IterationMetrics, RunRecord
 from pqprune.sparsity import NormPair
@@ -601,6 +601,10 @@ class TestRunAndReport:
             (lambda text: json.dumps({**json.loads(text), "events": [1]}), "has the wrong shape"),
             (lambda text: json.dumps({**json.loads(text), "iterations": {}}),
              "has the wrong shape"),
+            # A completed run has T+1 iterations; report failed on none with
+            # "not enough values to unpack" and no file named.
+            (lambda text: json.dumps({**json.loads(text), "iterations": []}),
+             "has the wrong shape"),
             (lambda text: damaged_iteration(text, t="zero"), "has the wrong shape"),
             (lambda text: damaged_iteration(text, d_t=True), "has the wrong shape"),
             (lambda text: damaged_iteration(text, c_total=1.0), "has the wrong shape"),
@@ -617,7 +621,7 @@ class TestRunAndReport:
         ],
         ids=["missing_field", "truncated", "not_an_object", "bad_iteration", "config_a_list",
              "completed_a_string", "events_a_string", "event_not_a_string",
-             "iterations_an_object", "t_a_string", "d_t_a_bool", "c_total_a_float",
+             "iterations_an_object", "completed_without_iterations", "t_a_string", "d_t_a_bool", "c_total_a_float",
              "groups_a_string", "pqi_null", "acc_infinite", "acc_a_bool", "acc_a_string"],
     )
     def test_report_damaged_record_exits_2(self, run_root, tmp_path, capsys, damage, message):
@@ -939,6 +943,71 @@ class TestGridData:
         rec = experiment.run_cell(cfg, AlgorithmSpec("sap", iterations=1), 0,
                                   experiment.load_datasets(cfg))
         assert rec.config["layers"] == layers
+
+    # The full config echo of real cells, key order included, since run.json
+    # holds it in that order.
+    DESK_TRAIN = {"epochs": 5, "batch_size": 50, "learning_rate": 0.1, "momentum": 0.9,
+                  "weight_decay": 0.05, "nesterov": True}
+    MLP_LAYERS = [{"in": 20, "out": 128, "activation": "relu"},
+                  {"in": 128, "out": 256, "activation": "relu"},
+                  {"in": 256, "out": 2, "activation": "none"}]
+
+    @pytest.mark.parametrize(
+        "kind, seed, echo",
+        [
+            ("sap", 0, {
+                "algorithm": "sap", "iterations": 10, "ratio": 0.2,
+                "sap": {"p": 0.5, "q": 1.0, "eta": 0.0, "gamma": 1.0, "beta": 0.9},
+                "scope": "global", "index_p": 0.5, "index_q": 1.0, "seed": 0,
+                "train": DESK_TRAIN, "layers": MLP_LAYERS,
+            }),
+            ("lottery_ticket", 3, {
+                "algorithm": "lottery_ticket", "iterations": 10, "ratio": 0.2, "sap": None,
+                "scope": "global", "index_p": 0.5, "index_q": 1.0, "seed": 3,
+                "train": DESK_TRAIN, "layers": MLP_LAYERS,
+            }),
+        ],
+    )
+    def test_desk_cells_echo_their_config(self, kind, seed, echo):
+        cfg = parse_config("algorithm.kinds = sap,lottery_ticket\n")
+        [alg] = [alg for alg in cfg.algorithms if alg.kind == kind]
+        rec = experiment.run_cell(cfg, alg, seed, experiment.load_datasets(cfg))
+        assert rec.completed
+        assert rec.config == echo
+        assert json.dumps(rec.config) == json.dumps(echo)
+
+    def test_linear_cell_echoes_its_config(self):
+        cfg = parse_config(
+            "model = Linear\nscope = neuron_wise\ndataset.n_features = 6\n"
+            "dataset.n_classes = 3\nalgorithm.kinds = sap\nalgorithm.iterations = 2\n"
+            "algorithm.ratio = 0.3\nsap.p = 0.7\nsap.q = 2\nsap.eta = 0.5\nsap.gamma = 2\n"
+            "sap.beta = 0.8\ntrain.epochs = 1\ntrain.batch_size = 40\ntrain.nesterov = false\n"
+        )
+        rec = experiment.run_cell(cfg, cfg.algorithms[0], 2, experiment.load_datasets(cfg))
+        echo = {
+            "algorithm": "sap", "iterations": 2, "ratio": 0.3,
+            "sap": {"p": 0.7, "q": 2.0, "eta": 0.5, "gamma": 2.0, "beta": 0.8},
+            "scope": "neuron_wise", "index_p": 0.7, "index_q": 2.0, "seed": 2,
+            "train": {"epochs": 1, "batch_size": 40, "learning_rate": 0.1, "momentum": 0.9,
+                      "weight_decay": 0.05, "nesterov": False},
+            "layers": [{"in": 6, "out": 3, "activation": "none"}],
+        }
+        assert rec.config == echo
+        assert json.dumps(rec.config) == json.dumps(echo)
+
+    @pytest.mark.parametrize("kind", ["sap", "lottery_ticket", "one_shot"])
+    @pytest.mark.parametrize("scope", list(Scope))
+    def test_echo_needs_no_run_of_the_cell(self, kind, scope):
+        cfg = parse_config(
+            f"scope = {scope.value}\ndataset.n_samples = 100\ndataset.n_features = 8\n"
+            f"dataset.n_classes = 3\nalgorithm.kinds = {kind}\nalgorithm.iterations = 1\n"
+            "train.epochs = 1\nseeds = 5\n"
+        )
+        [alg] = cfg.algorithms
+        echo = experiment.cell_echo(cfg, alg, 5, model_specs(cfg.model, 8, 3))
+        rec = experiment.run_cell(cfg, alg, 5, experiment.load_datasets(cfg))
+        assert rec.completed
+        assert json.dumps(rec.config) == json.dumps(echo)
 
     def test_desk_grid_generates_its_data_once(self, tmp_path, monkeypatch):
         calls = []

@@ -469,13 +469,22 @@ class TestStreamedRecord:
 
     def test_special_floats_and_non_ascii_text(self, tmp_path):
         rec = golden_record()
-        first = rec.iterations[0]
-        first.acc_pruned, first.loss_retrained, first.loss_pruned = math.nan, math.inf, -math.inf
+        rec.iterations[0].acc_pruned = math.nan
         rec.events.append("iteration 1: group layer0/neuron3 survivors ≈ 0; skipped (Größe µ)")
         write_run_record(rec, tmp_path)
         raw = (tmp_path / "run.json").read_bytes()
         assert raw == reference_run_json(rec).encode()
-        assert b"Infinity" in raw and b"-Infinity" in raw and b"\\u2248" in raw
+        assert b"NaN" in raw and b"\\u2248" in raw
+        assert read_run_record(tmp_path).events == rec.events
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        # The reader rejects an infinite metric, so the writer raises before
+        # it writes anything, and the earlier files stay as they were.
+        for name, value in [("loss_retrained", math.inf), ("loss_pruned", -math.inf)]:
+            bad = golden_record()
+            setattr(bad.iterations[1], name, value)
+            with pytest.raises(TypeError, match=f"an iteration's {name} must be a finite number"):
+                write_run_record(bad, tmp_path)
+            assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
 
     def test_sweep_sized_record_peaks_below_its_file(self, tmp_path):
         rec = sweep_sized_record()

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import math
 import tracemalloc
 
 import numpy as np
@@ -159,12 +158,13 @@ class TestEvaluate:
         acc, _ = nn.evaluate(params, separable_data())
         assert acc == 0.5  # balanced labels, everything argmaxes to class 0
 
-    def test_overflow_gives_a_non_finite_loss_without_a_warning(self):
-        # The suite runs with warnings as errors.
+    def test_overflow_raises_divergence_without_a_warning(self):
+        # The suite runs with warnings as errors, so a numpy overflow warning
+        # would fail this test before the divergence could be raised.
         params = nn.init_network(toy_specs(), seed=7)
         params.flat[: params.n_weights] *= 1e300
-        acc, loss = nn.evaluate(params, separable_data())
-        assert not math.isfinite(loss) and 0.0 <= acc <= 1.0
+        with pytest.raises(nn.TrainingDivergedError, match="^non-finite test loss$"):
+            nn.evaluate(params, separable_data())
 
     def test_mask_idempotent(self):
         # `apply_mask` prunes the network it is given: exactly the dropped

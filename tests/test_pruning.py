@@ -13,7 +13,7 @@ from pqprune.pruning import (
     PruningMask,
     SapHyperParams,
     Scope,
-    _pruned_mask,
+    _prune,
     _surviving_index,
     magnitude_prune,
     partition,
@@ -120,9 +120,10 @@ class TestMagnitudePrune:
         params = single_row_params([0.5, 0.1, 0.3, 0.7])
         mask = PruningMask.all_ones(params)
         blocks = partition(params, Scope.GLOBAL)
-        out = _pruned_mask(blocks, nn.flatten_prunable(params), mask, [[2]])
-        assert list(out.flat) == [True, False, False, True]
-        assert list(mask.flat) == [True, True, True, True]  # input untouched
+        flat = mask.flat
+        _prune(blocks, nn.flatten_prunable(params), mask, [[2]])
+        assert list(mask.flat) == [True, False, False, True]
+        assert mask.flat is flat  # pruned in place
 
     def test_already_masked_not_recounted(self):
         keep = [True, False, True, True]
@@ -164,9 +165,10 @@ class TestMagnitudePrune:
             for (_, lo, hi), count in zip(slices, counts):
                 expected = sequential_prune(mags, expected, lo, hi, count)
             per_block = np.split(np.array(counts), np.cumsum([b[2] for b in blocks])[:-1])
-            got = _pruned_mask(blocks, mags, mask, per_block)
-            np.testing.assert_array_equal(got.flat, expected.flat)
-            assert got.ones_count() == mask.ones_count() - sum(counts)
+            d = mask.ones_count()
+            _prune(blocks, mags, mask, per_block)
+            np.testing.assert_array_equal(mask.flat, expected.flat)
+            assert mask.ones_count() == d - sum(counts)
 
 
 def argsort_prune(mags, keep, counts):
@@ -381,19 +383,19 @@ class TestRunPruning:
     def test_each_round_is_evaluated_under_its_own_masks(self, kind, monkeypatch):
         specs, cfg, train, test = tiny_run_setup()
         trained, next_masks = [], []
-        train_fn, prune = nn.train, pruning._pruned_mask
+        train_fn, prune = nn.train, pruning._prune
 
         def recording_train(*args):
             model = train_fn(*args)
             trained.append(model.flat.copy())
             return model
 
-        def recording_prune(*args):
-            next_masks.append(prune(*args))
-            return next_masks[-1]
+        def recording_prune(blocks, mags, mask, counts):
+            prune(blocks, mags, mask, counts)
+            next_masks.append(PruningMask(mask.flat.copy()))
 
         monkeypatch.setattr(nn, "train", recording_train)
-        monkeypatch.setattr(pruning, "_pruned_mask", recording_prune)
+        monkeypatch.setattr(pruning, "_prune", recording_prune)
         rec = run_pruning(AlgorithmSpec(kind=kind, iterations=3), Scope.LAYER_WISE,
                           specs, cfg, 0, train, test)
         assert all(it.c_total > 0 for it in rec.iterations)
