@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .nn import Dataset
-from .records import IterationMetrics, RunRecord
+from .records import RunRecord
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -200,32 +200,26 @@ def write_text_atomic(path: Path, text: str) -> None:
     _write_atomic(path, lambda tmp: tmp.write_text(text))
 
 
-def _record_fields(o):
-    """A record's fields for the JSON encoder, in declaration order."""
-    if isinstance(o, (RunRecord, IterationMetrics)):
-        return vars(o)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
 def write_run_record(rec: RunRecord, directory) -> None:
     """Write run.json (full record) and iterations.csv to `directory`.
 
     Output bytes are deterministic for an identical record: run.json holds
-    `json.dumps(rec, indent=2)` and a newline. The record is streamed into
-    the temporary file chunk by chunk as it is encoded, so the whole text is
-    never held in memory. Writers hold an exclusive flock on the directory's
-    `.lock` file while they write, and each file is replaced whole
-    (`_write_atomic`). An iteration that `read_run_record` would reject
-    raises TypeError before anything is written.
+    `json.dumps(dataclasses.asdict(rec), indent=2)` and a newline. The record
+    is streamed into the temporary file chunk by chunk as it is encoded, so
+    the whole text is never held in memory. Writers hold an exclusive flock
+    on the directory's `.lock` file while they write, and each file is
+    replaced whole (`_write_atomic`). A record that `read_run_record` would
+    reject raises TypeError before anything is written.
     """
-    for it in rec.iterations:  # the reader's check, so the writer writes only what it reads
-        IterationMetrics.from_dict(vars(it))
+    # The plain view run.json holds; it shares the record's own dicts.
+    view = {**vars(rec), "iterations": [vars(it) for it in rec.iterations]}
+    RunRecord.from_dict(view)  # the reader's check, so the writer writes only what it reads
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
     def stream(tmp: Path) -> None:
         with open(tmp, "w") as f:
-            f.writelines(json.JSONEncoder(indent=2, default=_record_fields).iterencode(rec))
+            f.writelines(json.JSONEncoder(indent=2).iterencode(view))
             f.write("\n")
 
     with _dir_lock(directory):

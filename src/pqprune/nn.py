@@ -105,9 +105,6 @@ class NetworkParams:
         self.weights, self.biases = views[: len(self.specs)], views[len(self.specs) :]
         self.n_weights = sum(w.size for w in self.weights)
 
-    def copy(self) -> "NetworkParams":
-        return NetworkParams(self.specs, self.flat.copy())
-
 
 def init_network(specs: list[LayerSpec], seed: int) -> NetworkParams:
     """Glorot-uniform weights, zero biases; deterministic for a given seed."""

@@ -191,7 +191,7 @@ MUTANTS = [
         "train: the handed-over network left unmasked",
         NN,
         "    apply_mask(net, mask)\n",
-        "    apply_mask(net.copy(), mask)\n",
+        "    apply_mask(NetworkParams(net.specs, net.flat.copy()), mask)\n",
         ("tests/test_nn.py",),
     ),
     Mutant(
@@ -295,10 +295,17 @@ MUTANTS = [
         ("tests/test_data_io.py",),
     ),
     Mutant(
-        "write_run_record: the reader's iteration check off",
+        "write_run_record: the reader's record check off",
         DATA_IO,
-        "        IterationMetrics.from_dict(vars(it))\n",
-        "        pass\n",
+        "    RunRecord.from_dict(view)  #",
+        "    view  #",
+        ("tests/test_data_io.py",),
+    ),
+    Mutant(
+        "write_run_record: writer checks only the iterations",
+        DATA_IO,
+        "    RunRecord.from_dict(view)  #",
+        '    RunRecord.from_dict({**view, "config": {}, "completed": False, "events": []})  #',
         ("tests/test_data_io.py",),
     ),
     Mutant(

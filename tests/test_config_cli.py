@@ -672,7 +672,7 @@ class TestRunAndReport:
         assert cli.main(argv) == 1
         failed = (tmp_path / "failed_cells.txt").read_text()
         assert failed == "sap_seed1\nlottery_ticket_seed1\n"
-        # The parent logs each failure, naming the cell, in a pool too.
+        # The parent logs each failure, naming the cell, also when it ran in a child.
         assert "cell sap_seed1 failed" in caplog.text
         assert "injected failure" in caplog.text
         completed = {name: read_run_record(tmp_path / name)
@@ -683,8 +683,8 @@ class TestRunAndReport:
         assert cli.main(argv) == 0
         assert not (tmp_path / "failed_cells.txt").exists()
 
-    def test_dead_worker_fails_only_its_pool(self, run_root, tmp_path, monkeypatch):
-        # The worker exits without returning, as an OOM kill would end it.
+    def test_dead_children_fail_only_their_cells(self, run_root, tmp_path, monkeypatch):
+        # Each seed-1 child exits without returning, as an OOM kill would end it.
         run_cell = experiment.run_cell
 
         def die_on_seed1(cfg, alg, seed, data):
@@ -728,7 +728,7 @@ class TestRunAndReport:
         assert all(rec.completed for rec in completed.values())
         assert (out / "summary.csv").read_text() == experiment.summarize_records(completed)
 
-    def test_pool_has_one_fork_worker_per_cell(self, tmp_path, child_starts):
+    def test_one_forked_child_per_cell_at_most_workers_alive(self, tmp_path, child_starts):
         # One forked child per cell, at most min(workers, cells) alive at once.
         for kinds, workers, live in [("sap", 8, [1, 2]), ("sap,lottery_ticket", 3, [1, 2, 3, 3])]:
             child_starts.clear()
@@ -1015,8 +1015,9 @@ class TestGridData:
         monkeypatch.setattr(
             experiment, "gen_synthetic", lambda spec: calls.append(spec) or gen_synthetic(spec)
         )
-        monkeypatch.setattr(
-            experiment, "run_pruning", lambda alg, *_: RunRecord(config={"algorithm": alg.kind})
+        monkeypatch.setattr(  # a record the reader accepts: an incomplete run
+            experiment, "run_pruning",
+            lambda alg, *_: RunRecord(config={"algorithm": alg.kind}, completed=False),
         )
         cfg = parse_config("algorithm.kinds = sap,lottery_ticket\n")
         assert len(experiment.run_experiment(cfg, out_dir=tmp_path / "a")) == 8

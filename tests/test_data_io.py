@@ -1,3 +1,4 @@
+import dataclasses
 import fcntl
 import json
 import math
@@ -14,7 +15,6 @@ from pqprune.data_io import (
     IDX_LABEL_MAGIC,
     IdxFormatError,
     SyntheticSpec,
-    _record_fields,
     gen_synthetic,
     load_idx,
     read_run_record,
@@ -427,8 +427,8 @@ class TestRunRecordIO:
 
 
 def reference_run_json(rec: RunRecord) -> str:
-    """run.json as a whole-string encoding would write it."""
-    return json.dumps(rec, indent=2, default=_record_fields) + "\n"
+    """run.json as a whole-string encoding of the record's fields would write it."""
+    return json.dumps(dataclasses.asdict(rec), indent=2) + "\n"
 
 
 GRID_CONFIG = """
@@ -477,12 +477,23 @@ class TestStreamedRecord:
         assert b"NaN" in raw and b"\\u2248" in raw
         assert read_run_record(tmp_path).events == rec.events
         files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        # The reader rejects an infinite metric, so the writer raises before
-        # it writes anything, and the earlier files stay as they were.
+        # The reader rejects an infinite metric and a record of the wrong
+        # shape, so the writer raises before it writes anything, and the
+        # earlier files stay as they were.
+        bad_records = []
         for name, value in [("loss_retrained", math.inf), ("loss_pruned", -math.inf)]:
             bad = golden_record()
             setattr(bad.iterations[1], name, value)
-            with pytest.raises(TypeError, match=f"an iteration's {name} must be a finite number"):
+            bad_records.append((bad, f"an iteration's {name} must be a finite number"))
+        for change, message in [
+            ({"completed": True, "iterations": []}, "not empty if completed"),
+            ({"events": ["iteration 1: pruned", None]}, "events a list of strings"),
+            ({"config": ["sap", 3]}, "config must be an object"),
+            ({"iterations": [vars(golden_record().iterations[0])]}, "__dict__"),
+        ]:
+            bad_records.append((dataclasses.replace(golden_record(), **change), message))
+        for bad, message in bad_records:
+            with pytest.raises(TypeError, match=message):
                 write_run_record(bad, tmp_path)
             assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
 

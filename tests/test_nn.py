@@ -57,7 +57,8 @@ def start_weights(params, mask):
     """The weights training starts from: with no learning rate and no weight
     decay, `train` leaves them unchanged. `params` itself is not trained."""
     cfg = nn.TrainConfig(epochs=1, batch_size=8, learning_rate=0.0, weight_decay=0.0)
-    return nn.train(params.copy(), mask, separable_data(), cfg, 0)
+    net = nn.NetworkParams(params.specs, params.flat.copy())
+    return nn.train(net, mask, separable_data(), cfg, 0)
 
 
 class TestRewind:
@@ -127,8 +128,10 @@ class TestTrain:
         params = nn.init_network(toy_specs(), seed=4)
         mask = PruningMask.all_ones(params)
         cfg = nn.TrainConfig(epochs=4, batch_size=8)
-        a = nn.train(params.copy(), mask, separable_data(), cfg, 4)
-        b = nn.train(params.copy(), mask, separable_data(), cfg, 4)
+        a = nn.train(nn.NetworkParams(params.specs, params.flat.copy()), mask,
+                     separable_data(), cfg, 4)
+        b = nn.train(nn.NetworkParams(params.specs, params.flat.copy()), mask,
+                     separable_data(), cfg, 4)
         for wa, wb in zip(a.weights, b.weights):
             assert np.array_equal(wa, wb)
 
@@ -136,7 +139,8 @@ class TestTrain:
         params = nn.init_network(toy_specs(), seed=5)
         mask = PruningMask.all_ones(params)
         cfg = nn.TrainConfig(epochs=2, batch_size=8, learning_rate=0.0, weight_decay=0.0)
-        out = nn.train(params.copy(), mask, separable_data(), cfg, 0)
+        out = nn.train(nn.NetworkParams(params.specs, params.flat.copy()), mask,
+                       separable_data(), cfg, 0)
         for w, w0 in zip(out.weights, params.weights):
             assert np.array_equal(w, w0)
 
@@ -201,7 +205,8 @@ class TestEvaluate:
 def single_pass_evaluate(params, mask, data):
     """`evaluate` as one forward pass over every row at once: the reference
     that the row blocks must match bit for bit."""
-    logits, _ = nn._forward(nn.apply_mask(params.copy(), mask), data.inputs)
+    net = nn.apply_mask(nn.NetworkParams(params.specs, params.flat.copy()), mask)
+    logits, _ = nn._forward(net, data.inputs)
     shifted = logits - logits.max(axis=1, keepdims=True)
     total = np.exp(shifted).sum(axis=1, keepdims=True)
     rows = np.arange(len(data))
@@ -238,7 +243,8 @@ class TestEvaluateInBlocks:
     )
     def test_equals_one_pass_over_every_row(self, n):
         params, mask, data = mnist_shaped(n, seed=n)
-        acc, loss = nn.evaluate(nn.apply_mask(params.copy(), mask), data)
+        net = nn.apply_mask(nn.NetworkParams(params.specs, params.flat.copy()), mask)
+        acc, loss = nn.evaluate(net, data)
         assert (acc, loss) == single_pass_evaluate(params, mask, data)
         assert 0.0 < loss and (n == 1 or 0.0 < acc < 1.0)
 
@@ -393,7 +399,7 @@ def reference_loss_and_grads(params, X, labels):
 
 
 def reference_train(params, mask, data, cfg, seed):
-    net = params.copy()
+    net = nn.NetworkParams(params.specs, params.flat.copy())
     net.flat[: net.n_weights] *= mask.flat
     vel = np.zeros_like(net.flat)
     n = len(data)
@@ -448,7 +454,8 @@ class TestReferenceTrainer:
                 epochs=3, batch_size=batch_size, learning_rate=0.3, momentum=momentum,
                 weight_decay=weight_decay, nesterov=nesterov,
             )
-            got = nn.train(params.copy(), mask, data, cfg, 5)
+            got = nn.train(nn.NetworkParams(params.specs, params.flat.copy()), mask, data,
+                           cfg, 5)
             want = reference_train(params, mask, data, cfg, 5)
             assert np.array_equal(got.flat, want.flat), cfg
             assert not np.array_equal(got.flat, params.flat)
