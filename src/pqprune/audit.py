@@ -10,8 +10,6 @@ rising_tide (adding a constant to unequal entries lowers it), cloning
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -32,45 +30,17 @@ PROPERTY_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class MeasureSpec:
-    """A named sparsity measure: a pure function that maps an (n, d) matrix
-    of magnitudes to n values, one per row, each the value of that row alone."""
-
-    name: str
-    evaluator: Callable[[np.ndarray], np.ndarray]
+# A measure is a (name, evaluator) pair. The evaluator maps an (n, d) matrix
+# of magnitudes to n values, one per row, each the value of that row alone.
+Measure = tuple[str, Callable[[np.ndarray], np.ndarray]]
 
 
-def pq_measure(norms: NormPair) -> MeasureSpec:
-    return MeasureSpec(
-        name=f"pq_index(p={norms.p:g},q={norms.q:g})",
-        evaluator=lambda w: pq_index(w, norms),
-    )
+def pq_measure(norms: NormPair) -> Measure:
+    return f"pq_index(p={norms.p:g},q={norms.q:g})", lambda w: pq_index(w, norms)
 
 
-def gini_measure() -> MeasureSpec:
-    return MeasureSpec(name="gini_index", evaluator=gini_index)
-
-
-@dataclass
-class PropertyResult:
-    property: str
-    trials: int
-    violations: int
-    first_counterexample: list | None = None
-
-
-@dataclass
-class PropertyReport:
-    measure: str
-    results: list[PropertyResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.violations == 0 for r in self.results)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+def gini_measure() -> Measure:
+    return "gini_index", gini_index
 
 
 def _random_vector(rng: np.random.Generator) -> np.ndarray:
@@ -151,32 +121,32 @@ def _violations(values: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def audit_measure(
-    measure: MeasureSpec,
-    trials: int,
-    seed: int = 0,
-) -> PropertyReport:
+def audit_measure(measure: Measure, trials: int, seed: int = 0) -> dict:
     """Run `trials` randomized instantiations of each of the six axioms.
 
-    Returns a report with per-property violation counts and the first
-    counterexample vector found for each violated property. Trials are
-    drawn AUDIT_CHUNK at a time, then measured together.
+    Returns the report `pqprune audit` prints, a dict with the keys
+    "measure" (the measure's name) and "results": one dict per axiom, in
+    PROPERTY_NAMES order, with the keys "property", "trials", "violations"
+    and "first_counterexample" (the base vector of the first violating
+    trial as a list, or None). Trials are drawn AUDIT_CHUNK at a time, then
+    measured together.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    name, evaluator = measure
     rng = np.random.default_rng(seed)
-    results = {name: PropertyResult(name, trials, violations=0) for name in PROPERTY_NAMES}
+    results = [{"property": p, "trials": trials, "violations": 0, "first_counterexample": None}
+               for p in PROPERTY_NAMES]
     for start in range(0, trials, AUDIT_CHUNK):
         drawn = [_draw_trial(rng) for _ in range(min(AUDIT_CHUNK, trials - start))]
-        values = _measure_all(measure.evaluator, [v for vectors in drawn for v in vectors])
+        values = _measure_all(evaluator, [v for vectors in drawn for v in vectors])
         violated = _violations(values.reshape(len(drawn), -1))
-        for name, flags in violated.items():
-            hits = np.flatnonzero(flags)
-            result = results[name]
-            result.violations += hits.size
-            if hits.size and result.first_counterexample is None:
-                result.first_counterexample = drawn[hits[0]][0].tolist()
-    return PropertyReport(measure=measure.name, results=list(results.values()))
+        for result in results:
+            hits = np.flatnonzero(violated[result["property"]])
+            result["violations"] += hits.size
+            if hits.size and result["first_counterexample"] is None:
+                result["first_counterexample"] = drawn[hits[0]][0].tolist()
+    return {"measure": name, "results": results}
 
 
 def _unequal_pair(rng: np.random.Generator, w: np.ndarray) -> tuple[int, int]:

@@ -67,17 +67,21 @@ def cmd_audit(args) -> int:
     if args.measure == "gini":
         if args.negative:
             raise ValueError("negative search applies only to the pq measure")
+        for flag, value in (("--p", args.p), ("--q", args.q)):
+            if value is not None:
+                raise ValueError(f"{flag} applies only to the pq measure")
         measure = gini_measure()
     else:
-        norms = NormPair(args.p, args.q, relaxed=args.negative)
+        norms = NormPair(0.5 if args.p is None else args.p, 1.0 if args.q is None else args.q,
+                         relaxed=args.negative)
         measure = pq_measure(norms)
     report = audit_measure(measure, trials=args.trials, seed=args.seed)
-    text = report.to_json()
+    text = json.dumps(report, indent=2)
     print(text)
     if args.out:
         write_text_atomic(Path(args.out), text + "\n")
     if not args.negative:
-        return EXIT_OK if report.ok else EXIT_RUNTIME
+        return EXIT_RUNTIME if any(r["violations"] for r in report["results"]) else EXIT_OK
     witness = robin_hood_counterexample(norms)
     if witness is None:
         print("negative robin_hood search: inconclusive")
@@ -122,8 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="randomized six-axiom audit")
     p.add_argument("--measure", choices=["pq", "gini"], default="pq")
-    p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--q", type=float, default=1.0)
+    p.add_argument("--p", type=float, help="pq only (default: 0.5)")
+    p.add_argument("--q", type=float, help="pq only (default: 1.0)")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="also write the JSON report here")

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from .data_io import SyntheticSpec
 from .nn import MODELS, TrainConfig
 from .pruning import AlgorithmSpec, Scope
+from .sparsity import NormPair
 
 
 @dataclass(frozen=True)
@@ -80,14 +81,14 @@ def _pop(kv: dict[str, str], key: str, parse, default):
         raise ValueError(f"{key}: {exc}") from exc
 
 
-def _replace_fields(kv: dict[str, str], prefix: str, obj, skip=(), **changes):
+def _replace_fields(kv: dict[str, str], prefix: str, obj, **changes):
     """`obj` with each `<prefix>.<field>` key of `kv` popped and applied to its
-    int, float or bool field, parsed by the field's declared type. Fields in
-    `skip` or of any other type take no key; `changes` are applied as given."""
+    int, float or bool field, parsed by the field's declared type. Fields of
+    any other type take no key; `changes` are applied as given."""
     types = typing.get_type_hints(type(obj))
     for f in dataclasses.fields(obj):
         parse = _PARSERS.get(types[f.name])
-        if parse is not None and f.name not in skip:
+        if parse is not None:
             changes[f.name] = _pop(kv, f"{prefix}.{f.name}", parse, getattr(obj, f.name))
     return dataclasses.replace(obj, **changes)
 
@@ -141,7 +142,12 @@ def parse_config(text: str) -> ExperimentConfig:
     # the sap keys. sap.p and sap.q set the norm pair; a config cannot relax
     # its regime.
     template = _replace_fields(kv, "algorithm", cfg.algorithms[0])
-    norms = _replace_fields(kv, "sap", template.sap.norms, skip={"relaxed"})
+    p, q = (_pop(kv, f"sap.{name}", _parse_float, getattr(template.sap.norms, name))
+            for name in ("p", "q"))
+    try:
+        norms = NormPair(p, q)
+    except ValueError as exc:
+        raise ValueError(f"sap.p, sap.q: {exc}") from None
     sap = _replace_fields(kv, "sap", template.sap, norms=norms)
     cfg.train = _replace_fields(kv, "train", cfg.train)
     cfg.seeds = _entries(kv, "seeds", int, cfg.seeds)

@@ -69,13 +69,20 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
-        shape = [type(d[k]) for k in ("config", "completed", "events", "iterations")]
-        if (shape != [dict, bool, list, list] or any(type(e) is not str for e in d["events"])
-                or d["completed"] and not d["iterations"]):
-            raise TypeError("config must be an object, completed a boolean, events a list "
-                            "of strings and iterations a list, not empty if completed")
-        return cls(d["config"], d["completed"], d["events"],
-                   [IterationMetrics.from_dict(it) for it in d["iterations"]])
+        config, completed, events, iterations = (
+            d[k] for k in ("config", "completed", "events", "iterations"))
+        if type(config) is not dict:
+            raise TypeError("config must be an object")
+        if type(completed) is not bool:
+            raise TypeError("completed must be a boolean")
+        if type(events) is not list or any(type(e) is not str for e in events):
+            raise TypeError("events must be a list of strings")
+        if type(iterations) is not list:
+            raise TypeError("iterations must be a list")
+        if completed and not iterations:
+            raise TypeError("iterations must not be empty in a completed record")
+        return cls(config, completed, events,
+                   [IterationMetrics.from_dict(it) for it in iterations])
 
     def iterations_csv(self) -> str:
         rows = ([getattr(it, name) for name in CSV_FIELDS] for it in self.iterations)

@@ -35,10 +35,7 @@ class NormPair:
         if not (0.0 < self.p < self.q):
             raise ValueError(f"need 0 < p < q, got p={self.p}, q={self.q}")
         if not self.relaxed and not (self.p <= 1.0 <= self.q):
-            raise ValueError(
-                f"need 0 < p <= 1 <= q, got p={self.p}, q={self.q} "
-                "(use relaxed=True to bypass)"
-            )
+            raise ValueError(f"need 0 < p <= 1 <= q, got p={self.p}, q={self.q}")
 
 
 def _as_magnitudes(w, max_ndim: int = 1) -> np.ndarray:

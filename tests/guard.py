@@ -83,6 +83,8 @@ COMMANDS = [
     Command("measure_100k", ("measure", VECTOR)),
     Command("audit_pq", ("audit", "--measure", "pq")),
     Command("audit_gini", ("audit", "--measure", "gini")),
+    # Nonzero violation counts, their first counterexamples and the directed search.
+    Command("audit_negative", ("audit", "--negative", "--p", "2", "--q", "3", "--trials", "300")),
 ]
 
 

@@ -311,8 +311,15 @@ MUTANTS = [
     Mutant(
         "RunRecord.from_dict: a completed run with no iterations accepted",
         RECORDS,
-        '                or d["completed"] and not d["iterations"]):',
-        "                ):",
+        "        if completed and not iterations:\n",
+        "        if False:\n",
+        ("tests/test_config_cli.py",),
+    ),
+    Mutant(
+        "RunRecord.from_dict: a non-boolean completed reported as config",
+        RECORDS,
+        'raise TypeError("completed must be a boolean")',
+        'raise TypeError("config must be an object")',
         ("tests/test_config_cli.py",),
     ),
     Mutant(
@@ -427,9 +434,45 @@ MUTANTS = [
     Mutant(
         "audit: a later chunk overwrites first_counterexample",
         AUDIT,
-        "if hits.size and result.first_counterexample is None:",
+        'if hits.size and result["first_counterexample"] is None:',
         "if hits.size:",
         ("tests/test_audit.py",),
+    ),
+    Mutant(
+        "audit: a result's keys in another order",
+        AUDIT,
+        '{"property": p, "trials": trials, "violations": 0,',
+        '{"trials": trials, "property": p, "violations": 0,',
+        ("tests/test_audit.py",),
+    ),
+    Mutant(
+        "audit: exit code counts only the first property's violations",
+        CLI,
+        'any(r["violations"] for r in report["results"])',
+        'any(r["violations"] for r in report["results"][:1])',
+        ("tests/test_config_cli.py",),
+    ),
+    Mutant(
+        "audit: --q accepted with the gini measure",
+        CLI,
+        'for flag, value in (("--p", args.p), ("--q", args.q)):',
+        'for flag, value in (("--p", args.p),):',
+        ("tests/test_config_cli.py",),
+    ),
+    Mutant(
+        "NormPair: the error points at relaxed=True",
+        SPARSITY,
+        'raise ValueError(f"need 0 < p <= 1 <= q, got p={self.p}, q={self.q}")',
+        'raise ValueError(f"need 0 < p <= 1 <= q, got p={self.p}, q={self.q} "\n'
+        '                             "(use relaxed=True to bypass)")',
+        ("tests/test_config_cli.py",),
+    ),
+    Mutant(
+        "parse_config: an invalid norm pair does not name sap.p and sap.q",
+        CONFIG,
+        'raise ValueError(f"sap.p, sap.q: {exc}") from None',
+        "raise",
+        ("tests/test_config_cli.py",),
     ),
     Mutant(
         "pq_index, gini_index: in-place arithmetic on the caller's array",

@@ -57,7 +57,7 @@ def test_criterion_1_axiom_suite():
     reports = [audit_measure(pq_measure(p), trials=1000, seed=0) for p in PAIRS]
     reports.append(audit_measure(gini_measure(), trials=1000, seed=0))
     elapsed = time.monotonic() - start
-    violations = sum(r.violations for report in reports for r in report.results)
+    violations = sum(r["violations"] for report in reports for r in report["results"])
     check(
         1,
         "six-axiom audit, PQI x3 pairs + Gini, 1000 trials each",

@@ -18,14 +18,14 @@ from pqprune.sparsity import NormPair, pq_index
 
 def test_pq_valid_regime_clean():
     report = audit_measure(pq_measure(NormPair(0.5, 1.0)), trials=300, seed=1)
-    assert report.ok
-    assert {r.property for r in report.results} == set(PROPERTY_NAMES)
-    assert all(r.trials == 300 for r in report.results)
+    assert [r["property"] for r in report["results"]] == list(PROPERTY_NAMES)
+    assert all(r["trials"] == 300 for r in report["results"])
+    assert all(r["violations"] == 0 for r in report["results"])
 
 
 def test_gini_clean():
     report = audit_measure(gini_measure(), trials=300, seed=1)
-    assert report.ok
+    assert all(r["violations"] == 0 for r in report["results"])
 
 
 def test_broken_measure_is_caught():
@@ -34,22 +34,22 @@ def test_broken_measure_is_caught():
     def l0(w):
         return (w > w.max(axis=-1, keepdims=True) / 2).sum(axis=-1) / w.shape[-1]
 
-    from pqprune.audit import MeasureSpec
-
-    report = audit_measure(MeasureSpec("l0ish", l0), trials=200, seed=2)
-    assert not report.ok
-    bad = [r for r in report.results if r.violations]
+    report = audit_measure(("l0ish", l0), trials=200, seed=2)
+    assert report["measure"] == "l0ish"
+    bad = [r for r in report["results"] if r["violations"]]
     assert bad
-    assert all(r.first_counterexample is not None for r in bad)
+    assert all(r["first_counterexample"] is not None for r in bad)
 
 
 def test_report_json_round_trip():
     report = audit_measure(pq_measure(NormPair(1.0, 2.0)), trials=50, seed=3)
-    data = json.loads(report.to_json())
+    data = json.loads(json.dumps(report))
+    assert data == report
+    assert list(data) == ["measure", "results"]
     assert data["measure"] == "pq_index(p=1,q=2)"
     assert len(data["results"]) == 6
     for entry in data["results"]:
-        assert set(entry) == {"property", "trials", "violations", "first_counterexample"}
+        assert list(entry) == ["property", "trials", "violations", "first_counterexample"]
 
 
 def test_trials_must_be_positive():
@@ -110,6 +110,6 @@ def test_small_chunks_give_the_same_report(monkeypatch):
     # fall in different chunks must add up as they do in one chunk.
     norms = NormPair(2.0, 3.0, relaxed=True)
     whole = audit_measure(pq_measure(norms), trials=300, seed=11)
-    assert any(r.violations > 1 for r in whole.results)
+    assert any(r["violations"] > 1 for r in whole["results"])
     monkeypatch.setattr(audit, "AUDIT_CHUNK", 7)
     assert audit_measure(pq_measure(norms), trials=300, seed=11) == whole

@@ -30,7 +30,7 @@ from pqprune.experiment import trajectory_stats
 from pqprune.nn import TrainConfig, model_specs
 from pqprune.pruning import AlgorithmSpec, SapHyperParams, Scope
 from pqprune.records import IterationMetrics, RunRecord
-from pqprune.sparsity import NormPair
+from pqprune.sparsity import NormPair, gini_index
 
 TINY_CONFIG = """
 # desk config for fast tests
@@ -142,6 +142,16 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             parse_config("model = MLP\nbogus.key = 1\n")
+
+    def test_run_with_invalid_norm_pair_names_both_keys(self, tmp_path, capsys):
+        # The pair's error pointed at a Python keyword that no config accepts.
+        cfg_path = tmp_path / "pair.cfg"
+        cfg_path.write_text(TINY_CONFIG + "sap.p = 1.5\nsap.q = 2\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: sap.p, sap.q: need 0 < p <= 1 <= q, got p=1.5, q=2.0\n"
+        assert not out.exists()
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -289,6 +299,12 @@ class TestMeasureCommand:
         assert run_cli(["measure", str(path)]) == 0
         assert "pq_index = 0.75" in capsys.readouterr().out
 
+    def test_invalid_norm_pair_exit_2_without_a_python_hint(self, tmp_path, capsys):
+        path = tmp_path / "w.txt"
+        path.write_text("1\n2\n")
+        assert run_cli(["measure", str(path), "--p", "1.5", "--q", "2"]) == 2
+        assert capsys.readouterr().err == "error: need 0 < p <= 1 <= q, got p=1.5, q=2.0\n"
+
     def test_all_zero_exit_2(self, tmp_path, capsys):
         path = tmp_path / "w.txt"
         path.write_text("0\n0\n")
@@ -408,6 +424,38 @@ class TestAuditCommand:
         assert captured.out == ""
         assert "negative search applies only to the pq measure" in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--p", "--q"])
+    def test_norm_flag_with_gini_rejected_before_audit(self, tmp_path, capsys, flag):
+        # `audit --measure gini --p 7` ran the Gini audit and ignored the flag.
+        out = tmp_path / "audit.json"
+        argv = ["audit", "--measure", "gini", flag, "7", "--out", str(out)]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} applies only to the pq measure\n"
+        assert not out.exists()
+
+    def test_invalid_norm_pair_exit_2_without_a_python_hint(self, capsys):
+        assert run_cli(["audit", "--p", "1.5", "--q", "2", "--trials", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need 0 < p <= 1 <= q, got p=1.5, q=2.0\n"
+
+    def test_a_violation_of_the_last_axiom_exits_1(self, tmp_path, monkeypatch, capsys):
+        # A measure that breaks babies alone: every drawn vector but the one
+        # with a zero appended is all nonzero, and that one scores lower.
+        def babies_broken(w):
+            return gini_index(w) - 2.0 * (w == 0).any(axis=-1)
+
+        monkeypatch.setattr(cli, "gini_measure", lambda: ("babies_broken", babies_broken))
+        out = tmp_path / "audit.json"
+        assert run_cli(["audit", "--measure", "gini", "--trials", "20", "--out", str(out)]) == 1
+        text = capsys.readouterr().out
+        assert out.read_text() == text
+        report = json.loads(text)
+        assert report["measure"] == "babies_broken"
+        assert [r["violations"] for r in report["results"]] == [0, 0, 0, 0, 0, 20]
 
     def test_failed_out_write_keeps_previous_report(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "audit.json"
@@ -592,19 +640,21 @@ class TestRunAndReport:
             (lambda text: "[]", "has the wrong shape"),
             (lambda text: json.dumps({**json.loads(text), "iterations": [1]}),
              "has the wrong shape"),
-            (lambda text: json.dumps({**json.loads(text), "config": []}), "has the wrong shape"),
+            (lambda text: json.dumps({**json.loads(text), "config": []}),
+             "has the wrong shape: config must be an object"),
             (lambda text: json.dumps({**json.loads(text), "completed": "no"}),
-             "has the wrong shape"),
+             "has the wrong shape: completed must be a boolean"),
             # Each of these read back as a record before: "abc" as three events.
             (lambda text: json.dumps({**json.loads(text), "events": "abc"}),
-             "has the wrong shape"),
-            (lambda text: json.dumps({**json.loads(text), "events": [1]}), "has the wrong shape"),
+             "has the wrong shape: events must be a list of strings"),
+            (lambda text: json.dumps({**json.loads(text), "events": [1]}),
+             "has the wrong shape: events must be a list of strings"),
             (lambda text: json.dumps({**json.loads(text), "iterations": {}}),
-             "has the wrong shape"),
+             "has the wrong shape: iterations must be a list"),
             # A completed run has T+1 iterations; report failed on none with
             # "not enough values to unpack" and no file named.
             (lambda text: json.dumps({**json.loads(text), "iterations": []}),
-             "has the wrong shape"),
+             "has the wrong shape: iterations must not be empty in a completed record"),
             (lambda text: damaged_iteration(text, t="zero"), "has the wrong shape"),
             (lambda text: damaged_iteration(text, d_t=True), "has the wrong shape"),
             (lambda text: damaged_iteration(text, c_total=1.0), "has the wrong shape"),

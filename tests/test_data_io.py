@@ -486,8 +486,9 @@ class TestStreamedRecord:
             setattr(bad.iterations[1], name, value)
             bad_records.append((bad, f"an iteration's {name} must be a finite number"))
         for change, message in [
-            ({"completed": True, "iterations": []}, "not empty if completed"),
-            ({"events": ["iteration 1: pruned", None]}, "events a list of strings"),
+            ({"completed": True, "iterations": []},
+             "iterations must not be empty in a completed record"),
+            ({"events": ["iteration 1: pruned", None]}, "events must be a list of strings"),
             ({"config": ["sap", 3]}, "config must be an object"),
             ({"iterations": [vars(golden_record().iterations[0])]}, "__dict__"),
         ]:
