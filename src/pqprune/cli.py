@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -26,6 +25,7 @@ from .data_io import write_text_atomic
 from .experiment import run_experiment, write_report
 from .records import csv_text, format_value
 from .sparsity import (
+    DEFAULT_NORMS,
     NormPair,
     UndefinedIndexError,
     eta_r,
@@ -72,8 +72,8 @@ def cmd_audit(args) -> int:
                 raise ValueError(f"{flag} applies only to the pq measure")
         measure = gini_measure()
     else:
-        norms = NormPair(0.5 if args.p is None else args.p, 1.0 if args.q is None else args.q,
-                         relaxed=args.negative)
+        norms = NormPair(DEFAULT_NORMS.p if args.p is None else args.p,
+                         DEFAULT_NORMS.q if args.q is None else args.q, relaxed=args.negative)
         measure = pq_measure(norms)
     report = audit_measure(measure, trials=args.trials, seed=args.seed)
     text = json.dumps(report, indent=2)
@@ -82,23 +82,23 @@ def cmd_audit(args) -> int:
         write_text_atomic(Path(args.out), text + "\n")
     if not args.negative:
         return EXIT_RUNTIME if any(r["violations"] for r in report["results"]) else EXIT_OK
-    witness = robin_hood_counterexample(norms)
-    if witness is None:
-        print("negative robin_hood search: inconclusive")
-    else:
-        print(f"negative robin_hood search: found {json.dumps(witness)}")
+    first = report["results"][0]["first_counterexample"]  # robin_hood's
+    if first is not None:
+        verdict = f"found by the random trials {json.dumps(first)}"
+    else:  # the directed search reaches p < q < 1, where random trials rarely break robin_hood
+        witness = robin_hood_counterexample(norms)
+        verdict = "inconclusive" if witness is None else f"found {json.dumps(witness)}"
+    print(f"negative robin_hood search: {verdict}")
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
+    if not args.out:  # Path("") would write the grid into the working directory
+        raise ValueError("--out: empty")
     cfg = parse_config(Path(args.config).read_text())
-    if args.workers < 0:
-        raise ValueError("--workers must be >= 1, or 0 to use the config's workers")
-    cfg.workers = args.workers or cfg.workers
-    out = args.out or os.environ.get("PQI_PRUNE_OUT") or cfg.output_dir
-    results = run_experiment(cfg, out)
-    summary_path = Path(out) / "summary.csv"
-    print(f"wrote {len(results)} run directories under {out}")
+    results = run_experiment(cfg, args.out)
+    summary_path = Path(args.out) / "summary.csv"
+    print(f"wrote {len(results)} run directories under {args.out}")
     print(summary_path.read_text(), end="")
     expected = len(cfg.algorithms) * len(cfg.seeds)
     return EXIT_OK if len(results) == expected else EXIT_RUNTIME
@@ -120,14 +120,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="index and retention bound of a vector file")
     p.add_argument("file", help="newline-separated decimals")
-    p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--q", type=float, default=1.0)
+    p.add_argument("--p", type=float, default=DEFAULT_NORMS.p)
+    p.add_argument("--q", type=float, default=DEFAULT_NORMS.q)
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("audit", help="randomized six-axiom audit")
     p.add_argument("--measure", choices=["pq", "gini"], default="pq")
-    p.add_argument("--p", type=float, help="pq only (default: 0.5)")
-    p.add_argument("--q", type=float, help="pq only (default: 1.0)")
+    p.add_argument("--p", type=float, help=f"pq only (default: {DEFAULT_NORMS.p})")
+    p.add_argument("--q", type=float, help=f"pq only (default: {DEFAULT_NORMS.q})")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="also write the JSON report here")
@@ -140,8 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="execute all (seed x algorithm) cells")
     p.add_argument("--config", required=True)
-    p.add_argument("--workers", type=int, default=0)
-    p.add_argument("--out", help="output root (overrides config and env)")
+    p.add_argument("--out", default="runs", help="output root (default: runs)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("report", help="panel CSVs and trajectory stats")

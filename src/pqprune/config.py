@@ -10,7 +10,7 @@ Example:
     algorithm.iterations = 10
     sap.p = 0.5
     seeds = 0,1,2,3
-    output_dir = runs
+    workers = 2
 """
 
 from __future__ import annotations
@@ -41,17 +41,9 @@ class ExperimentConfig:
     model: str = "MLP"  # a key of nn.MODELS
     scope: Scope = Scope.GLOBAL
     dataset: SyntheticSpec | IdxPaths = field(default_factory=SyntheticSpec)
-    algorithms: list[AlgorithmSpec] = field(
-        default_factory=lambda: [AlgorithmSpec("sap", iterations=10)]
-    )
-    # Desk-scale defaults: few epochs, small batches, and a strong weight
-    # decay so magnitudes differentiate within E=5. TrainConfig's own
-    # defaults keep the full-scale values.
-    train: TrainConfig = field(
-        default_factory=lambda: TrainConfig(epochs=5, batch_size=50, weight_decay=0.05)
-    )
+    algorithms: list[AlgorithmSpec] = field(default_factory=lambda: [AlgorithmSpec("sap")])
+    train: TrainConfig = TrainConfig()
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2, 3])
-    output_dir: str = "runs"
     workers: int = 1
 
 
@@ -153,9 +145,6 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg.seeds = _entries(kv, "seeds", int, cfg.seeds)
     if min(cfg.seeds) < 0:
         raise ValueError(f"seeds: negative entry {min(cfg.seeds)}")
-    cfg.output_dir = kv.pop("output_dir", cfg.output_dir)
-    if not cfg.output_dir:
-        raise ValueError("output_dir: empty")
     cfg.workers = _pop(kv, "workers", int, cfg.workers)
     if cfg.workers < 1:
         raise ValueError("workers must be >= 1")

@@ -41,13 +41,15 @@ def model_specs(model: str, in_size: int, n_classes: int) -> list[LayerSpec]:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training hyper-parameters; defaults are the full-scale settings."""
+    """Training hyper-parameters. The defaults are desk-scale: few epochs,
+    small batches, and a strong weight decay so magnitudes differentiate
+    within 5 epochs."""
 
-    epochs: int = 200
-    batch_size: int = 250
+    epochs: int = 5
+    batch_size: int = 50
     learning_rate: float = 0.1
     momentum: float = 0.9
-    weight_decay: float = 5e-4
+    weight_decay: float = 0.05
     nesterov: bool = True
 
     def __post_init__(self):

@@ -10,7 +10,7 @@ mask the same trained weights).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -18,6 +18,7 @@ import numpy as np
 from . import nn
 from .records import IterationMetrics, RunRecord
 from .sparsity import (
+    DEFAULT_NORMS,
     NormPair,
     UndefinedIndexError,
     gini_index,
@@ -51,7 +52,7 @@ class PruningMask:
 class SapHyperParams:
     """Adaptive-count knobs: norm pair, assumed tail ratio, scale, and cap."""
 
-    norms: NormPair = field(default_factory=lambda: NormPair(0.5, 1.0))
+    norms: NormPair = DEFAULT_NORMS
     eta: float = 0.0
     gamma: float = 1.0
     beta: float = 0.9
@@ -70,7 +71,7 @@ class AlgorithmSpec:
     """Which pruning algorithm to run and for how many iterations."""
 
     kind: str  # "one_shot", "lottery_ticket", or "sap"
-    iterations: int = 30
+    iterations: int = 10
     ratio: float = 0.2  # fixed per-iteration ratio for the baselines
     sap: SapHyperParams | None = None
 
@@ -86,8 +87,8 @@ class AlgorithmSpec:
 
     @property
     def index_norms(self) -> NormPair:
-        """The reported indices' norm pair: SAP's, or (0.5, 1.0) for the baselines."""
-        return (self.sap or SapHyperParams()).norms
+        """The reported indices' norm pair: SAP's, or DEFAULT_NORMS for the baselines."""
+        return DEFAULT_NORMS if self.sap is None else self.sap.norms
 
 
 def partition(params: nn.NetworkParams, scope: Scope) -> list[tuple[list[str], int, int, int]]:

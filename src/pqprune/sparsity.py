@@ -38,6 +38,11 @@ class NormPair:
             raise ValueError(f"need 0 < p <= 1 <= q, got p={self.p}, q={self.q}")
 
 
+# The norm pair of SAP, `measure` and `audit --measure pq` when none is given,
+# and of the indices reported for the baselines.
+DEFAULT_NORMS = NormPair(0.5, 1.0)
+
+
 def _as_magnitudes(w, max_ndim: int = 1) -> np.ndarray:
     """The absolute values of `w` in a new float array: the indices divide,
     power and sort it in place, and `w` itself is never written."""

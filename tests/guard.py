@@ -49,9 +49,8 @@ class Command:
     config: str | None = None  # written to <name>.cfg for `run`
 
 
-def grid(name: str, config: str, workers: int = 1) -> Command:
-    argv = ("run", "--config", f"{name}.cfg", "--out", name, "--workers", str(workers))
-    return Command(name, argv, config)
+def grid(name: str, config: str) -> Command:
+    return Command(name, ("run", "--config", f"{name}.cfg", "--out", name), config)
 
 
 DESK = "algorithm.kinds = sap,lottery_ticket\n"  # every other setting at its default
@@ -62,7 +61,7 @@ IDX = "dataset.kind = idx\n" + "".join(f"dataset.{split}_{part} = {split}-{part}
 
 COMMANDS = [
     grid("desk", DESK),
-    grid("desk_workers2", DESK, workers=2),
+    grid("desk_workers2", DESK + "workers = 2\n"),
     grid("desk_one_shot", "algorithm.kinds = sap,lottery_ticket,one_shot\n"),
     *(grid(f"mnist_sap_{scope}",
            f"{MNIST}scope = {scope}\nalgorithm.kinds = sap\nalgorithm.iterations = 2\n")
@@ -78,6 +77,9 @@ COMMANDS = [
     grid("linear_stalled",
          "model = Linear\nscope = layer_wise\nalgorithm.kinds = sap,lottery_ticket,one_shot\n"
          "algorithm.iterations = 30\nsap.eta = 50\nsap.gamma = 50\nseeds = 0,1\n"),
+    # No --out: the grid lands in the default output root, runs/.
+    Command("runs", ("run", "--config", "runs.cfg"),
+            "model = Linear\nalgorithm.kinds = sap,one_shot\nseeds = 0,1\n"),
     Command("report_desk",
             ("report", *(f"desk/sap_seed{s}" for s in range(4)), "--out", "report_desk")),
     Command("measure_100k", ("measure", VECTOR)),
@@ -109,7 +111,9 @@ def run_side(src: Path, root: Path) -> dict[str, str]:
     values = np.random.default_rng(0).laplace(size=100_000)
     (root / VECTOR).write_text("".join(f"{x!r}\n" for x in values.tolist()))
     write_idx(root)
-    env = {**os.environ, **PINNED_ENV, "PYTHONPATH": str(src)}
+    # Without PQI_PRUNE_OUT, which older revisions read as run's output root.
+    env = {**{k: v for k, v in os.environ.items() if k != "PQI_PRUNE_OUT"}, **PINNED_ENV,
+           "PYTHONPATH": str(src)}
     outputs = {}
     for cmd in COMMANDS:
         if cmd.config is not None:

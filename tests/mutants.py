@@ -379,17 +379,31 @@ MUTANTS = [
         ("tests/test_config_cli.py",),
     ),
     Mutant(
-        "run: --workers ignored",
+        "run: --out defaults to another root than runs",
         CLI,
-        "    cfg.workers = args.workers or cfg.workers\n",
-        "",
+        'p.add_argument("--out", default="runs",',
+        'p.add_argument("--out", default="out",',
         ("tests/test_config_cli.py",),
     ),
     Mutant(
-        "parse_config: empty output_dir accepted",
-        CONFIG,
-        '    if not cfg.output_dir:\n        raise ValueError("output_dir: empty")\n',
-        "",
+        "run: an empty --out writes into the working directory",
+        CLI,
+        "    if not args.out:  #",
+        "    if False:  #",
+        ("tests/test_config_cli.py",),
+    ),
+    Mutant(
+        "TrainConfig: the full-scale weight decay restored",
+        NN,
+        "    weight_decay: float = 0.05\n",
+        "    weight_decay: float = 5e-4\n",
+        ("tests/test_config_cli.py",),
+    ),
+    Mutant(
+        "DEFAULT_NORMS: another norm pair",
+        SPARSITY,
+        "DEFAULT_NORMS = NormPair(0.5, 1.0)",
+        "DEFAULT_NORMS = NormPair(0.5, 2.0)",
         ("tests/test_config_cli.py",),
     ),
     Mutant(
@@ -436,6 +450,13 @@ MUTANTS = [
         AUDIT,
         'if hits.size and result["first_counterexample"] is None:',
         "if hits.size:",
+        ("tests/test_audit.py",),
+    ),
+    Mutant(
+        "audit --negative: the verdict ignores the random trials",
+        CLI,
+        "    if first is not None:\n",
+        "    if False:\n",
         ("tests/test_audit.py",),
     ),
     Mutant(

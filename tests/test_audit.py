@@ -78,15 +78,16 @@ def test_valid_pair_search_inconclusive():
 
 # sha256 of `audit --trials 300 --seed 11` stdout, taken from the scalar
 # audit that measured one vector per call. The relaxed (2, 3) pair has
-# robin_hood violations and counterexamples; the relaxed (0.3, 0.7) pair
-# adds a found directed search.
+# robin_hood violations and counterexamples, and its verdict reports the
+# first of them (retaken when the verdict stopped ignoring the random
+# trials); the relaxed (0.3, 0.7) pair adds a found directed search.
 AUDIT_GOLDEN = {
     "pq": (["--measure", "pq", "--p", "0.5", "--q", "1.0"],
            "0a14511b68f712e024a23a4b7c64441afa12d3ea601e1f3b46d9df08f0eb7ec9"),
     "gini": (["--measure", "gini"],
              "399771bb974c7569973d72273c0d6e4c90d7c1ba2a3fbcc615ab2528281ef76c"),
     "negative_2_3": (["--negative", "--p", "2", "--q", "3"],
-                     "987218825098127945bade5abbd7c9ba7dad3fdd4be1b634e47c5185dddddf1f"),
+                     "d220f1415d30f71608ba63eeb9cd51c93687dfecc3aacd4c7884f3ef675d1336"),
     "negative_03_07": (["--negative", "--p", "0.3", "--q", "0.7"],
                        "f7844df1c2440e1dad75ae0907f6ce0aa7a445ddd03f999d0390700e9e61eb0f"),
 }
@@ -103,6 +104,31 @@ def audit_stdout(argv):
 def test_audit_stdout_is_unchanged(name):
     argv, digest = AUDIT_GOLDEN[name]
     assert hashlib.sha256(audit_stdout(argv).encode()).hexdigest() == digest
+
+
+def test_negative_verdict_names_the_search_that_found_the_witness():
+    def negative(p, q):
+        report, verdict, _ = audit_stdout(["--negative", "--p", p, "--q", q]).rsplit("\n", 2)
+        [robin_hood] = [r for r in json.loads(report)["results"] if r["property"] == "robin_hood"]
+        return robin_hood, verdict
+
+    # At (2, 3) only the random trials break robin_hood; the verdict said
+    # "inconclusive" under a report of 144 violations.
+    robin_hood, verdict = negative("2", "3")
+    assert robin_hood["violations"] == 144
+    prefix = "negative robin_hood search: found by the random trials "
+    assert verdict.startswith(prefix)
+    assert json.loads(verdict[len(prefix):]) == robin_hood["first_counterexample"]
+    # At (0.3, 0.7) only the directed search does.
+    robin_hood, verdict = negative("0.3", "0.7")
+    assert robin_hood["violations"] == 0
+    witness = robin_hood_counterexample(NormPair(0.3, 0.7, relaxed=True))
+    assert witness["d"] == 100
+    assert verdict == f"negative robin_hood search: found {json.dumps(witness)}"
+    # At (0.9, 0.95) neither does.
+    robin_hood, verdict = negative("0.9", "0.95")
+    assert robin_hood["violations"] == 0
+    assert verdict == "negative robin_hood search: inconclusive"
 
 
 def test_small_chunks_give_the_same_report(monkeypatch):

@@ -47,7 +47,6 @@ algorithm.iterations = 3
 train.epochs = 2
 train.batch_size = 32
 seeds = 0,1
-output_dir = runs
 """
 
 
@@ -65,7 +64,6 @@ def tiny_config(dataset) -> ExperimentConfig:
         train=TrainConfig(epochs=2, batch_size=32, learning_rate=0.1, momentum=0.9,
                           weight_decay=0.05, nesterov=True),
         seeds=[0, 1],
-        output_dir="runs",
         workers=1,
     )
 
@@ -79,6 +77,7 @@ class TestConfig:
         assert (alg.kind, alg.iterations, alg.ratio) == ("sap", 10, 0.2)
         assert (alg.sap.norms.p, alg.sap.norms.q) == (0.5, 1.0)
         assert (alg.sap.eta, alg.sap.gamma, alg.sap.beta) == (0.0, 1.0, 0.9)
+        assert (cfg.train.epochs, cfg.train.batch_size, cfg.train.weight_decay) == (5, 50, 0.05)
         assert cfg.seeds == [0, 1, 2, 3]
 
     def test_parse_builds_expected_config(self):
@@ -107,6 +106,12 @@ class TestConfig:
 
     def test_empty_config_is_default(self):
         assert parse_config("") == ExperimentConfig()
+
+    def test_defaults_are_the_settings_classes_own(self):
+        # Each setting has one default: its settings class's own.
+        cfg = parse_config("")
+        assert cfg.train == TrainConfig()
+        assert cfg.algorithms == [AlgorithmSpec("sap")]
 
     def test_readme_config_block_shows_the_defaults(self):
         # Every key in the README's block is at its default but algorithm.kinds.
@@ -199,7 +204,6 @@ class TestConfig:
             "seeds = -1",
             "dataset.seed = -1",
             "dataset.n_samples = 2",  # an 80/20 split with no test rows
-            "output_dir = ",  # would write the grid into the working directory
         ],
     )
     def test_run_with_bad_value_exits_2(self, tmp_path, capsys, line):
@@ -238,14 +242,39 @@ class TestConfig:
         assert capsys.readouterr().err == "error: model must be Linear or MLP, got 'CNN'\n"
         assert not out.exists()
 
-    def test_run_with_negative_workers_flag_exits_2(self, tmp_path, capsys):
+    def test_run_with_output_dir_key_exits_2(self, tmp_path, monkeypatch, capsys):
+        # --out is the one way to name the output root.
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CONFIG + "output_dir = runs\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: unknown config keys: ['output_dir']\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+    def test_run_with_empty_out_exits_2(self, tmp_path, monkeypatch, capsys):
+        # Path("") is the working directory, where no grid is written.
+        monkeypatch.chdir(tmp_path)
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(TINY_CONFIG)
-        out = tmp_path / "out"
-        argv = ["run", "--config", str(cfg_path), "--workers", "-2", "--out", str(out)]
-        assert cli.main(argv) == 2
-        assert "--workers" in capsys.readouterr().err
-        assert not out.exists()
+        assert cli.main(["run", "--config", str(cfg_path), "--out", ""]) == 2
+        assert capsys.readouterr().err == "error: --out: empty\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+    def test_run_with_workers_flag_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        # The workers key is the one way to set the worker count.
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CONFIG)
+        argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                "--workers", "2"]
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pqprune ")
+        assert err.endswith("error: unrecognized arguments: --workers 2\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
 
 def run_cli(argv):
@@ -596,7 +625,7 @@ class TestRunAndReport:
         assert dir_bytes(tmp_path) == before
 
     def test_report_default_out_ignores_env(self, run_root, tmp_path, monkeypatch):
-        # $PQI_PRUNE_OUT names run's output root; report writes under ./report.
+        # report writes under ./report, whatever $PQI_PRUNE_OUT says.
         monkeypatch.setenv("PQI_PRUNE_OUT", str(tmp_path / "envout"))
         monkeypatch.chdir(tmp_path)
         dirs = [str(run_root / "out" / f"sap_seed{s}") for s in (0, 1)]
@@ -707,8 +736,7 @@ class TestRunAndReport:
         assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_clean_rerun_removes_failed_cells(self, run_root, tmp_path, monkeypatch, caplog,
-                                              workers):
+    def test_clean_rerun_removes_failed_cells(self, tmp_path, monkeypatch, caplog, workers):
         run_cell = experiment.run_cell
 
         def fail_seed1(cfg, alg, seed, data):
@@ -716,24 +744,26 @@ class TestRunAndReport:
                 raise RuntimeError("injected failure")
             return run_cell(cfg, alg, seed, data)
 
-        argv = ["run", "--config", str(run_root / "exp.cfg"), "--out", str(tmp_path),
-                "--workers", workers]
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CONFIG + f"workers = {workers}\n")
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(cfg_path), "--out", str(out)]
         monkeypatch.setattr(experiment, "run_cell", fail_seed1)
         assert cli.main(argv) == 1
-        failed = (tmp_path / "failed_cells.txt").read_text()
+        failed = (out / "failed_cells.txt").read_text()
         assert failed == "sap_seed1\nlottery_ticket_seed1\n"
         # The parent logs each failure, naming the cell, also when it ran in a child.
         assert "cell sap_seed1 failed" in caplog.text
         assert "injected failure" in caplog.text
-        completed = {name: read_run_record(tmp_path / name)
+        completed = {name: read_run_record(out / name)
                      for name in ("sap_seed0", "lottery_ticket_seed0")}
-        summary = (tmp_path / "summary.csv").read_text()
+        summary = (out / "summary.csv").read_text()
         assert summary == experiment.summarize_records(completed)
         monkeypatch.undo()
         assert cli.main(argv) == 0
-        assert not (tmp_path / "failed_cells.txt").exists()
+        assert not (out / "failed_cells.txt").exists()
 
-    def test_dead_children_fail_only_their_cells(self, run_root, tmp_path, monkeypatch):
+    def test_dead_children_fail_only_their_cells(self, tmp_path, monkeypatch):
         # Each seed-1 child exits without returning, as an OOM kill would end it.
         run_cell = experiment.run_cell
 
@@ -743,15 +773,16 @@ class TestRunAndReport:
             return run_cell(cfg, alg, seed, data)
 
         monkeypatch.setattr(experiment, "run_cell", die_on_seed1)
-        argv = ["run", "--config", str(run_root / "exp.cfg"), "--out", str(tmp_path),
-                "--workers", "2"]
-        assert cli.main(argv) == 1
-        failed = (tmp_path / "failed_cells.txt").read_text().splitlines()
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CONFIG + "workers = 2\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        failed = (out / "failed_cells.txt").read_text().splitlines()
         assert failed == ["sap_seed1", "lottery_ticket_seed1"]
         cells = {f"{kind}_seed{s}" for kind in ("sap", "lottery_ticket") for s in (0, 1)}
-        completed = {name: read_run_record(tmp_path / name) for name in cells - set(failed)}
+        completed = {name: read_run_record(out / name) for name in cells - set(failed)}
         assert all(rec.completed for rec in completed.values())
-        summary = (tmp_path / "summary.csv").read_text()
+        summary = (out / "summary.csv").read_text()
         assert summary == experiment.summarize_records(completed)
 
     def test_dead_worker_fails_only_its_own_cell(self, tmp_path, monkeypatch, caplog):
@@ -765,9 +796,10 @@ class TestRunAndReport:
 
         monkeypatch.setattr(experiment, "run_cell", die_on_sap_seed1)
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(TINY_CONFIG.replace("seeds = 0,1", "seeds = 0,1,2,3"))  # 8 cells
+        cfg_path.write_text(TINY_CONFIG.replace("seeds = 0,1", "seeds = 0,1,2,3")  # 8 cells
+                            + "workers = 2\n")
         out = tmp_path / "out"
-        argv = ["run", "--config", str(cfg_path), "--out", str(out), "--workers", "2"]
+        argv = ["run", "--config", str(cfg_path), "--out", str(out)]
         assert cli.main(argv) == 1
         assert (out / "failed_cells.txt").read_text() == "sap_seed1\n"
         assert "cell sap_seed1 failed" in caplog.text
@@ -783,9 +815,9 @@ class TestRunAndReport:
         for kinds, workers, live in [("sap", 8, [1, 2]), ("sap,lottery_ticket", 3, [1, 2, 3, 3])]:
             child_starts.clear()
             cfg_path = tmp_path / "exp.cfg"
-            cfg_path.write_text(TINY_CONFIG.replace("sap,lottery_ticket", kinds))
-            argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / kinds),
-                    "--workers", str(workers)]
+            cfg_path.write_text(TINY_CONFIG.replace("sap,lottery_ticket", kinds)
+                                + f"workers = {workers}\n")
+            argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / kinds)]
             assert cli.main(argv) == 0
             assert child_starts == [("fork", n) for n in live]
 
@@ -803,9 +835,10 @@ class TestRunAndReport:
         monkeypatch.setattr(experiment, "run_cell", die_on_sap_seed1)
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(TINY_CONFIG.replace("sap,lottery_ticket", "sap,lottery_ticket,one_shot")
-                            .replace("seeds = 0,1", "seeds = 0,1,2,3"))  # 12 cells
+                            .replace("seeds = 0,1", "seeds = 0,1,2,3")  # 12 cells
+                            + "workers = 2\n")
         out = tmp_path / "out"
-        argv = ["run", "--config", str(cfg_path), "--out", str(out), "--workers", "2"]
+        argv = ["run", "--config", str(cfg_path), "--out", str(out)]
         assert cli.main(argv) == 1
         assert (out / "failed_cells.txt").read_text() == "sap_seed1\n"
         assert child_starts == [("fork", 1)] + [("fork", 2)] * 11
@@ -882,11 +915,15 @@ class TestRunAndReport:
             assert "nan" not in path.read_text() and "inf" not in path.read_text()
         assert not (out / "failed_cells.txt").exists()
 
-    def test_env_var_output_root(self, run_root, tmp_path, monkeypatch):
+    def test_default_out_is_runs_and_ignores_env(self, run_root, tmp_path, monkeypatch):
+        # $PQI_PRUNE_OUT named run's output root once; --out alone names it now.
         monkeypatch.setenv("PQI_PRUNE_OUT", str(tmp_path / "envout"))
-        cfg_path = run_root / "exp.cfg"
-        assert cli.main(["run", "--config", str(cfg_path)]) == 0
-        assert (tmp_path / "envout" / "summary.csv").exists()
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        assert cli.main(["run", "--config", str(run_root / "exp.cfg")]) == 0
+        assert (tmp_path / "cwd" / "runs" / "summary.csv").read_bytes() == (
+            run_root / "out" / "summary.csv").read_bytes()
+        assert not (tmp_path / "envout").exists()
 
 
 class TestGridData:

@@ -7,7 +7,7 @@ from pqprune.experiment import cell_name, load_datasets
 
 def test_every_guard_config_parses():
     configs = {cmd.name: parse_config(cmd.config) for cmd in guard.COMMANDS if cmd.config}
-    assert len(configs) == 10
+    assert len(configs) == 11
     assert len({cmd.name for cmd in guard.COMMANDS}) == len(guard.COMMANDS)
     # The report reads cells that one of the grids writes.
     [report] = [cmd for cmd in guard.COMMANDS if cmd.argv[0] == "report"]

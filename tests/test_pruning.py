@@ -36,7 +36,7 @@ def tiny_run_setup(seed=0, n=200, features=8):
         SyntheticSpec(n_samples=n, n_features=features, n_classes=2, seed=seed)
     )
     specs = [nn.LayerSpec(features, 6), nn.LayerSpec(6, 2)]
-    cfg = nn.TrainConfig(epochs=2, batch_size=32)
+    cfg = nn.TrainConfig(epochs=2, batch_size=32, weight_decay=5e-4)
     return specs, cfg, train, test
 
 
