@@ -78,7 +78,7 @@ def cmd_audit(args) -> int:
     report = audit_measure(measure, trials=args.trials, seed=args.seed)
     text = json.dumps(report, indent=2)
     print(text)
-    if args.out:
+    if args.out is not None:
         write_text_atomic(Path(args.out), text + "\n")
     if not args.negative:
         return EXIT_RUNTIME if any(r["violations"] for r in report["results"]) else EXIT_OK
@@ -93,8 +93,6 @@ def cmd_audit(args) -> int:
 
 
 def cmd_run(args) -> int:
-    if not args.out:  # Path("") would write the grid into the working directory
-        raise ValueError("--out: empty")
     cfg = parse_config(Path(args.config).read_text())
     results = run_experiment(cfg, args.out)
     summary_path = Path(args.out) / "summary.csv"
@@ -153,6 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "out", None) == "":  # Path("") is the working directory
+            raise ValueError("--out: empty")
         return args.func(args)
     except UndefinedIndexError as exc:
         print(f"error: index undefined: {exc}", file=sys.stderr)

@@ -11,12 +11,16 @@ Example:
     sap.p = 0.5
     seeds = 0,1,2,3
     workers = 2
+
+`workers` defaults to the number of CPUs this process may use; `workers = 1`
+runs every cell in this process.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import typing
 from dataclasses import dataclass, field
 
@@ -44,7 +48,7 @@ class ExperimentConfig:
     algorithms: list[AlgorithmSpec] = field(default_factory=lambda: [AlgorithmSpec("sap")])
     train: TrainConfig = TrainConfig()
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2, 3])
-    workers: int = 1
+    workers: int = field(default_factory=lambda: len(os.sched_getaffinity(0)))
 
 
 def _parse_bool(s: str) -> bool:

@@ -9,10 +9,33 @@ update, and the network stands pruned, its dropped weights exactly zero.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _pin_blas_to_one_thread() -> None:
+    """Set the OpenBLAS that numpy loaded to one thread. Its thread count
+    changes the last bits of a product, and so a run's bytes, and two threads
+    per cell oversubscribe the CPUs when cells run in parallel. Forked
+    children inherit the pin. Any other BLAS is left as it is."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(None, 5)[5].strip() for line in maps if "openblas" in line}
+    except OSError:  # no /proc: not Linux
+        return
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)  # the loaded library's own handle
+        setter = (getattr(lib, "scipy_openblas_set_num_threads64_", None)
+                  or getattr(lib, "openblas_set_num_threads", None))
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
+_pin_blas_to_one_thread()
 
 
 class TrainingDivergedError(RuntimeError):

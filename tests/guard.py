@@ -36,7 +36,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-# The BLAS thread count changes output bytes; perfbench pins its children the same way.
+# The BLAS thread count changes output bytes. pqprune.nn pins OpenBLAS to one
+# thread when imported, but a revision older than that pin reads it from the
+# environment alone; perfbench pins its children the same way.
 PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 VECTOR = "vector_100k.txt"  # the input of `measure`, written into each side's directory
 IDX_ROWS = {"train": 600, "test": 150}  # images in each split of the IDX grid's input

@@ -232,6 +232,20 @@ MUTANTS = [
         ("tests/test_config_cli.py",),
     ),
     Mutant(
+        "nn: BLAS pin skipped",
+        NN,
+        "\n_pin_blas_to_one_thread()\n",
+        "\n",
+        ("tests/test_blas_pin.py",),
+    ),
+    Mutant(
+        "config: workers default to 1",
+        CONFIG,
+        "field(default_factory=lambda: len(os.sched_getaffinity(0)))",
+        "1",
+        ("tests/test_config_cli.py",),
+    ),
+    Mutant(
         "config: finite-value check off",
         CONFIG,
         "    if not math.isfinite(x):\n",
@@ -388,8 +402,8 @@ MUTANTS = [
     Mutant(
         "run: an empty --out writes into the working directory",
         CLI,
-        "    if not args.out:  #",
-        "    if False:  #",
+        '        if getattr(args, "out", None) == "":  #',
+        "        if False:  #",
         ("tests/test_config_cli.py",),
     ),
     Mutant(

@@ -64,7 +64,6 @@ def tiny_config(dataset) -> ExperimentConfig:
         train=TrainConfig(epochs=2, batch_size=32, learning_rate=0.1, momentum=0.9,
                           weight_decay=0.05, nesterov=True),
         seeds=[0, 1],
-        workers=1,
     )
 
 
@@ -79,6 +78,9 @@ class TestConfig:
         assert (alg.sap.eta, alg.sap.gamma, alg.sap.beta) == (0.0, 1.0, 0.9)
         assert (cfg.train.epochs, cfg.train.batch_size, cfg.train.weight_decay) == (5, 50, 0.05)
         assert cfg.seeds == [0, 1, 2, 3]
+
+    def test_workers_default_to_the_usable_cpus(self):
+        assert ExperimentConfig().workers == len(os.sched_getaffinity(0))
 
     def test_parse_builds_expected_config(self):
         assert parse_config(TINY_CONFIG) == tiny_config(
@@ -497,6 +499,15 @@ class TestAuditCommand:
         monkeypatch.undo()
         assert dir_bytes(tmp_path) == before
 
+    def test_empty_out_rejected_before_audit(self, tmp_path, monkeypatch, capsys):
+        # An empty --out used to run the audit and write no file.
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["audit", "--trials", "5", "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --out: empty\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_write_error_names_target(self, tmp_path, capsys):
         out = tmp_path / "nodir" / "x.json"
         assert run_cli(["audit", "--trials", "5", "--out", str(out)]) == 2
@@ -632,6 +643,16 @@ class TestRunAndReport:
         assert cli.main(["report", *dirs]) == 0
         assert (tmp_path / "report" / "trajectory_stats.json").exists()
         assert not (tmp_path / "envout").exists()
+
+    def test_report_with_empty_out_exits_2(self, run_root, tmp_path, monkeypatch, capsys):
+        # Path("") is the working directory, where the panels used to land.
+        monkeypatch.chdir(tmp_path)
+        dirs = [str(run_root / "out" / f"sap_seed{s}") for s in (0, 1)]
+        assert cli.main(["report", *dirs, "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --out: empty\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_report_mixed_configs_rejected(self, run_root, tmp_path):
         dirs = [
@@ -995,6 +1016,7 @@ class TestGridData:
         cfg_path.write_text("\n".join([
             "model = Linear", "dataset.kind = idx", *keys, "algorithm.kinds = sap,lottery_ticket",
             "algorithm.iterations = 2", "train.epochs = 1", "train.batch_size = 10", "seeds = 0,1",
+            "workers = 1",  # cells in this process, where `calls` sees their reads
         ]) + "\n")
         calls = []
         load_idx = experiment.load_idx
@@ -1106,7 +1128,8 @@ class TestGridData:
             experiment, "run_pruning",
             lambda alg, *_: RunRecord(config={"algorithm": alg.kind}, completed=False),
         )
-        cfg = parse_config("algorithm.kinds = sap,lottery_ticket\n")
+        # Cells in this process, where `calls` sees their draws.
+        cfg = parse_config("algorithm.kinds = sap,lottery_ticket\nworkers = 1\n")
         assert len(experiment.run_experiment(cfg, out_dir=tmp_path / "a")) == 8
         assert calls == [cfg.dataset]
         # No data outlives its grid: the next grid generates its own.

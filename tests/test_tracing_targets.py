@@ -40,6 +40,7 @@ def test_probes_read_live_values(scope, tmp_path):
         f"model = MLP\nscope = {scope}\ndataset.n_samples = 200\ndataset.n_features = 8\n"
         "algorithm.kinds = sap,one_shot\nalgorithm.iterations = 2\n"
         "train.epochs = 1\ntrain.batch_size = 50\nseeds = 0\n"
+        "workers = 1\n"  # a tracer sees only this process's calls
     )
     with tracing.installed(tracing.Tracer()) as tracer:
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
