@@ -38,7 +38,7 @@ class SyntheticSpec:
         if self.n_samples < 1 or self.n_features < 1:
             raise ValueError("n_samples and n_features must be positive")
         if self.n_classes < 2:
-            raise ValueError("need at least 2 classes")
+            raise ValueError("n_classes must be >= 2")
         if self.n_classes > self.n_samples:
             raise ValueError("more classes than samples")
         if not 0 < self.n_train < self.n_samples:
@@ -72,37 +72,19 @@ def gen_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
     labels = np.concatenate([np.full(c, k, dtype=int) for k, c in enumerate(counts)])
     X = rng.standard_normal((spec.n_samples, spec.n_features))
     X[:, 0] += labels * spec.class_separation
-    perm = rng.permutation(spec.n_samples)
-    _permute_rows(X, perm)
-    labels = labels[perm]
+    # Generator.permutation(n) is shuffle(arange(n)), and shuffle draws the
+    # same values whatever the item size: from one generator state, both
+    # shuffles apply the permutation that permutation(n) would return, and
+    # the generator ends where it would.
+    state = rng.bit_generator.state
+    rng.shuffle(X.view(np.dtype((np.void, X.shape[1] * X.itemsize))).ravel())
+    rng.bit_generator.state = state
+    rng.shuffle(labels)
     n_train = spec.n_train
     return (
         Dataset(X[:n_train], labels[:n_train]),
         Dataset(X[n_train:], labels[n_train:]),
     )
-
-
-def _permute_rows(X: np.ndarray, perm: np.ndarray) -> None:
-    """Set X to X[perm] in place, with one spare row.
-
-    Each cycle of `perm` is walked from its smallest index: the row there
-    is saved, every row then takes X[perm[i]], which is still unwritten,
-    and the saved row closes the cycle.
-    """
-    spare = np.empty_like(X[0])
-    perm = perm.tolist()
-    done = bytearray(len(perm))
-    for start in range(len(perm)):
-        if done[start]:
-            continue
-        spare[...] = X[start]
-        i = start
-        done[i] = 1
-        while perm[i] != start:
-            X[i] = X[perm[i]]
-            i = perm[i]
-            done[i] = 1
-        X[i] = spare
 
 
 def _read_idx(path: Path, magic: int, what: str) -> tuple[tuple[int, ...], np.ndarray]:

@@ -91,15 +91,16 @@ def run_cell(cfg: ExperimentConfig, alg: AlgorithmSpec, seed: int, data: Dataset
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict[str, RunRecord]:
     """Run every (seed x algorithm) cell, persist records, write summary.csv.
 
-    With `cfg.workers` above 1, as by default on a machine with more than
-    one usable CPU, each cell runs in its own forked child, at most
-    `cfg.workers` at once; at 1, every cell runs in this process. Either
-    way each cell computes with the one BLAS thread that `nn` pins, so the
-    output bytes do not depend on `cfg.workers`. A cell that raises, or
-    whose child dies (`worker died`; the cell is not run again), is marked
-    failed with its traceback logged and does not abort the others; failed
-    cells are listed in failed_cells.txt, which a run without failures
-    removes, and summary.csv covers the cells that completed.
+    When both `cfg.workers` (by default the number of usable CPUs) and the
+    number of cells are above 1, each cell runs in its own forked child, at
+    most `cfg.workers` at once; otherwise, a one-cell grid included, every
+    cell runs in this process. Either way each cell computes with the one
+    BLAS thread that `nn` pins, so the output bytes do not depend on
+    `cfg.workers`. A cell that raises, or whose child dies (`worker died`;
+    the cell is not run again), is marked failed with its traceback logged
+    and does not abort the others; failed cells are listed in
+    failed_cells.txt, which a run without failures removes, and summary.csv
+    covers the cells that completed.
 
     The datasets are read once, before the output directory is created, so
     a bad dataset raises (IdxFormatError for a malformed IDX file) with
@@ -111,8 +112,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict[str, RunRecord]:
     results: dict[str, RunRecord] = {}
     failed: list[str] = []
     out_dir.mkdir(parents=True, exist_ok=True)
-    outcomes = (_forked(calls, cfg.workers) if cfg.workers > 1
-                else itertools.starmap(_outcome, calls))
+    workers = min(cfg.workers, len(calls))
+    outcomes = _forked(calls, workers) if workers > 1 else itertools.starmap(_outcome, calls)
     for (_, alg, seed, _, _), outcome in zip(calls, outcomes):
         name = cell_name(alg.kind, seed)
         if isinstance(outcome, RunRecord):

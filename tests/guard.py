@@ -62,7 +62,8 @@ IDX = "dataset.kind = idx\n" + "".join(f"dataset.{split}_{part} = {split}-{part}
                                        for split in IDX_ROWS for part in ("images", "labels"))
 
 COMMANDS = [
-    grid("desk", DESK),
+    # The desk grid with its cells in the parent process, and in forked children.
+    grid("desk", DESK + "workers = 1\n"),
     grid("desk_workers2", DESK + "workers = 2\n"),
     grid("desk_one_shot", "algorithm.kinds = sap,lottery_ticket,one_shot\n"),
     *(grid(f"mnist_sap_{scope}",

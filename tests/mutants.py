@@ -274,18 +274,32 @@ MUTANTS = [
         ("tests/test_data_io.py", "tests/test_config_cli.py"),
     ),
     Mutant(
-        "gen_synthetic: cycle walk applies the inverse permutation",
+        "gen_synthetic: labels shuffled without restoring the state",
         DATA_IO,
-        "    perm = perm.tolist()\n",
-        "    perm = np.argsort(perm).tolist()\n",
+        "    rng.bit_generator.state = state\n",
+        "",
         ("tests/test_data_io.py",),
     ),
     Mutant(
-        "gen_synthetic: spare row never written back",
+        "gen_synthetic: row view one float wide instead of one row",
         DATA_IO,
-        "        X[i] = spare\n",
-        "",
+        "X.view(np.dtype((np.void, X.shape[1] * X.itemsize)))",
+        "X.view(np.dtype((np.void, X.itemsize)))",
         ("tests/test_data_io.py",),
+    ),
+    Mutant(
+        "SyntheticSpec: n_classes check off by one",
+        DATA_IO,
+        "        if self.n_classes < 2:\n",
+        "        if self.n_classes < 1:\n",
+        ("tests/test_config_cli.py",),
+    ),
+    Mutant(
+        "run_experiment: a one-cell grid forks",
+        EXPERIMENT,
+        "    workers = min(cfg.workers, len(calls))\n",
+        "    workers = cfg.workers\n",
+        ("tests/test_config_cli.py",),
     ),
     Mutant(
         "load_idx: zero-image check off",

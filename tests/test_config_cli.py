@@ -206,6 +206,15 @@ class TestConfig:
             "seeds = -1",
             "dataset.seed = -1",
             "dataset.n_samples = 2",  # an 80/20 split with no test rows
+            "sap.eta = -1",
+            "sap.gamma = 0",
+            "sap.beta = 0",
+            "sap.beta = 1.5",
+            "dataset.n_features = 0",
+            "dataset.n_classes = 1",
+            "dataset.class_separation = -1",
+            "dataset.kind = bogus",
+            "train.nesterov = maybe",
         ],
     )
     def test_run_with_bad_value_exits_2(self, tmp_path, capsys, line):
@@ -242,6 +251,16 @@ class TestConfig:
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: model must be Linear or MLP, got 'CNN'\n"
+        assert not out.exists()
+
+    def test_run_with_line_without_equals_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(TINY_CONFIG + "workers 2\n")
+        lineno = len(TINY_CONFIG.splitlines()) + 1
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: line {lineno}: expected 'key = value', got 'workers 2'\n")
         assert not out.exists()
 
     def test_run_with_output_dir_key_exits_2(self, tmp_path, monkeypatch, capsys):
@@ -832,13 +851,17 @@ class TestRunAndReport:
         assert (out / "summary.csv").read_text() == experiment.summarize_records(completed)
 
     def test_one_forked_child_per_cell_at_most_workers_alive(self, tmp_path, child_starts):
-        # One forked child per cell, at most min(workers, cells) alive at once.
-        for kinds, workers, live in [("sap", 8, [1, 2]), ("sap,lottery_ticket", 3, [1, 2, 3, 3])]:
+        # One forked child per cell, at most min(workers, cells) alive at
+        # once; a one-cell grid runs in this process.
+        for kinds, seeds, workers, live in [("sap", "0,1", 8, [1, 2]),
+                                            ("sap,lottery_ticket", "0,1", 3, [1, 2, 3, 3]),
+                                            ("sap", "0", 2, [])]:
             child_starts.clear()
             cfg_path = tmp_path / "exp.cfg"
             cfg_path.write_text(TINY_CONFIG.replace("sap,lottery_ticket", kinds)
+                                .replace("seeds = 0,1", f"seeds = {seeds}")
                                 + f"workers = {workers}\n")
-            argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / kinds)]
+            argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / f"{kinds}_{seeds}")]
             assert cli.main(argv) == 0
             assert child_starts == [("fork", n) for n in live]
 

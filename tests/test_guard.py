@@ -9,6 +9,8 @@ def test_every_guard_config_parses():
     configs = {cmd.name: parse_config(cmd.config) for cmd in guard.COMMANDS if cmd.config}
     assert len(configs) == 11
     assert len({cmd.name for cmd in guard.COMMANDS}) == len(guard.COMMANDS)
+    # One desk grid runs its cells in the parent, one in forked children.
+    assert configs["desk"].workers == 1 and configs["desk_workers2"].workers == 2
     # The report reads cells that one of the grids writes.
     [report] = [cmd for cmd in guard.COMMANDS if cmd.argv[0] == "report"]
     desk = configs["desk"]
