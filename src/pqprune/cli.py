@@ -27,7 +27,6 @@ from .records import csv_text, format_value
 from .sparsity import (
     DEFAULT_NORMS,
     NormPair,
-    UndefinedIndexError,
     eta_r,
     gini_index,
     pq_index,
@@ -51,8 +50,8 @@ def cmd_measure(args) -> int:
             raise ValueError(f"expected a non-empty 1-D vector, got {values.shape[1]} columns")
         values = values[:, 0]
         index = pq_index(values, norms)
-    except ValueError as exc:  # an undefined index keeps its type, so its prefix
-        raise type(exc)(f"{args.file}: {exc}") from None
+    except ValueError as exc:  # an undefined index is a ValueError too
+        raise ValueError(f"{args.file}: {exc}") from None
     print(f"pq_index = {format_value(index)}")
     print(f"gini_index = {format_value(gini_index(values))}")
     rows = []
@@ -154,9 +153,6 @@ def main(argv=None) -> int:
         if getattr(args, "out", None) == "":  # Path("") is the working directory
             raise ValueError("--out: empty")
         return args.func(args)
-    except UndefinedIndexError as exc:
-        print(f"error: index undefined: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

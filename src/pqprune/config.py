@@ -21,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-import typing
 from dataclasses import dataclass, field
 
 from .data_io import SyntheticSpec
@@ -66,7 +65,8 @@ def _parse_float(s: str) -> float:
     return x
 
 
-_PARSERS = {int: int, float: _parse_float, bool: _parse_bool}
+# Keyed by a field's declared type, a string in modules that defer annotations.
+_PARSERS = {"int": int, "float": _parse_float, "bool": _parse_bool}
 
 
 def _pop(kv: dict[str, str], key: str, parse, default):
@@ -81,9 +81,8 @@ def _replace_fields(kv: dict[str, str], prefix: str, obj, **changes):
     """`obj` with each `<prefix>.<field>` key of `kv` popped and applied to its
     int, float or bool field, parsed by the field's declared type. Fields of
     any other type take no key; `changes` are applied as given."""
-    types = typing.get_type_hints(type(obj))
     for f in dataclasses.fields(obj):
-        parse = _PARSERS.get(types[f.name])
+        parse = _PARSERS.get(f.type)
         if parse is not None:
             changes[f.name] = _pop(kv, f"{prefix}.{f.name}", parse, getattr(obj, f.name))
     return dataclasses.replace(obj, **changes)

@@ -66,11 +66,10 @@ def gen_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
     call holds one copy of the data matrix; the two sides are views of it.
     """
     rng = np.random.default_rng(spec.seed)
-    counts = [spec.n_samples // spec.n_classes] * spec.n_classes
-    for k in range(spec.n_samples % spec.n_classes):
-        counts[k] += 1
-    labels = np.concatenate([np.full(c, k, dtype=int) for k, c in enumerate(counts)])
-    X = rng.standard_normal((spec.n_samples, spec.n_features))
+    n, K = spec.n_samples, spec.n_classes
+    classes = np.arange(K)
+    labels = np.repeat(classes, n // K + (classes < n % K))  # first n % K classes get one more
+    X = rng.standard_normal((n, spec.n_features))
     X[:, 0] += labels * spec.class_separation
     # Generator.permutation(n) is shuffle(arange(n)), and shuffle draws the
     # same values whatever the item size: from one generator state, both
@@ -136,8 +135,7 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise IdxFormatError(
             f"{labels_path}: {n_labels} labels for {count} images (count at byte 4)"
         )
-    pixels = pixels.reshape(count, rows * cols).astype(float) / 255.0
-    return Dataset(pixels, labels.astype(int))
+    return Dataset(np.divide(pixels.reshape(count, rows * cols), 255.0), labels)
 
 
 @contextmanager

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .config import ExperimentConfig, IdxPaths
+from .config import ExperimentConfig
 from .data_io import (
     SyntheticSpec,
     gen_synthetic,
@@ -47,7 +47,7 @@ Datasets = tuple[nn.Dataset, nn.Dataset]  # a grid's (train, test) pair
 def load_datasets(cfg: ExperimentConfig) -> Datasets:
     if isinstance(cfg.dataset, SyntheticSpec):
         return gen_synthetic(cfg.dataset)
-    paths: IdxPaths = cfg.dataset
+    paths = cfg.dataset
     return (
         load_idx(paths.train_images, paths.train_labels),
         load_idx(paths.test_images, paths.test_labels),

@@ -35,17 +35,11 @@ class Scope(str, Enum):
 
 class PruningMask:
     """Keep/drop mask over a network's weights: a bool vector `flat` in the
-    order of `NetworkParams.flat[:n_weights]`, True where a weight is kept."""
+    order of `NetworkParams.flat[:n_weights]`, True where a weight is kept.
+    It remains only for perfbench's density probe; ROADMAP item 12 removes it."""
 
     def __init__(self, flat):
         self.flat = np.asarray(flat, dtype=bool)
-
-    @classmethod
-    def all_ones(cls, params: nn.NetworkParams) -> "PruningMask":
-        return cls(np.ones(params.n_weights, dtype=bool))
-
-    def ones_count(self) -> int:
-        return int(np.count_nonzero(self.flat))
 
 
 @dataclass(frozen=True)
@@ -197,7 +191,8 @@ def run_pruning(
 
     Produces iterations t = 0..T inclusive; row t holds metrics of the model
     under mask m_t ("retrained") and under m_{t+1} ("pruned", no retraining).
-    The reported sparsity indices use `alg.index_norms`.
+    The reported sparsity indices use `alg.index_norms`. `d_t` follows the
+    recurrence d_{t+1} = d_t - c_total; the mask is never recounted.
 
     `seed` draws the initial network and each training's shuffle order.
     Each training round trains, in place, the one network it is handed.
@@ -211,8 +206,8 @@ def run_pruning(
     training or test loss ends the cell as diverged.
     """
     model = nn.init_network(layer_specs, seed)
-    mask = PruningMask.all_ones(model)
-    d0 = mask.ones_count()
+    mask = PruningMask(np.ones(model.n_weights, dtype=bool))
+    d0 = d_t = model.n_weights
     blocks = partition(model, scope)
     record = RunRecord(config={})
 
@@ -232,7 +227,6 @@ def run_pruning(
                 # One shot never retrains: this round's weights and mask are the
                 # ones last round's pruned metrics were taken under.
                 acc_r, loss_r, pqi_r, gini_r = acc_p, loss_p, pqi_p, gini_p
-            d_t = mask.ones_count()
 
             group_logs, skipped, counts = _decide(alg, blocks, mags, mask)
             record.events.extend(f"iteration {t}: {event}" for event in skipped)
@@ -262,6 +256,7 @@ def run_pruning(
                     groups=group_logs,
                 )
             )
+            d_t -= c_total
             if c_total == 0:
                 # Every later round has this round's network and mask, so it
                 # would make the same decisions: repeat this round under each t.

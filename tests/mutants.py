@@ -121,6 +121,13 @@ MUTANTS = [
         ("tests/test_pruning.py",),
     ),
     Mutant(
+        "run_pruning: d_t not reduced by the round's prune count",
+        PRUNING,
+        "            d_t -= c_total\n",
+        "",
+        ("tests/test_pruning.py",),
+    ),
+    Mutant(
         "run_pruning: the pruned evaluation without apply_mask",
         PRUNING,
         "nn.evaluate(nn.apply_mask(model, mask), test_data)",
@@ -246,6 +253,13 @@ MUTANTS = [
         ("tests/test_config_cli.py",),
     ),
     Mutant(
+        "_replace_fields: the declared type looked up by field name",
+        CONFIG,
+        "_PARSERS.get(f.type)",
+        "_PARSERS.get(f.name)",
+        ("tests/test_config_cli.py",),
+    ),
+    Mutant(
         "config: finite-value check off",
         CONFIG,
         "    if not math.isfinite(x):\n",
@@ -300,6 +314,20 @@ MUTANTS = [
         "    workers = min(cfg.workers, len(calls))\n",
         "    workers = cfg.workers\n",
         ("tests/test_config_cli.py",),
+    ),
+    Mutant(
+        "gen_synthetic: the remainder rows given to the last classes",
+        DATA_IO,
+        "(classes < n % K)",
+        "(classes >= K - n % K)",
+        ("tests/test_data_io.py",),
+    ),
+    Mutant(
+        "load_idx: pixels scaled by 256",
+        DATA_IO,
+        "np.divide(pixels.reshape(count, rows * cols), 255.0)",
+        "np.divide(pixels.reshape(count, rows * cols), 256.0)",
+        ("tests/test_data_io.py",),
     ),
     Mutant(
         "load_idx: zero-image check off",
@@ -462,7 +490,7 @@ MUTANTS = [
     Mutant(
         "measure: input error without the file name",
         CLI,
-        'raise type(exc)(f"{args.file}: {exc}") from None',
+        'raise ValueError(f"{args.file}: {exc}") from None',
         "raise",
         ("tests/test_config_cli.py",),
     ),

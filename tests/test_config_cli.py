@@ -359,7 +359,7 @@ class TestMeasureCommand:
         path = tmp_path / "w.txt"
         path.write_text("0\n0\n")
         assert run_cli(["measure", str(path)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: index undefined: {path}: ")
+        assert capsys.readouterr().err == f"error: {path}: index undefined for all-zero vector\n"
 
     @pytest.mark.parametrize("text", ["", "# only a comment\n"])
     def test_empty_file_exit_2_with_one_error_line(self, tmp_path, capsys, text):
@@ -672,6 +672,11 @@ class TestRunAndReport:
         assert captured.out == ""
         assert captured.err == "error: --out: empty\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_report_of_no_run_directories_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="^no run directories given$"):
+            experiment.write_report([], tmp_path)
+        assert not any(tmp_path.iterdir())
 
     def test_report_mixed_configs_rejected(self, run_root, tmp_path):
         dirs = [

@@ -52,6 +52,25 @@ class TestInit:
         with pytest.raises(ValueError):
             nn.init_network([nn.LayerSpec(5, 4), nn.LayerSpec(3, 2)], 0)
 
+    @pytest.mark.parametrize("sizes", [(0, 3), (3, 0), (-1, 2)])
+    def test_nonpositive_layer_size_rejected(self, sizes):
+        with pytest.raises(ValueError, match="^layer sizes must be positive$"):
+            nn.LayerSpec(*sizes)
+
+    def test_empty_spec_rejected(self):
+        with pytest.raises(ValueError, match="^empty layer spec$"):
+            nn.init_network([], 0)
+
+
+class TestDataset:
+    def test_misaligned_labels_rejected(self):
+        with pytest.raises(ValueError, match="^labels must align with inputs$"):
+            nn.Dataset(np.zeros((3, 2)), [0, 1])
+
+    def test_negative_class_id_rejected(self):
+        with pytest.raises(ValueError, match="^negative class id$"):
+            nn.Dataset(np.zeros((2, 2)), [0, -1])
+
 
 def start_weights(params, mask):
     """The weights training starts from: with no learning rate and no weight
@@ -66,12 +85,12 @@ class TestRewind:
 
     def test_identity_mask(self):
         params = nn.init_network(toy_specs(), seed=1)
-        start = start_weights(params, PruningMask.all_ones(params))
+        start = start_weights(params, PruningMask(np.ones(params.n_weights, dtype=bool)))
         assert np.array_equal(start.flat, params.flat)
 
     def test_zeroed_layer(self):
         params = nn.init_network(toy_specs(), seed=1)
-        mask = PruningMask.all_ones(params)
+        mask = PruningMask(np.ones(params.n_weights, dtype=bool))
         lo = params.weights[0].size
         mask.flat[lo : lo + params.weights[1].size] = False
         start = start_weights(params, mask)
@@ -81,7 +100,7 @@ class TestRewind:
 
     def test_single_entry(self):
         params = nn.init_network(toy_specs(), seed=1)
-        mask = PruningMask.all_ones(params)
+        mask = PruningMask(np.ones(params.n_weights, dtype=bool))
         mask.flat[0] = False
         start = start_weights(params, mask)
         expected = params.weights[0].copy()
@@ -107,7 +126,7 @@ class TestTrain:
 
     def test_masked_entries_stay_zero(self):
         params = nn.init_network(toy_specs(), seed=2)
-        mask = PruningMask.all_ones(params)
+        mask = PruningMask(np.ones(params.n_weights, dtype=bool))
         rng = np.random.default_rng(0)
         mask.flat[rng.random(mask.flat.size) < 0.4] = False
         cfg = nn.TrainConfig(epochs=3, batch_size=8)
@@ -116,7 +135,7 @@ class TestTrain:
 
     def test_memorizes_single_batch(self):
         params = nn.init_network(toy_specs(), seed=3)
-        mask = PruningMask.all_ones(params)
+        mask = PruningMask(np.ones(params.n_weights, dtype=bool))
         cfg = nn.TrainConfig(epochs=200, batch_size=32, weight_decay=0.0)
         data = separable_data()
         out = nn.train(params, mask, data, cfg, 3)
@@ -126,7 +145,7 @@ class TestTrain:
 
     def test_deterministic(self):
         params = nn.init_network(toy_specs(), seed=4)
-        mask = PruningMask.all_ones(params)
+        mask = PruningMask(np.ones(params.n_weights, dtype=bool))
         cfg = nn.TrainConfig(epochs=4, batch_size=8)
         a = nn.train(nn.NetworkParams(params.specs, params.flat.copy()), mask,
                      separable_data(), cfg, 4)
@@ -137,7 +156,7 @@ class TestTrain:
 
     def test_zero_lr_zero_decay_is_identity(self):
         params = nn.init_network(toy_specs(), seed=5)
-        mask = PruningMask.all_ones(params)
+        mask = PruningMask(np.ones(params.n_weights, dtype=bool))
         cfg = nn.TrainConfig(epochs=2, batch_size=8, learning_rate=0.0, weight_decay=0.0)
         out = nn.train(nn.NetworkParams(params.specs, params.flat.copy()), mask,
                        separable_data(), cfg, 0)
@@ -148,7 +167,7 @@ class TestTrain:
         params = nn.init_network(toy_specs(), seed=6)
         for w in params.weights:
             w *= 1e200
-        mask = PruningMask.all_ones(params)
+        mask = PruningMask(np.ones(params.n_weights, dtype=bool))
         cfg = nn.TrainConfig(epochs=1, batch_size=8)
         with pytest.raises(nn.TrainingDivergedError):
             nn.train(params, mask, separable_data(), cfg, 0)
@@ -426,7 +445,7 @@ def reference_train(params, mask, data, cfg, seed):
 
 def holed_mask(params, seed):
     """Zeros in every layer, and row 1 of the last layer zeroed entirely."""
-    mask = PruningMask.all_ones(params)
+    mask = PruningMask(np.ones(params.n_weights, dtype=bool))
     mask.flat[np.random.default_rng(seed).random(mask.flat.size) < 0.3] = False
     w = params.weights[-1]
     lo = params.n_weights - w.size

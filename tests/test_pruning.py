@@ -103,6 +103,10 @@ class TestPartition:
         single = single_row_params([0.3, 0.1])
         assert partition(single, Scope.NEURON_WISE) == [(["layer0/neuron0"], 0, 1, 2)]
 
+    def test_unknown_scope_rejected(self):
+        with pytest.raises(ValueError, match="^unknown scope 'row_wise'$"):
+            partition(single_row_params([0.3, 0.1]), "row_wise")
+
 
 def sequential_prune(mags, mask, lo, hi, count):
     """Reference step for one group, the flat weights [lo, hi): a new mask
@@ -118,7 +122,7 @@ def sequential_prune(mags, mask, lo, hi, count):
 class TestMagnitudePrune:
     def test_smallest_two(self):
         params = single_row_params([0.5, 0.1, 0.3, 0.7])
-        mask = PruningMask.all_ones(params)
+        mask = PruningMask(np.ones(params.n_weights, dtype=bool))
         blocks = partition(params, Scope.GLOBAL)
         flat = mask.flat
         _prune(blocks, nn.flatten_prunable(params), mask, [[2]])
@@ -152,7 +156,7 @@ class TestMagnitudePrune:
             params.weights[1][::3] = 0.0
             params.weights[0][1] = 0.0
             mags = nn.flatten_prunable(params)
-            mask = PruningMask.all_ones(params)
+            mask = PruningMask(np.ones(params.n_weights, dtype=bool))
             mask.flat[rng.random(mask.flat.size) < 0.3] = False
             # An exhausted row: every weight of it already pruned.
             mask.flat[params.weights[0].shape[1] * 2 : params.weights[0].shape[1] * 3] = False
@@ -165,10 +169,10 @@ class TestMagnitudePrune:
             for (_, lo, hi), count in zip(slices, counts):
                 expected = sequential_prune(mags, expected, lo, hi, count)
             per_block = np.split(np.array(counts), np.cumsum([b[2] for b in blocks])[:-1])
-            d = mask.ones_count()
+            d = np.count_nonzero(mask.flat)
             _prune(blocks, mags, mask, per_block)
             np.testing.assert_array_equal(mask.flat, expected.flat)
-            assert mask.ones_count() == d - sum(counts)
+            assert np.count_nonzero(mask.flat) == d - sum(counts)
 
 
 def argsort_prune(mags, keep, counts):
@@ -335,7 +339,7 @@ class TestRunPruning:
         acc, loss = evaluate(model, test)
         pqi, gini = _surviving_index(nn.flatten_prunable(model), mask, NormPair(0.5, 1.0))
         for it in rec.iterations[k:]:
-            assert it.d_t == mask.ones_count()
+            assert it.d_t == np.count_nonzero(mask.flat)
             assert (it.acc_retrained, it.loss_retrained) == (acc, loss)
             assert (it.acc_pruned, it.loss_pruned) == (acc, loss)
             assert (it.pqi_retrained, it.pqi_pruned, it.gini_retrained) == (pqi, pqi, gini)
@@ -410,7 +414,7 @@ class TestRunPruning:
             flat = trained[0 if kind == "one_shot" else t]
             assert (it.acc_retrained, it.loss_retrained) == measured(flat, masks[t])
             assert (it.acc_pruned, it.loss_pruned) == measured(flat, masks[t + 1])
-            assert it.d_t == masks[t].ones_count()
+            assert it.d_t == np.count_nonzero(masks[t].flat)
         # m_{t+1} drops weights that m_t keeps, so some round's metrics move.
         assert any(it.loss_pruned != it.loss_retrained for it in rec.iterations)
 

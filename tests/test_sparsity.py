@@ -101,6 +101,11 @@ class TestEtaR:
     def test_one_hot_empty_tail(self):
         assert eta_r([0, 0, 1, 0], 0.5)[0] == 0.0
 
+    @pytest.mark.parametrize("p", [0.0, -0.5])
+    def test_nonpositive_p_rejected(self, p):
+        with pytest.raises(ValueError, match=f"^p must be positive, got {p}$"):
+            eta_r([1, 2], p)
+
     def test_tail_head_ratio_p1(self):
         assert eta_r([1, 2, 3, 4], 1.0)[1] == pytest.approx(3 / 7, abs=1e-12)
 
@@ -315,6 +320,10 @@ class TestLowerBound:
     def test_negative_eta_rejected(self):
         with pytest.raises(ValueError):
             pqi_lower_bound(4, 0.5, -0.1, PQ05_1)
+
+    def test_no_entries_rejected(self):
+        with pytest.raises(ValueError, match="^d must be positive, got 0$"):
+            pqi_lower_bound(0, 0.5, 0.0, PQ05_1)
 
 
 finite_vectors = st.lists(
