@@ -200,10 +200,11 @@ def run_pruning(
     from `seed`, bit for bit, once the last round's network and magnitudes
     have gone, so no copy of the initial network is held while a round
     trains. One shot hands over its only network at t=0. The cell holds
-    one mask, which `_prune` shrinks to m_{t+1} in place. The network
-    stands pruned to it: masks only shrink, so `nn.apply_mask` prunes it
-    to m_{t+1} in place before the pruned evaluation. A non-finite
-    training or test loss ends the cell as diverged.
+    one mask, which `_prune_round` shrinks to m_{t+1} in place, deciding
+    and pruning each block in one pass. The network stands pruned to it:
+    masks only shrink, so `nn.apply_mask` prunes it to m_{t+1} in place
+    before the pruned evaluation. A non-finite training or test loss ends
+    the cell as diverged.
     """
     model = nn.init_network(layer_specs, seed)
     mask = PruningMask(np.ones(model.n_weights, dtype=bool))
@@ -221,23 +222,24 @@ def run_pruning(
                     model = nn.init_network(layer_specs, seed)
                 model = nn.train(model, mask, train_data, cfg, seed)
                 mags = nn.flatten_prunable(model)
-                acc_r, loss_r = nn.evaluate(model, test_data)
-                pqi_r, gini_r = _surviving_index(mags, mask, alg.index_norms)
+                retrained = (*nn.evaluate(model, test_data),
+                             *_surviving_index(mags, mask, alg.index_norms))
             else:
                 # One shot never retrains: this round's weights and mask are the
                 # ones last round's pruned metrics were taken under.
-                acc_r, loss_r, pqi_r, gini_r = acc_p, loss_p, pqi_p, gini_p
+                retrained = pruned
 
-            group_logs, skipped, counts = _decide(alg, blocks, mags, mask)
+            group_logs, skipped = _prune_round(alg, blocks, mags, mask)
             record.events.extend(f"iteration {t}: {event}" for event in skipped)
             c_total = sum(entry["c"] for entry in group_logs)
             if c_total > 0:
-                _prune(blocks, mags, mask, counts)
-                acc_p, loss_p = nn.evaluate(nn.apply_mask(model, mask), test_data)
-                pqi_p, gini_p = _surviving_index(mags, mask, alg.index_norms)
+                pruned = (*nn.evaluate(nn.apply_mask(model, mask), test_data),
+                          *_surviving_index(mags, mask, alg.index_norms))
             else:  # the mask stays as it is, and so does every metric
-                acc_p, loss_p, pqi_p, gini_p = acc_r, loss_r, pqi_r, gini_r
+                pruned = retrained
 
+            acc_r, loss_r, pqi_r, gini_r = retrained
+            acc_p, loss_p, pqi_p, _ = pruned
             record.iterations.append(
                 IterationMetrics(
                     t=t,
@@ -270,20 +272,19 @@ def run_pruning(
     return record
 
 
-def _block_view(flat: np.ndarray, offset: int, rows: int, cols: int) -> np.ndarray:
-    return flat[offset : offset + rows * cols].reshape(rows, cols)
-
-
-def _decide(alg: AlgorithmSpec, blocks, mags: np.ndarray, mask: PruningMask):
-    """One round's decisions over the flat magnitudes `mags` under `mask`:
-    the group log entries, the events of the groups skipped for all-zero
-    survivors, and each block's per-row prune counts."""
-    group_logs, skipped, counts = [], [], []
+def _prune_round(alg: AlgorithmSpec, blocks, mags: np.ndarray, mask: PruningMask):
+    """One round over the flat magnitudes `mags`: decide each surviving
+    row's prune count under `mask` and clear each block's drops from `mask`
+    in place. Returns the group log entries and the events of the groups
+    skipped for all-zero survivors. Blocks are disjoint, so clearing one
+    block's drops leaves every other block's decisions as they were."""
+    group_logs, skipped = [], []
     for labels, offset, rows, cols in blocks:
-        keep = _block_view(mask.flat, offset, rows, cols)
-        block = _block_view(mags, offset, rows, cols)
+        span = slice(offset, offset + rows * cols)
+        keep = mask.flat[span].reshape(rows, cols)
+        block = mags[span].reshape(rows, cols)
         survivors = np.count_nonzero(keep, axis=1)
-        block_counts = np.zeros(rows, dtype=int)
+        counts = np.zeros(rows, dtype=int)
         for r in np.flatnonzero(survivors).tolist():  # exhausted rows log nothing
             entry = {"label": labels[r], "d": int(survivors[r])}
             try:
@@ -294,21 +295,11 @@ def _decide(alg: AlgorithmSpec, blocks, mags: np.ndarray, mask: PruningMask):
             except UndefinedIndexError:
                 skipped.append(f"group {labels[r]} all-zero survivors; skipped")
                 continue
-            block_counts[r] = entry["c"]
+            counts[r] = entry["c"]
             group_logs.append(entry)
-        counts.append(block_counts)
-    return group_logs, skipped, counts
-
-
-def _prune(blocks, mags: np.ndarray, mask: PruningMask, counts) -> None:
-    """Clear from `mask`, in place, the weights that each block's `counts` prune."""
-    for (_, offset, rows, cols), block_counts in zip(blocks, counts):
-        drop = magnitude_prune(
-            _block_view(mags, offset, rows, cols),
-            _block_view(mask.flat, offset, rows, cols),
-            block_counts,
-        )
-        mask.flat[offset + drop] = False
+        if counts.any():
+            mask.flat[offset + magnitude_prune(block, keep, counts)] = False
+    return group_logs, skipped
 
 
 def replay_count(entry: dict, hp: SapHyperParams) -> int:

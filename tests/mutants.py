@@ -85,10 +85,10 @@ MUTANTS = [
         ("tests/test_pruning.py",),
     ),
     Mutant(
-        "run_pruning: no-op round when only the last block's counts are zero",
+        "run_pruning: no-op round when only the last group's count is zero",
         PRUNING,
         "            if c_total == 0:\n",
-        "            if not counts[-1].any():\n",
+        "            if sum(entry[\"c\"] for entry in group_logs[-1:]) == 0:\n",
         ("tests/test_pruning.py",),
     ),
     Mutant(
@@ -135,19 +135,31 @@ MUTANTS = [
         ("tests/test_pruning.py",),
     ),
     Mutant(
-        "run_pruning: the pruned evaluation before the prune",
+        "run_pruning: a pruning round's pruned metrics copied from the retrained ones",
         PRUNING,
-        "                _prune(blocks, mags, mask, counts)\n"
-        "                acc_p, loss_p = nn.evaluate(nn.apply_mask(model, mask), test_data)\n",
-        "                acc_p, loss_p = nn.evaluate(nn.apply_mask(model, mask), test_data)\n"
-        "                _prune(blocks, mags, mask, counts)\n",
+        "            if c_total > 0:\n",
+        "            if c_total < 0:\n",
         ("tests/test_pruning.py",),
     ),
     Mutant(
-        "_prune: clears a discarded copy of the mask",
+        "_prune_round: clears a discarded copy of the mask",
         PRUNING,
-        "        mask.flat[offset + drop] = False\n",
-        "        mask.flat.copy()[offset + drop] = False\n",
+        "            mask.flat[offset + magnitude_prune(block, keep, counts)] = False\n",
+        "            mask.flat.copy()[offset + magnitude_prune(block, keep, counts)] = False\n",
+        ("tests/test_pruning.py",),
+    ),
+    Mutant(
+        "_prune_round: a block's drops written without its offset",
+        PRUNING,
+        "mask.flat[offset + magnitude_prune(block, keep, counts)]",
+        "mask.flat[magnitude_prune(block, keep, counts)]",
+        ("tests/test_pruning.py",),
+    ),
+    Mutant(
+        "_prune_round: only the blocks that drop nothing are sorted",
+        PRUNING,
+        "        if counts.any():\n",
+        "        if not counts.any():\n",
         ("tests/test_pruning.py",),
     ),
     Mutant(

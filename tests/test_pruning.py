@@ -13,7 +13,7 @@ from pqprune.pruning import (
     PruningMask,
     SapHyperParams,
     Scope,
-    _prune,
+    _prune_round,
     _surviving_index,
     magnitude_prune,
     partition,
@@ -125,7 +125,9 @@ class TestMagnitudePrune:
         mask = PruningMask(np.ones(params.n_weights, dtype=bool))
         blocks = partition(params, Scope.GLOBAL)
         flat = mask.flat
-        _prune(blocks, nn.flatten_prunable(params), mask, [[2]])
+        alg = AlgorithmSpec("lottery_ticket", ratio=0.5)
+        group_logs, skipped = _prune_round(alg, blocks, nn.flatten_prunable(params), mask)
+        assert (group_logs, skipped) == ([{"label": "global", "d": 4, "c": 2}], [])
         assert list(mask.flat) == [True, False, False, True]
         assert mask.flat is flat  # pruned in place
 
@@ -146,7 +148,7 @@ class TestMagnitudePrune:
             single_row_prune([0.2, 0.4], [True, True], -1)
 
     @pytest.mark.parametrize("scope", list(Scope))
-    def test_one_pass_matches_sequential_oracle(self, scope):
+    def test_one_pass_matches_sequential_oracle(self, scope, monkeypatch):
         rng = np.random.default_rng(11)
         for trial in range(6):
             params = nn.init_network(nn.model_specs("MLP", 12, 3), seed=trial)
@@ -168,9 +170,20 @@ class TestMagnitudePrune:
             expected = mask
             for (_, lo, hi), count in zip(slices, counts):
                 expected = sequential_prune(mags, expected, lo, hi, count)
-            per_block = np.split(np.array(counts), np.cumsum([b[2] for b in blocks])[:-1])
+            # SAP's count for each row with survivors, in the order it decides them.
+            decided = [(d, c) for d, c in zip(survivors, counts) if d]
+            chosen = iter(decided)
+
+            def chosen_count(surv, hp):
+                d, c = next(chosen)
+                assert surv.size == d
+                return {"pqi": 0.5, "r": 0.0, "c": c}
+
+            monkeypatch.setattr(pruning, "sap_count", chosen_count)
             d = np.count_nonzero(mask.flat)
-            _prune(blocks, mags, mask, per_block)
+            group_logs, skipped = _prune_round(AlgorithmSpec("sap"), blocks, mags, mask)
+            assert next(chosen, None) is None and skipped == []
+            assert [entry["c"] for entry in group_logs] == [c for _, c in decided]
             np.testing.assert_array_equal(mask.flat, expected.flat)
             assert np.count_nonzero(mask.flat) == d - sum(counts)
 
@@ -305,8 +318,9 @@ class TestRunPruning:
         self, kind, scope, iterations, monkeypatch
     ):
         specs, cfg, train, test = tiny_run_setup()
-        trained, evaluations, decisions = [], [], []
+        trained, evaluations, decisions, rounds, sorted_in = [], [], [], [], []
         train_fn, evaluate, count = nn.train, nn.evaluate, pruning.sap_count
+        prune_round, prune = pruning._prune_round, pruning.magnitude_prune
 
         def recording_train(params, mask, data, train_cfg, seed):
             model = train_fn(params, mask, data, train_cfg, seed)
@@ -316,6 +330,10 @@ class TestRunPruning:
         monkeypatch.setattr(nn, "train", recording_train)
         monkeypatch.setattr(nn, "evaluate", lambda *a: evaluations.append(1) or evaluate(*a))
         monkeypatch.setattr(pruning, "sap_count", lambda *a: decisions.append(1) or count(*a))
+        monkeypatch.setattr(pruning, "_prune_round",
+                            lambda *a: rounds.append(1) or prune_round(*a))
+        monkeypatch.setattr(pruning, "magnitude_prune",
+                            lambda *a: sorted_in.append(len(rounds) - 1) or prune(*a))
         alg = AlgorithmSpec(kind=kind, iterations=iterations)
         rec = run_pruning(alg, scope, specs, cfg, 0, train, test)
         for a, b in zip(rec.iterations, rec.iterations[1:]):
@@ -328,6 +346,9 @@ class TestRunPruning:
         assert pruned == [True] * k + [False] * (iterations + 1 - k)
         assert len(trained) == k + 1
         assert len(evaluations) == 2 * k + 1
+        # Each pruning round sorts some block; the stalled round sorts none.
+        assert len(rounds) == k + 1
+        assert sorted(set(sorted_in)) == list(range(k))
         # SAP decides each surviving row once per round up to the first
         # round that prunes nothing; later rounds repeat its decisions.
         rows_with_survivors = sum(
@@ -387,19 +408,20 @@ class TestRunPruning:
     def test_each_round_is_evaluated_under_its_own_masks(self, kind, monkeypatch):
         specs, cfg, train, test = tiny_run_setup()
         trained, next_masks = [], []
-        train_fn, prune = nn.train, pruning._prune
+        train_fn, prune_round = nn.train, pruning._prune_round
 
         def recording_train(*args):
             model = train_fn(*args)
             trained.append(model.flat.copy())
             return model
 
-        def recording_prune(blocks, mags, mask, counts):
-            prune(blocks, mags, mask, counts)
+        def recording_prune_round(alg, blocks, mags, mask):
+            decided = prune_round(alg, blocks, mags, mask)
             next_masks.append(PruningMask(mask.flat.copy()))
+            return decided
 
         monkeypatch.setattr(nn, "train", recording_train)
-        monkeypatch.setattr(pruning, "_prune", recording_prune)
+        monkeypatch.setattr(pruning, "_prune_round", recording_prune_round)
         rec = run_pruning(AlgorithmSpec(kind=kind, iterations=3), Scope.LAYER_WISE,
                           specs, cfg, 0, train, test)
         assert all(it.c_total > 0 for it in rec.iterations)

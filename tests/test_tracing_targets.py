@@ -1,9 +1,9 @@
 """The benchmark's layer tracing (perfbench/tracing.py) wraps pqprune
 functions by module and attribute name, and its probes read values from
-their arguments and results; each must keep working, or a traced
-benchmark run fails or reports nonsense."""
+their arguments and results; each probe must read live values, or a traced
+benchmark run reports nonsense. perfbench/tests checks that every wrapped
+name exists."""
 
-import importlib
 import importlib.util
 from pathlib import Path
 
@@ -19,17 +19,6 @@ def load_tracing():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     return tracing
-
-
-def test_every_trace_target_is_callable():
-    tracing = load_tracing()
-    missing = [
-        f"pqprune.{module}.{attr}"
-        for module, attr, *_ in tracing.TARGETS
-        if not callable(getattr(importlib.import_module(f"pqprune.{module}"), attr, None))
-    ]
-    assert tracing.TARGETS
-    assert missing == []
 
 
 @pytest.mark.parametrize("scope", ["global", "layer_wise", "neuron_wise"])
