@@ -63,6 +63,9 @@ def cmd_measure(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    for flag, value, low in (("--trials", args.trials, 1), ("--seed", args.seed, 0)):
+        if value < low:
+            raise ValueError(f"{flag} must be >= {low}, got {value}")
     if args.measure == "gini":
         if args.negative:
             raise ValueError("negative search applies only to the pq measure")

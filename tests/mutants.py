@@ -297,7 +297,7 @@ MUTANTS = [
         DATA_IO,
         "    except (FileNotFoundError, NotADirectoryError) as exc:\n",
         "    except ArithmeticError as exc:\n",
-        ("tests/test_data_io.py", "tests/test_config_cli.py"),
+        ("tests/test_data_io.py", "tests/test_exit_codes.py"),
     ),
     Mutant(
         "gen_synthetic: labels shuffled without restoring the state",
@@ -458,7 +458,7 @@ MUTANTS = [
         CLI,
         '        if getattr(args, "out", None) == "":  #',
         "        if False:  #",
-        ("tests/test_config_cli.py",),
+        ("tests/test_exit_codes.py",),
     ),
     Mutant(
         "TrainConfig: the full-scale weight decay restored",
@@ -490,7 +490,7 @@ MUTANTS = [
         "    out_dir = Path(out_dir)\n"
         "    out_dir.mkdir(parents=True, exist_ok=True)\n"
         "    stats = trajectory_stats(records)\n",
-        ("tests/test_config_cli.py",),
+        ("tests/test_exit_codes.py",),
     ),
     Mutant(
         "report: $PQI_PRUNE_OUT fallback",
@@ -504,7 +504,7 @@ MUTANTS = [
         CLI,
         'raise ValueError(f"{args.file}: {exc}") from None',
         "raise",
-        ("tests/test_config_cli.py",),
+        ("tests/test_exit_codes.py",),
     ),
     Mutant(
         "audit: values scattered back in the wrong order",
@@ -542,11 +542,18 @@ MUTANTS = [
         ("tests/test_config_cli.py",),
     ),
     Mutant(
+        "audit: --trials and --seed unchecked before the audit",
+        CLI,
+        "        if value < low:\n",
+        "        if False:\n",
+        ("tests/test_exit_codes.py",),
+    ),
+    Mutant(
         "audit: --q accepted with the gini measure",
         CLI,
         'for flag, value in (("--p", args.p), ("--q", args.q)):',
         'for flag, value in (("--p", args.p),):',
-        ("tests/test_config_cli.py",),
+        ("tests/test_exit_codes.py",),
     ),
     Mutant(
         "NormPair: the error points at relaxed=True",
@@ -554,14 +561,14 @@ MUTANTS = [
         'raise ValueError(f"need 0 < p <= 1 <= q, got p={self.p}, q={self.q}")',
         'raise ValueError(f"need 0 < p <= 1 <= q, got p={self.p}, q={self.q} "\n'
         '                             "(use relaxed=True to bypass)")',
-        ("tests/test_config_cli.py",),
+        ("tests/test_exit_codes.py",),
     ),
     Mutant(
         "parse_config: an invalid norm pair does not name sap.p and sap.q",
         CONFIG,
         'raise ValueError(f"sap.p, sap.q: {exc}") from None',
         "raise",
-        ("tests/test_config_cli.py",),
+        ("tests/test_exit_codes.py",),
     ),
     Mutant(
         "pq_index, gini_index: in-place arithmetic on the caller's array",

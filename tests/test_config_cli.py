@@ -7,7 +7,6 @@ import multiprocessing.connection
 import multiprocessing.process
 import os
 import re
-import shutil
 import struct
 import subprocess
 import sys
@@ -31,23 +30,7 @@ from pqprune.nn import TrainConfig, model_specs
 from pqprune.pruning import AlgorithmSpec, SapHyperParams, Scope
 from pqprune.records import IterationMetrics, RunRecord
 from pqprune.sparsity import NormPair, gini_index
-
-TINY_CONFIG = """
-# desk config for fast tests
-model = Linear
-scope = global
-dataset.kind = synthetic
-dataset.n_samples = 200
-dataset.n_features = 8
-dataset.n_classes = 2
-dataset.class_separation = 5.0
-dataset.seed = 0
-algorithm.kinds = sap,lottery_ticket
-algorithm.iterations = 3
-train.epochs = 2
-train.batch_size = 32
-seeds = 0,1
-"""
+from test_exit_codes import TINY_CONFIG, cases, check
 
 
 def tiny_config(dataset) -> ExperimentConfig:
@@ -150,16 +133,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             parse_config("model = MLP\nbogus.key = 1\n")
 
-    def test_run_with_invalid_norm_pair_names_both_keys(self, tmp_path, capsys):
-        # The pair's error pointed at a Python keyword that no config accepts.
-        cfg_path = tmp_path / "pair.cfg"
-        cfg_path.write_text(TINY_CONFIG + "sap.p = 1.5\nsap.q = 2\n")
-        out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err == "error: sap.p, sap.q: need 0 < p <= 1 <= q, got p=1.5, q=2.0\n"
-        assert not out.exists()
-
     def test_duplicate_key_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             parse_config("model = MLP\nmodel = Linear\n")
@@ -172,134 +145,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="algorithm.kinds: duplicate entries sap"):
             parse_config("algorithm.kinds = sap, lottery_ticket, sap\n")
 
-    def test_run_with_duplicate_seeds_exits_2(self, tmp_path, capsys):
-        # Two cells of one name used to collapse into one directory and
-        # exit 1 with no reason given.
-        cfg_path = tmp_path / "dup.cfg"
-        cfg_path.write_text(TINY_CONFIG.replace("seeds = 0,1", "seeds = 0,0") + "workers = 1\n")
-        out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "duplicate entries" in capsys.readouterr().err
-        assert not out.exists()
+    @pytest.mark.parametrize("row", cases("test_run_with_bad_value_exits_2"))
+    def test_run_with_bad_value_exits_2(self, row, tmp_path, monkeypatch, capsys):
+        check(row, tmp_path, monkeypatch, capsys)
 
-    @pytest.mark.parametrize(
-        "line",
-        [
-            "train.epochs = 0",
-            "train.batch_size = -5",
-            "train.batch_size = 0",
-            "train.learning_rate = -1",
-            "train.weight_decay = -0.5",
-            "train.momentum = 1",
-            "train.momentum = -0.1",
-            "workers = -2",
-            "workers = 0",
-            "sap.eta = nan",
-            "sap.gamma = inf",
-            "train.learning_rate = nan",
-            "train.weight_decay = inf",
-            "dataset.class_separation = nan",
-            "train.epochs = abc",
-            "seeds = ",
-            "algorithm.kinds = ,",
-            "scope = bogus",
-            "seeds = -1",
-            "dataset.seed = -1",
-            "dataset.n_samples = 2",  # an 80/20 split with no test rows
-            "sap.eta = -1",
-            "sap.gamma = 0",
-            "sap.beta = 0",
-            "sap.beta = 1.5",
-            "dataset.n_features = 0",
-            "dataset.n_classes = 1",
-            "dataset.class_separation = -1",
-            "dataset.kind = bogus",
-            "train.nesterov = maybe",
-        ],
-    )
-    def test_run_with_bad_value_exits_2(self, tmp_path, capsys, line):
-        setting = line.split(" = ")[0]
-        kept = [l for l in TINY_CONFIG.splitlines() if not l.startswith(setting + " ")]
-        cfg_path = tmp_path / "bad.cfg"
-        cfg_path.write_text("\n".join(kept + [line]) + "\n")
-        out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert setting.split(".")[-1] in capsys.readouterr().err  # the key's field name
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "line, message",
-        [
-            ("algorithm.kinds = sap,bogus", "unknown algorithm kind 'bogus'"),
-            ("algorithm.iterations = 0", "iterations must be >= 1"),
-            ("algorithm.ratio = 1.5", "ratio must be in (0, 1)"),
-        ],
-    )
-    def test_run_with_bad_algorithm_exits_2(self, tmp_path, capsys, line, message):
-        setting = line.split(" = ")[0]
-        kept = [l for l in TINY_CONFIG.splitlines() if not l.startswith(setting + " ")]
-        cfg_path = tmp_path / "bad.cfg"
-        cfg_path.write_text("\n".join(kept + [line]) + "\n")
-        out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert message in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_run_with_unknown_model_exits_2(self, tmp_path, capsys):
-        cfg_path = tmp_path / "cnn.cfg"
-        cfg_path.write_text(TINY_CONFIG.replace("model = Linear", "model = CNN"))
-        out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: model must be Linear or MLP, got 'CNN'\n"
-        assert not out.exists()
-
-    def test_run_with_line_without_equals_exits_2(self, tmp_path, capsys):
-        cfg_path = tmp_path / "bad.cfg"
-        cfg_path.write_text(TINY_CONFIG + "workers 2\n")
-        lineno = len(TINY_CONFIG.splitlines()) + 1
-        out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: line {lineno}: expected 'key = value', got 'workers 2'\n")
-        assert not out.exists()
-
-    def test_run_with_output_dir_key_exits_2(self, tmp_path, monkeypatch, capsys):
-        # --out is the one way to name the output root.
-        monkeypatch.chdir(tmp_path)
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(TINY_CONFIG + "output_dir = runs\n")
-        out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: unknown config keys: ['output_dir']\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
-
-    def test_run_with_empty_out_exits_2(self, tmp_path, monkeypatch, capsys):
-        # Path("") is the working directory, where no grid is written.
-        monkeypatch.chdir(tmp_path)
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(TINY_CONFIG)
-        assert cli.main(["run", "--config", str(cfg_path), "--out", ""]) == 2
-        assert capsys.readouterr().err == "error: --out: empty\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
-
-    def test_run_with_workers_flag_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
-        # The workers key is the one way to set the worker count.
-        monkeypatch.chdir(tmp_path)
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(TINY_CONFIG)
-        argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
-                "--workers", "2"]
-        with pytest.raises(SystemExit) as info:
-            cli.main(argv)
-        assert info.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage: pqprune ")
-        assert err.endswith("error: unrecognized arguments: --workers 2\n")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
-
-
-def run_cli(argv):
-    return cli.main(argv)
+    @pytest.mark.parametrize("row", cases("test_run_with_bad_algorithm_exits_2"))
+    def test_run_with_bad_algorithm_exits_2(self, row, tmp_path, monkeypatch, capsys):
+        check(row, tmp_path, monkeypatch, capsys)
 
 
 def fail_writes_to(monkeypatch, name):
@@ -324,7 +176,7 @@ class TestMeasureCommand:
     def test_known_vector(self, tmp_path, capsys):
         path = tmp_path / "w.txt"
         path.write_text("1\n2\n3\n4\n")
-        assert run_cli(["measure", str(path), "--p", "0.5", "--q", "1.0"]) == 0
+        assert cli.main(["measure", str(path), "--p", "0.5", "--q", "1.0"]) == 0
         out = capsys.readouterr().out
         assert "pq_index = 0.0555858574" in out
         assert "gini_index = 0.25" in out
@@ -333,7 +185,7 @@ class TestMeasureCommand:
     def test_uniform_vector(self, tmp_path, capsys):
         path = tmp_path / "w.txt"
         path.write_text("2\n2\n2\n")
-        assert run_cli(["measure", str(path)]) == 0
+        assert cli.main(["measure", str(path)]) == 0
         out = capsys.readouterr().out
         values = {
             line.split(" = ")[0]: float(line.split(" = ")[1])
@@ -346,55 +198,15 @@ class TestMeasureCommand:
     def test_one_hot(self, tmp_path, capsys):
         path = tmp_path / "w.txt"
         path.write_text("0\n0\n0\n1\n")
-        assert run_cli(["measure", str(path)]) == 0
+        assert cli.main(["measure", str(path)]) == 0
         assert "pq_index = 0.75" in capsys.readouterr().out
-
-    def test_invalid_norm_pair_exit_2_without_a_python_hint(self, tmp_path, capsys):
-        path = tmp_path / "w.txt"
-        path.write_text("1\n2\n")
-        assert run_cli(["measure", str(path), "--p", "1.5", "--q", "2"]) == 2
-        assert capsys.readouterr().err == "error: need 0 < p <= 1 <= q, got p=1.5, q=2.0\n"
-
-    def test_all_zero_exit_2(self, tmp_path, capsys):
-        path = tmp_path / "w.txt"
-        path.write_text("0\n0\n")
-        assert run_cli(["measure", str(path)]) == 2
-        assert capsys.readouterr().err == f"error: {path}: index undefined for all-zero vector\n"
-
-    @pytest.mark.parametrize("text", ["", "# only a comment\n"])
-    def test_empty_file_exit_2_with_one_error_line(self, tmp_path, capsys, text):
-        path = tmp_path / "empty.txt"
-        path.write_text(text)
-        assert run_cli(["measure", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {path}: no values to measure\n"
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("1 2\n3 4\n", "expected a non-empty 1-D vector"),
-            ("1\nnan\n", "non-finite entry in magnitude vector"),
-            ("1\nabc\n", "could not convert string"),
-            ("1 2\n", "expected a non-empty 1-D vector, got 2 columns"),
-        ],
-        ids=["two_columns", "nan", "unparsable", "one_line_two_columns"],
-    )
-    def test_bad_input_exits_2_naming_the_file(self, tmp_path, capsys, text, message):
-        path = tmp_path / "w.txt"
-        path.write_text(text)
-        assert run_cli(["measure", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: {path}: {message}")
-        assert captured.err.count("\n") == 1
 
     def test_large_vector(self, tmp_path, capsys):
         d = 100_000
         values = np.random.default_rng(0).laplace(size=d)
         path = tmp_path / "w.txt"
         path.write_text("".join(f"{x!r}\n" for x in values.tolist()))
-        assert run_cli(["measure", str(path)]) == 0
+        assert cli.main(["measure", str(path)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == d + 3
         assert lines[2] == "r,eta_r,bound,satisfied"
@@ -403,17 +215,21 @@ class TestMeasureCommand:
         assert lines[-1].startswith(f"{d},0,")
 
 
-def test_report_runs_with_scipy_unimportable(run_root, tmp_path):
+def run_python(code):
+    """Run `code` in a new interpreter that imports this checkout's pqprune."""
     import pqprune
 
     src = str(Path(pqprune.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_report_runs_with_scipy_unimportable(run_root, tmp_path):
     argv = ["report", *(str(run_root / "out" / f"sap_seed{s}") for s in (0, 1)),
             "--out", str(tmp_path)]
-    code = ("import sys; sys.modules['scipy'] = None; from pqprune import cli; "
-            f"sys.exit(cli.main({argv!r}))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = run_python("import sys; sys.modules['scipy'] = None; from pqprune import cli; "
+                      f"sys.exit(cli.main({argv!r}))")
     assert proc.returncode == 0, proc.stderr
     stats = json.loads((tmp_path / "trajectory_stats.json").read_text())
     assert set(stats) == {"pqi_argmin", "pqi_argmax", "spearman_pqi_gini"}
@@ -437,60 +253,25 @@ def test_package_imports_only_stdlib_and_numpy():
 
 
 def test_cli_import_loads_no_process_pool():
-    import pqprune
-
-    src = str(Path(pqprune.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys, pqprune.cli; "
-            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = run_python("import sys, pqprune.cli; print(sorted("
+                      "{'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
 
 class TestAuditCommand:
     def test_pq_clean_exit_0(self, capsys):
-        assert run_cli(["audit", "--measure", "pq", "--trials", "100"]) == 0
+        assert cli.main(["audit", "--measure", "pq", "--trials", "100"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert all(r["violations"] == 0 for r in data["results"])
 
     def test_gini_clean_exit_0(self, capsys):
-        assert run_cli(["audit", "--measure", "gini", "--trials", "100"]) == 0
+        assert cli.main(["audit", "--measure", "gini", "--trials", "100"]) == 0
 
     def test_negative_search_reports_without_failing(self, capsys):
-        rc = run_cli(
-            ["audit", "--measure", "pq", "--p", "0.3", "--q", "0.7",
-             "--trials", "20", "--negative"]
-        )
-        assert rc == 0
+        assert cli.main(["audit", "--measure", "pq", "--p", "0.3", "--q", "0.7",
+                         "--trials", "20", "--negative"]) == 0
         assert "negative robin_hood search: found" in capsys.readouterr().out
-
-    def test_negative_gini_rejected_before_audit(self, tmp_path, capsys):
-        out = tmp_path / "audit.json"
-        argv = ["audit", "--measure", "gini", "--negative", "--out", str(out)]
-        assert run_cli(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "negative search applies only to the pq measure" in captured.err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("flag", ["--p", "--q"])
-    def test_norm_flag_with_gini_rejected_before_audit(self, tmp_path, capsys, flag):
-        # `audit --measure gini --p 7` ran the Gini audit and ignored the flag.
-        out = tmp_path / "audit.json"
-        argv = ["audit", "--measure", "gini", flag, "7", "--out", str(out)]
-        assert run_cli(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {flag} applies only to the pq measure\n"
-        assert not out.exists()
-
-    def test_invalid_norm_pair_exit_2_without_a_python_hint(self, capsys):
-        assert run_cli(["audit", "--p", "1.5", "--q", "2", "--trials", "5"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: need 0 < p <= 1 <= q, got p=1.5, q=2.0\n"
 
     def test_a_violation_of_the_last_axiom_exits_1(self, tmp_path, monkeypatch, capsys):
         # A measure that breaks babies alone: every drawn vector but the one
@@ -500,7 +281,7 @@ class TestAuditCommand:
 
         monkeypatch.setattr(cli, "gini_measure", lambda: ("babies_broken", babies_broken))
         out = tmp_path / "audit.json"
-        assert run_cli(["audit", "--measure", "gini", "--trials", "20", "--out", str(out)]) == 1
+        assert cli.main(["audit", "--measure", "gini", "--trials", "20", "--out", str(out)]) == 1
         text = capsys.readouterr().out
         assert out.read_text() == text
         report = json.loads(text)
@@ -510,56 +291,35 @@ class TestAuditCommand:
     def test_failed_out_write_keeps_previous_report(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "audit.json"
         argv = ["audit", "--trials", "20", "--out", str(out)]
-        assert run_cli(argv) == 0
+        assert cli.main(argv) == 0
         before = dir_bytes(tmp_path)
         fail_writes_to(monkeypatch, out.name)
-        assert run_cli(argv) == 1
+        assert cli.main(argv) == 1
         assert capsys.readouterr().err == "error: disk full\n"
         monkeypatch.undo()
         assert dir_bytes(tmp_path) == before
 
-    def test_empty_out_rejected_before_audit(self, tmp_path, monkeypatch, capsys):
-        # An empty --out used to run the audit and write no file.
-        monkeypatch.chdir(tmp_path)
-        assert run_cli(["audit", "--trials", "5", "--out", ""]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: --out: empty\n"
-        assert list(tmp_path.iterdir()) == []
 
-    def test_out_write_error_names_target(self, tmp_path, capsys):
-        out = tmp_path / "nodir" / "x.json"
-        assert run_cli(["audit", "--trials", "5", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"No such file or directory: '{out}'" in err
-        assert ".tmp" not in err
-
-    def test_out_write_error_under_a_file_names_target(self, tmp_path, capsys):
-        (tmp_path / "afile").write_text("")
-        out = tmp_path / "afile" / "x.json"
-        assert run_cli(["audit", "--trials", "3", "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: [Errno 20] Not a directory: '{out}'\n"
+def run_config(tmp_path, text):
+    """Write `text` to tmp_path/exp.cfg; the argv that runs it into tmp_path/out, and that out."""
+    (tmp_path / "exp.cfg").write_text(text)
+    out = tmp_path / "out"
+    return ["run", "--config", str(tmp_path / "exp.cfg"), "--out", str(out)], out
 
 
-class TestOtherOSErrors:
-    """An OSError other than a missing file is one error line naming its path,
-    with exit 1."""
+def fail_cells(monkeypatch, doomed, error=None):
+    """Make each cell that `doomed(kind, seed)` names raise a RuntimeError of
+    `error` or, if None, end its process without returning, as an OOM kill would."""
+    run_cell = experiment.run_cell
 
-    def test_measure_directory(self, tmp_path, capsys):
-        assert run_cli(["measure", str(tmp_path)]) == 1
-        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+    def run_or_fail(cfg, alg, seed, data):
+        if not doomed(alg.kind, seed):
+            return run_cell(cfg, alg, seed, data)
+        if error is None:
+            os._exit(1)
+        raise RuntimeError(error)
 
-    def test_run_config_directory(self, tmp_path, capsys):
-        assert run_cli(["run", "--config", str(tmp_path)]) == 1
-        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
-
-    def test_run_out_under_a_file(self, tmp_path, capsys):
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(TINY_CONFIG)
-        out = cfg_path / "x"
-        assert run_cli(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: '{out}'\n"
+    monkeypatch.setattr(experiment, "run_cell", run_or_fail)
 
 
 @pytest.fixture
@@ -583,16 +343,6 @@ def child_starts(monkeypatch):
     monkeypatch.setattr(base, "start", recording_start)
     monkeypatch.setattr(base, "join", recording_join)
     return starts
-
-
-@pytest.fixture(scope="module")
-def run_root(tmp_path_factory):
-    root = tmp_path_factory.mktemp("cells")
-    cfg_path = root / "exp.cfg"
-    cfg_path.write_text(TINY_CONFIG)
-    rc = cli.main(["run", "--config", str(cfg_path), "--out", str(root / "out")])
-    assert rc == 0
-    return root
 
 
 class TestRunAndReport:
@@ -663,27 +413,14 @@ class TestRunAndReport:
         assert (tmp_path / "report" / "trajectory_stats.json").exists()
         assert not (tmp_path / "envout").exists()
 
-    def test_report_with_empty_out_exits_2(self, run_root, tmp_path, monkeypatch, capsys):
-        # Path("") is the working directory, where the panels used to land.
-        monkeypatch.chdir(tmp_path)
-        dirs = [str(run_root / "out" / f"sap_seed{s}") for s in (0, 1)]
-        assert cli.main(["report", *dirs, "--out", ""]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: --out: empty\n"
-        assert list(tmp_path.iterdir()) == []
-
     def test_report_of_no_run_directories_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="^no run directories given$"):
             experiment.write_report([], tmp_path)
         assert not any(tmp_path.iterdir())
 
-    def test_report_mixed_configs_rejected(self, run_root, tmp_path):
-        dirs = [
-            str(run_root / "out" / "sap_seed0"),
-            str(run_root / "out" / "lottery_ticket_seed0"),
-        ]
-        assert cli.main(["report", *dirs, "--out", str(tmp_path)]) == 2
+    @pytest.mark.parametrize("row", cases("test_report_damaged_record_exits_2"))
+    def test_report_damaged_record_exits_2(self, row, run_root, tmp_path, monkeypatch, capsys):
+        check(row, tmp_path, monkeypatch, capsys, run_root / "out")
 
     def test_report_leaves_out_incomplete_runs(self, run_root, tmp_path, caplog):
         out = run_root / "out"
@@ -696,104 +433,10 @@ class TestRunAndReport:
             assert (mixed / panel.name).read_bytes() == panel.read_bytes()
         assert f"left out incomplete run {diverged}" in caplog.text
 
-    def test_report_without_complete_runs_exits_2(self, run_root, tmp_path, capsys):
-        out = run_root / "out"
-        dirs = [
-            str(diverged_copy(out / f"sap_seed{s}", tmp_path / f"sap_seed{s}", at=0))
-            for s in (0, 1)
-        ]
-        assert cli.main(["report", *dirs, "--out", str(tmp_path / "report")]) == 2
-        assert "no complete runs" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "damage, message",
-        [
-            (lambda text: json.dumps({k: v for k, v in json.loads(text).items()
-                                      if k != "events"}), "has no field 'events'"),
-            (lambda text: text[: len(text) // 2], "is not valid JSON"),
-            (lambda text: "[]", "has the wrong shape"),
-            (lambda text: json.dumps({**json.loads(text), "iterations": [1]}),
-             "has the wrong shape"),
-            (lambda text: json.dumps({**json.loads(text), "config": []}),
-             "has the wrong shape: config must be an object"),
-            (lambda text: json.dumps({**json.loads(text), "completed": "no"}),
-             "has the wrong shape: completed must be a boolean"),
-            # Each of these read back as a record before: "abc" as three events.
-            (lambda text: json.dumps({**json.loads(text), "events": "abc"}),
-             "has the wrong shape: events must be a list of strings"),
-            (lambda text: json.dumps({**json.loads(text), "events": [1]}),
-             "has the wrong shape: events must be a list of strings"),
-            (lambda text: json.dumps({**json.loads(text), "iterations": {}}),
-             "has the wrong shape: iterations must be a list"),
-            # A completed run has T+1 iterations; report failed on none with
-            # "not enough values to unpack" and no file named.
-            (lambda text: json.dumps({**json.loads(text), "iterations": []}),
-             "has the wrong shape: iterations must not be empty in a completed record"),
-            (lambda text: damaged_iteration(text, t="zero"), "has the wrong shape"),
-            (lambda text: damaged_iteration(text, d_t=True), "has the wrong shape"),
-            (lambda text: damaged_iteration(text, c_total=1.0), "has the wrong shape"),
-            (lambda text: damaged_iteration(text, groups="x"), "has the wrong shape"),
-            # The writer writes NaN as NaN, never as null, and no infinite metric.
-            (lambda text: damaged_iteration(text, pqi_retrained=None),
-             "has the wrong shape: an iteration's pqi_retrained"),
-            (lambda text: damaged_iteration(text, acc_retrained=np.inf),
-             "has the wrong shape: an iteration's acc_retrained"),
-            (lambda text: damaged_iteration(text, acc_retrained=True),
-             "has the wrong shape: an iteration's acc_retrained"),
-            (lambda text: damaged_iteration(text, acc_retrained="x"),
-             "has the wrong shape: an iteration's acc_retrained"),
-        ],
-        ids=["missing_field", "truncated", "not_an_object", "bad_iteration", "config_a_list",
-             "completed_a_string", "events_a_string", "event_not_a_string",
-             "iterations_an_object", "completed_without_iterations", "t_a_string", "d_t_a_bool", "c_total_a_float",
-             "groups_a_string", "pqi_null", "acc_infinite", "acc_a_bool", "acc_a_string"],
-    )
-    def test_report_damaged_record_exits_2(self, run_root, tmp_path, capsys, damage, message):
-        text = (run_root / "out" / "sap_seed0" / "run.json").read_text()
-        (tmp_path / "cut").mkdir()
-        (tmp_path / "cut" / "run.json").write_text(damage(text))
-        argv = ["report", str(tmp_path / "cut"), "--out", str(tmp_path / "report")]
-        assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert f"run record {tmp_path / 'cut' / 'run.json'} {message}" in err
-        assert not (tmp_path / "report").exists()
-
-    @pytest.mark.parametrize("twin", ["same_dir", "copy"])
-    def test_report_repeated_run_exits_2(self, run_root, tmp_path, capsys, twin):
-        # A run given twice was averaged as two runs, with n = 2 and std 0.
-        run = run_root / "out" / "sap_seed0"
-        again = run
-        if twin == "copy":
-            again = tmp_path / "copy"
-            shutil.copytree(run, again)
-        argv = ["report", str(run), str(run_root / "out" / "sap_seed1"), str(again),
-                "--out", str(tmp_path / "report")]
-        assert cli.main(argv) == 2
-        assert capsys.readouterr().err == f"error: runs {run} and {again} repeat seed 0\n"
-        assert not (tmp_path / "report").exists()
-
-    def test_report_missing_record_exits_2(self, tmp_path, capsys):
-        argv = ["report", str(tmp_path / "absent"), "--out", str(tmp_path / "report")]
-        assert cli.main(argv) == 2
-        assert f"run record {tmp_path / 'absent' / 'run.json'} does not exist" in (
-            capsys.readouterr().err
-        )
-        assert not (tmp_path / "report").exists()
-
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_clean_rerun_removes_failed_cells(self, tmp_path, monkeypatch, caplog, workers):
-        run_cell = experiment.run_cell
-
-        def fail_seed1(cfg, alg, seed, data):
-            if seed == 1:
-                raise RuntimeError("injected failure")
-            return run_cell(cfg, alg, seed, data)
-
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(TINY_CONFIG + f"workers = {workers}\n")
-        out = tmp_path / "out"
-        argv = ["run", "--config", str(cfg_path), "--out", str(out)]
-        monkeypatch.setattr(experiment, "run_cell", fail_seed1)
+        argv, out = run_config(tmp_path, TINY_CONFIG + f"workers = {workers}\n")
+        fail_cells(monkeypatch, lambda kind, seed: seed == 1, "injected failure")
         assert cli.main(argv) == 1
         failed = (out / "failed_cells.txt").read_text()
         assert failed == "sap_seed1\nlottery_ticket_seed1\n"
@@ -809,19 +452,10 @@ class TestRunAndReport:
         assert not (out / "failed_cells.txt").exists()
 
     def test_dead_children_fail_only_their_cells(self, tmp_path, monkeypatch):
-        # Each seed-1 child exits without returning, as an OOM kill would end it.
-        run_cell = experiment.run_cell
-
-        def die_on_seed1(cfg, alg, seed, data):
-            if seed == 1:
-                os._exit(1)
-            return run_cell(cfg, alg, seed, data)
-
-        monkeypatch.setattr(experiment, "run_cell", die_on_seed1)
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(TINY_CONFIG + "workers = 2\n")
-        out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        # Each seed-1 child exits without returning.
+        fail_cells(monkeypatch, lambda kind, seed: seed == 1)
+        argv, out = run_config(tmp_path, TINY_CONFIG + "workers = 2\n")
+        assert cli.main(argv) == 1
         failed = (out / "failed_cells.txt").read_text().splitlines()
         assert failed == ["sap_seed1", "lottery_ticket_seed1"]
         cells = {f"{kind}_seed{s}" for kind in ("sap", "lottery_ticket") for s in (0, 1)}
@@ -832,19 +466,9 @@ class TestRunAndReport:
 
     def test_dead_worker_fails_only_its_own_cell(self, tmp_path, monkeypatch, caplog):
         # Each cell has its own child, so sap_seed1's death reaches no other cell.
-        run_cell = experiment.run_cell
-
-        def die_on_sap_seed1(cfg, alg, seed, data):
-            if (alg.kind, seed) == ("sap", 1):
-                os._exit(1)
-            return run_cell(cfg, alg, seed, data)
-
-        monkeypatch.setattr(experiment, "run_cell", die_on_sap_seed1)
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(TINY_CONFIG.replace("seeds = 0,1", "seeds = 0,1,2,3")  # 8 cells
-                            + "workers = 2\n")
-        out = tmp_path / "out"
-        argv = ["run", "--config", str(cfg_path), "--out", str(out)]
+        fail_cells(monkeypatch, lambda kind, seed: (kind, seed) == ("sap", 1))
+        argv, out = run_config(tmp_path, TINY_CONFIG.replace("seeds = 0,1", "seeds = 0,1,2,3")
+                               + "workers = 2\n")  # 8 cells
         assert cli.main(argv) == 1
         assert (out / "failed_cells.txt").read_text() == "sap_seed1\n"
         assert "cell sap_seed1 failed" in caplog.text
@@ -874,20 +498,11 @@ class TestRunAndReport:
                                                                   child_starts):
         # sap_seed1's child dies at once; it is not run again, and the other
         # 11 cells still run two at a time.
-        run_cell = experiment.run_cell
-
-        def die_on_sap_seed1(cfg, alg, seed, data):
-            if (alg.kind, seed) == ("sap", 1):
-                os._exit(1)
-            return run_cell(cfg, alg, seed, data)
-
-        monkeypatch.setattr(experiment, "run_cell", die_on_sap_seed1)
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(TINY_CONFIG.replace("sap,lottery_ticket", "sap,lottery_ticket,one_shot")
-                            .replace("seeds = 0,1", "seeds = 0,1,2,3")  # 12 cells
-                            + "workers = 2\n")
-        out = tmp_path / "out"
-        argv = ["run", "--config", str(cfg_path), "--out", str(out)]
+        fail_cells(monkeypatch, lambda kind, seed: (kind, seed) == ("sap", 1))
+        argv, out = run_config(tmp_path, TINY_CONFIG
+                               .replace("sap,lottery_ticket", "sap,lottery_ticket,one_shot")
+                               .replace("seeds = 0,1", "seeds = 0,1,2,3")  # 12 cells
+                               + "workers = 2\n")
         assert cli.main(argv) == 1
         assert (out / "failed_cells.txt").read_text() == "sap_seed1\n"
         assert child_starts == [("fork", 1)] + [("fork", 2)] * 11
@@ -920,13 +535,10 @@ class TestRunAndReport:
     def test_diverged_cells_are_recorded(self, tmp_path):
         # The suite runs with warnings as errors; a diverged cell is still
         # recorded, not failed.
-        cfg_path = tmp_path / "diverge.cfg"
-        cfg_path.write_text(
-            "train.learning_rate = 1e6\nalgorithm.kinds = sap,one_shot\n"
-            "algorithm.iterations = 3\nseeds = 0\n"
-        )
-        out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        argv, out = run_config(tmp_path, "train.learning_rate = 1e6\n"
+                               "algorithm.kinds = sap,one_shot\nalgorithm.iterations = 3\n"
+                               "seeds = 0\n")
+        assert cli.main(argv) == 0
         for kind in ("sap", "one_shot"):
             rec = read_run_record(out / f"{kind}_seed0")
             assert not rec.completed
@@ -941,14 +553,11 @@ class TestRunAndReport:
         # Training's loss stays finite, but its last update leaves weights
         # whose forward pass overflows on the test split; under warnings as
         # errors, those cells are still recorded, not failed.
-        cfg_path = tmp_path / "overflow.cfg"
-        cfg_path.write_text(
-            "model = MLP\nscope = global\ndataset.n_samples = 300\n"
-            "algorithm.kinds = sap,lottery_ticket,one_shot\nalgorithm.iterations = 3\n"
-            "train.epochs = 2\ntrain.learning_rate = 30\nseeds = 0,1,2\n"
-        )
-        out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        argv, out = run_config(tmp_path, "model = MLP\nscope = global\ndataset.n_samples = 300\n"
+                               "algorithm.kinds = sap,lottery_ticket,one_shot\n"
+                               "algorithm.iterations = 3\ntrain.epochs = 2\n"
+                               "train.learning_rate = 30\nseeds = 0,1,2\n")
+        assert cli.main(argv) == 0
         diverged = {"sap_seed0": 0, "lottery_ticket_seed0": 0, "lottery_ticket_seed1": 1,
                     "lottery_ticket_seed2": 1, "one_shot_seed0": 0}
         for kind, seed in itertools.product(("sap", "lottery_ticket", "one_shot"), range(3)):
@@ -976,60 +585,6 @@ class TestRunAndReport:
 
 
 class TestGridData:
-    def test_bad_idx_exits_2_with_nothing_written(self, tmp_path, capsys):
-        images = tmp_path / "train-img.idx"
-        # An image header declaring 10 images of 28 x 28, then 14 bytes.
-        images.write_bytes(bytes.fromhex("00000803 0000000a 0000001c 0000001c") + bytes(14))
-        cfg_path = tmp_path / "idx.cfg"
-        cfg_path.write_text(
-            "model = Linear\ndataset.kind = idx\n"
-            f"dataset.train_images = {images}\ndataset.train_labels = {tmp_path}/l\n"
-            f"dataset.test_images = {tmp_path}/ti\ndataset.test_labels = {tmp_path}/tl\n"
-            "algorithm.iterations = 1\nseeds = 0,1\n"
-        )
-        out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"{images}: truncated image data at byte 30" in err
-        assert "Traceback" not in err
-        assert not out.exists()
-
-    def test_idx_of_zero_images_exits_2_naming_the_file(self, tmp_path, capsys):
-        images, labels = tmp_path / "train-img.idx", tmp_path / "train-lbl.idx"
-        images.write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, 0, 28, 28))
-        labels.write_bytes(struct.pack(">II", IDX_LABEL_MAGIC, 0))
-        cfg_path = tmp_path / "idx.cfg"
-        cfg_path.write_text(
-            "model = Linear\ndataset.kind = idx\n"
-            f"dataset.train_images = {images}\ndataset.train_labels = {labels}\n"
-            f"dataset.test_images = {images}\ndataset.test_labels = {labels}\n"
-            "algorithm.iterations = 1\nseeds = 0\n"
-        )
-        out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"{images}: declares 0 images (count at byte 4)" in err
-        assert "Traceback" not in err
-        assert not out.exists()
-
-    def test_idx_of_zero_columns_exits_2_naming_the_file(self, tmp_path, capsys):
-        images, labels = tmp_path / "train-img.idx", tmp_path / "train-lbl.idx"
-        images.write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, 4, 28, 0))
-        labels.write_bytes(struct.pack(">II", IDX_LABEL_MAGIC, 4) + bytes(4))
-        cfg_path = tmp_path / "idx.cfg"
-        cfg_path.write_text(
-            "model = Linear\ndataset.kind = idx\n"
-            f"dataset.train_images = {images}\ndataset.train_labels = {labels}\n"
-            f"dataset.test_images = {images}\ndataset.test_labels = {labels}\n"
-            "algorithm.iterations = 1\nseeds = 0\n"
-        )
-        out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"{images}: declares 0 columns (cols at byte 12)" in err
-        assert "Traceback" not in err
-        assert not out.exists()
-
     def test_idx_grid_reads_its_files_once(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(0)
         keys = []
@@ -1040,8 +595,7 @@ class TestGridData:
             classes = bytes(i % 3 for i in range(n))
             labels.write_bytes(struct.pack(">II", IDX_LABEL_MAGIC, n) + classes)
             keys += [f"dataset.{split}_images = {images}", f"dataset.{split}_labels = {labels}"]
-        cfg_path = tmp_path / "idx.cfg"
-        cfg_path.write_text("\n".join([
+        argv, out = run_config(tmp_path, "\n".join([
             "model = Linear", "dataset.kind = idx", *keys, "algorithm.kinds = sap,lottery_ticket",
             "algorithm.iterations = 2", "train.epochs = 1", "train.batch_size = 10", "seeds = 0,1",
             "workers = 1",  # cells in this process, where `calls` sees their reads
@@ -1051,8 +605,7 @@ class TestGridData:
         monkeypatch.setattr(
             experiment, "load_idx", lambda *paths: calls.append(paths) or load_idx(*paths)
         )
-        out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert cli.main(argv) == 0
         for kind in ("sap", "lottery_ticket"):
             for seed in (0, 1):
                 rec = read_run_record(out / f"{kind}_seed{seed}")
@@ -1165,13 +718,6 @@ class TestGridData:
         assert calls == [cfg.dataset] * 2
 
 
-def damaged_iteration(text, **changes):
-    """The run.json `text` with `changes` made to its first iteration."""
-    record = json.loads(text)
-    record["iterations"][0].update(changes)
-    return json.dumps(record)
-
-
 def diverged_copy(src, dst, at):
     """A copy of the run in `src`, cut short as if training diverged at iteration `at`."""
     rec = read_run_record(src)
@@ -1227,13 +773,6 @@ class TestTrajectoryStats:
         stats = trajectory_stats([synthetic_record(pqi, gini)])
         assert (stats["pqi_argmin"], stats["pqi_argmax"]) == (argmin, argmax)
         np.testing.assert_equal(stats["spearman_pqi_gini"], rho)  # NaN equals NaN
-
-    def test_report_of_all_nan_pqi_writes_nothing(self, tmp_path, capsys):
-        write_run_record(synthetic_record([np.nan] * 3, [0.2, 0.3, 0.4]), tmp_path / "run")
-        argv = ["report", str(tmp_path / "run"), "--out", str(tmp_path / "report")]
-        assert cli.main(argv) == 2
-        assert capsys.readouterr().err == "error: pqi_retrained is NaN at every iteration\n"
-        assert not (tmp_path / "report").exists()
 
     def test_report_of_constant_gini_writes_nan(self, tmp_path, capsys):
         write_run_record(synthetic_record([0.5, 0.3, 0.4], [0.2, 0.2, 0.2]), tmp_path / "run")

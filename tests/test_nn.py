@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import tracemalloc
 

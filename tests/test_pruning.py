@@ -131,6 +131,13 @@ class TestMagnitudePrune:
         assert list(mask.flat) == [True, False, False, True]
         assert mask.flat is flat  # pruned in place
 
+    def test_baseline_count_floors_the_binary_double(self):
+        # 90 * 0.7 is 62.99999999999999 in doubles, so the count is 62, not 63.
+        params = single_row_params(np.arange(1.0, 91.0))
+        mask = PruningMask(np.ones(90, dtype=bool))
+        alg, blocks = AlgorithmSpec("lottery_ticket", ratio=0.7), partition(params, Scope.GLOBAL)
+        assert _prune_round(alg, blocks, nn.flatten_prunable(params), mask)[0][0]["c"] == 62
+
     def test_already_masked_not_recounted(self):
         keep = [True, False, True, True]
         assert list(single_row_prune([0.5, 0.1, 0.3, 0.7], keep, 1)) == [2]
