@@ -77,15 +77,18 @@ def _pop(kv: dict[str, str], key: str, parse, default):
         raise ValueError(f"{key}: {exc}") from exc
 
 
-def _replace_fields(kv: dict[str, str], prefix: str, obj, **changes):
-    """`obj` with each `<prefix>.<field>` key of `kv` popped and applied to its
-    int, float or bool field, parsed by the field's declared type. Fields of
-    any other type take no key; `changes` are applied as given."""
+def _replace_fields(kv: dict[str, str], prefix: str, obj):
+    """`obj` with each `<prefix>.<field>` key of `kv` popped and applied, in
+    field order, to its int, float or bool field, parsed by the field's
+    declared type. The settings class's own check runs inside `_pop`, so its
+    error names the key; a cross-field check names the key applied last.
+    Fields of any other type take no key."""
     for f in dataclasses.fields(obj):
         parse = _PARSERS.get(f.type)
         if parse is not None:
-            changes[f.name] = _pop(kv, f"{prefix}.{f.name}", parse, getattr(obj, f.name))
-    return dataclasses.replace(obj, **changes)
+            obj = _pop(kv, f"{prefix}.{f.name}",
+                       lambda text: dataclasses.replace(obj, **{f.name: parse(text)}), obj)
+    return obj
 
 
 def _entries(kv: dict[str, str], key: str, parse, default: list) -> list:
@@ -143,7 +146,7 @@ def parse_config(text: str) -> ExperimentConfig:
         norms = NormPair(p, q)
     except ValueError as exc:
         raise ValueError(f"sap.p, sap.q: {exc}") from None
-    sap = _replace_fields(kv, "sap", template.sap, norms=norms)
+    sap = _replace_fields(kv, "sap", dataclasses.replace(template.sap, norms=norms))
     cfg.train = _replace_fields(kv, "train", cfg.train)
     cfg.seeds = _entries(kv, "seeds", int, cfg.seeds)
     if min(cfg.seeds) < 0:
@@ -153,8 +156,11 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ValueError("workers must be >= 1")
     if kv:
         raise ValueError(f"unknown config keys: {sorted(kv)}")
-    cfg.algorithms = [
-        dataclasses.replace(template, kind=kind, sap=sap if kind == "sap" else None)
-        for kind in kinds
-    ]
+    try:
+        cfg.algorithms = [
+            dataclasses.replace(template, kind=kind, sap=sap if kind == "sap" else None)
+            for kind in kinds
+        ]
+    except ValueError as exc:
+        raise ValueError(f"algorithm.kinds: {exc}") from None
     return cfg

@@ -44,6 +44,8 @@ class IterationMetrics:
 
     @classmethod
     def from_dict(cls, d: dict) -> "IterationMetrics":
+        if type(d) is not dict:
+            raise TypeError("each iteration must be an object")
         it = cls(**{f.name: d[f.name] for f in fields(cls)})
         if [type(x) for x in (it.t, it.d_t, it.c_total, it.groups)] != [int, int, int, list]:
             raise TypeError("an iteration's t, d_t and c_total must be integers and groups a list")
@@ -69,6 +71,8 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
+        if type(d) is not dict:
+            raise TypeError("the record must be an object")
         config, completed, events, iterations = (
             d[k] for k in ("config", "completed", "events", "iterations"))
         if type(config) is not dict:

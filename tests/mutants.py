@@ -272,25 +272,42 @@ MUTANTS = [
         ("tests/test_config_cli.py",),
     ),
     Mutant(
+        "_replace_fields: a settings check's error drops the key prefix",
+        CONFIG,
+        '            obj = _pop(kv, f"{prefix}.{f.name}",\n'
+        "                       "
+        "lambda text: dataclasses.replace(obj, **{f.name: parse(text)}), obj)\n",
+        "            obj = dataclasses.replace(obj, **{\n"
+        '                f.name: _pop(kv, f"{prefix}.{f.name}", parse, getattr(obj, f.name))})\n',
+        ("tests/test_exit_codes.py",),
+    ),
+    Mutant(
+        "parse_config: an unknown algorithm kind does not name algorithm.kinds",
+        CONFIG,
+        'raise ValueError(f"algorithm.kinds: {exc}") from None',
+        "raise",
+        ("tests/test_exit_codes.py",),
+    ),
+    Mutant(
         "config: finite-value check off",
         CONFIG,
         "    if not math.isfinite(x):\n",
         "    if False:\n",
-        ("tests/test_config_cli.py",),
+        ("tests/test_exit_codes.py",),
     ),
     Mutant(
         "config: empty-list check off",
         CONFIG,
         "    if not items:\n",
         "    if False:\n",
-        ("tests/test_config_cli.py",),
+        ("tests/test_exit_codes.py",),
     ),
     Mutant(
         "config: parse error does not name the key",
         CONFIG,
         'raise ValueError(f"{key}: {exc}") from exc',
         "raise",
-        ("tests/test_config_cli.py",),
+        ("tests/test_exit_codes.py",),
     ),
     Mutant(
         "read_run_record: missing-file clause off",
@@ -318,7 +335,7 @@ MUTANTS = [
         DATA_IO,
         "        if self.n_classes < 2:\n",
         "        if self.n_classes < 1:\n",
-        ("tests/test_config_cli.py",),
+        ("tests/test_exit_codes.py",),
     ),
     Mutant(
         "run_experiment: a one-cell grid forks",
@@ -377,18 +394,25 @@ MUTANTS = [
         ("tests/test_data_io.py",),
     ),
     Mutant(
+        "RunRecord.from_dict: a record that is not an object reaches the field lookup",
+        RECORDS,
+        '        if type(d) is not dict:\n            raise TypeError("the record must be an object")\n',
+        "",
+        ("tests/test_exit_codes.py",),
+    ),
+    Mutant(
         "RunRecord.from_dict: a completed run with no iterations accepted",
         RECORDS,
         "        if completed and not iterations:\n",
         "        if False:\n",
-        ("tests/test_config_cli.py",),
+        ("tests/test_exit_codes.py",),
     ),
     Mutant(
         "RunRecord.from_dict: a non-boolean completed reported as config",
         RECORDS,
         'raise TypeError("completed must be a boolean")',
         'raise TypeError("config must be an object")',
-        ("tests/test_config_cli.py",),
+        ("tests/test_exit_codes.py",),
     ),
     Mutant(
         "cell_echo: index_p taken from the norm pair's q",
@@ -479,7 +503,7 @@ MUTANTS = [
         RECORDS,
         'if f.type == "float" and (type(x) is not float or math.isinf(x)):',
         "if False:",
-        ("tests/test_config_cli.py",),
+        ("tests/test_exit_codes.py",),
     ),
     Mutant(
         "write_report: panels directory made before the trajectory stats",

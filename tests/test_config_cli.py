@@ -30,7 +30,7 @@ from pqprune.nn import TrainConfig, model_specs
 from pqprune.pruning import AlgorithmSpec, SapHyperParams, Scope
 from pqprune.records import IterationMetrics, RunRecord
 from pqprune.sparsity import NormPair, gini_index
-from test_exit_codes import TINY_CONFIG, cases, check
+from test_exit_codes import TINY_CONFIG
 
 
 def tiny_config(dataset) -> ExperimentConfig:
@@ -120,6 +120,10 @@ class TestConfig:
                                         nesterov=False)
         assert cfg.algorithms[0].sap == SapHyperParams(norms=NormPair(0.25, 2.0), beta=0.5)
 
+    def test_as_many_classes_as_samples_parses(self):  # n_samples is applied first, at 2 classes
+        cfg = parse_config("dataset.n_classes = 5\ndataset.n_samples = 5\n")
+        assert cfg.dataset == SyntheticSpec(n_samples=5, n_classes=5)
+
     @pytest.mark.parametrize(
         "line",
         ["train.seed = 1", "sap.relaxed = true", "sap.norms = 1", "algorithm.kind = sap",
@@ -145,13 +149,24 @@ class TestConfig:
         with pytest.raises(ValueError, match="algorithm.kinds: duplicate entries sap"):
             parse_config("algorithm.kinds = sap, lottery_ticket, sap\n")
 
-    @pytest.mark.parametrize("row", cases("test_run_with_bad_value_exits_2"))
-    def test_run_with_bad_value_exits_2(self, row, tmp_path, monkeypatch, capsys):
-        check(row, tmp_path, monkeypatch, capsys)
-
-    @pytest.mark.parametrize("row", cases("test_run_with_bad_algorithm_exits_2"))
-    def test_run_with_bad_algorithm_exits_2(self, row, tmp_path, monkeypatch, capsys):
-        check(row, tmp_path, monkeypatch, capsys)
+    # A bad algorithm line amid a full config; tests/test_exit_codes.py has it alone.
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("algorithm.kinds = sap,bogus", "unknown algorithm kind 'bogus'"),
+            ("algorithm.iterations = 0", "iterations must be >= 1"),
+            ("algorithm.ratio = 1.5", "ratio must be in (0, 1)"),
+        ],
+    )
+    def test_run_with_bad_algorithm_exits_2(self, tmp_path, capsys, line, message):
+        setting = line.split(" = ")[0]
+        kept = [l for l in TINY_CONFIG.splitlines() if not l.startswith(setting + " ")]
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text("\n".join(kept + [line]) + "\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {setting}: {message}\n"
+        assert not out.exists()
 
 
 def fail_writes_to(monkeypatch, name):
@@ -418,9 +433,24 @@ class TestRunAndReport:
             experiment.write_report([], tmp_path)
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("row", cases("test_report_damaged_record_exits_2"))
-    def test_report_damaged_record_exits_2(self, row, run_root, tmp_path, monkeypatch, capsys):
-        check(row, tmp_path, monkeypatch, capsys, run_root / "out")
+    # The two record shapes that from_dict names itself; tests/test_exit_codes.py has every damage.
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda rec: [], "the record must be an object"),
+            (lambda rec: {**rec, "iterations": [1]}, "each iteration must be an object"),
+        ],
+        ids=["not_an_object", "bad_iteration"],
+    )
+    def test_report_damaged_record_exits_2(self, run_root, tmp_path, capsys, damage, message):
+        rec = json.loads((run_root / "out" / "sap_seed0" / "run.json").read_text())
+        (tmp_path / "cut").mkdir()
+        (tmp_path / "cut" / "run.json").write_text(json.dumps(damage(rec)))
+        argv = ["report", str(tmp_path / "cut"), "--out", str(tmp_path / "report")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: run record {tmp_path / 'cut' / 'run.json'} has the wrong shape: {message}\n")
+        assert not (tmp_path / "report").exists()
 
     def test_report_leaves_out_incomplete_runs(self, run_root, tmp_path, caplog):
         out = run_root / "out"

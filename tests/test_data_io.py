@@ -124,7 +124,7 @@ class TestSynthetic:
         assert abs(X[y == 0, 0].mean() - X[y == 1, 0].mean()) < 0.2
 
     def test_too_many_classes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^more classes than samples$"):
             SyntheticSpec(n_samples=3, n_classes=5)
 
 
@@ -166,30 +166,35 @@ class TestIdx:
         raw = bytearray(ip.read_bytes())
         raw[3] = 0x99
         ip.write_bytes(bytes(raw))
-        with pytest.raises(IdxFormatError, match="magic"):
+        with pytest.raises(IdxFormatError,
+                           match=f"^{re.escape(str(ip))}: bad image magic 0x00000899 at byte 0$"):
             load_idx(ip, lp)
 
     def test_truncated_reports_offset(self, tmp_path):
         _, _, ip, lp = self.fixture_pair(tmp_path)
         raw = ip.read_bytes()
         ip.write_bytes(raw[:-10])
-        with pytest.raises(IdxFormatError, match=r"byte \d+"):
+        with pytest.raises(IdxFormatError, match=f"^{re.escape(str(ip))}: truncated image data "
+                           "at byte 206; the header declares 200 bytes from byte 16$"):
             load_idx(ip, lp)
 
     @pytest.mark.parametrize(
-        "header",
+        "header, message",
         [
             # 0xFFFFFFFF images of 0xFFFF x 0xFFFF pixels: more than any file holds.
-            struct.pack(">IIII", IDX_IMAGE_MAGIC, 0xFFFFFFFF, 0xFFFF, 0xFFFF),
+            (struct.pack(">IIII", IDX_IMAGE_MAGIC, 0xFFFFFFFF, 0xFFFF, 0xFFFF),
+             "truncated image data at byte 16; the header declares "
+             f"{0xFFFFFFFF * 0xFFFF * 0xFFFF} bytes from byte 16"),
             # The header ends inside the row count.
-            struct.pack(">II", IDX_IMAGE_MAGIC, 8) + b"\x00\x00",
+            (struct.pack(">II", IDX_IMAGE_MAGIC, 8) + b"\x00\x00",
+             "truncated image header at byte 10"),
         ],
         ids=["oversized", "truncated_header"],
     )
-    def test_bad_header_reports_offset(self, tmp_path, header):
+    def test_bad_header_reports_offset(self, tmp_path, header, message):
         _, _, ip, lp = self.fixture_pair(tmp_path)
         ip.write_bytes(header)
-        with pytest.raises(IdxFormatError, match=r"byte \d+"):
+        with pytest.raises(IdxFormatError, match=f"^{re.escape(f'{ip}: {message}')}$"):
             load_idx(ip, lp)
 
     def test_zero_images_rejected_naming_the_file(self, tmp_path):
@@ -215,7 +220,8 @@ class TestIdx:
     def test_count_mismatch(self, tmp_path):
         images, labels, ip, lp = self.fixture_pair(tmp_path)
         write_idx(images[:4], labels[:4], tmp_path / "short.idx", tmp_path / "unused.idx")
-        with pytest.raises(IdxFormatError, match="labels for"):
+        with pytest.raises(IdxFormatError, match=f"^{re.escape(str(lp))}: "
+                           r"8 labels for 4 images \(count at byte 4\)$"):
             load_idx(tmp_path / "short.idx", lp)
 
 

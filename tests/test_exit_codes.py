@@ -80,13 +80,13 @@ BAD_PAIR = "error: need 0 < p <= 1 <= q, got p=1.5, q=2.0"
 ROWS = [
     # test_run_with_bad_value_exits_2: the line alone is the config.
     *(run(f"test_run_with_bad_value_exits_2[{line}]", line, err) for line, err in {
-        "train.epochs = 0": "epochs must be >= 1",
-        "train.batch_size = -5": "batch_size must be >= 1",
-        "train.batch_size = 0": "batch_size must be >= 1",
-        "train.learning_rate = -1": "learning_rate must be >= 0",
-        "train.weight_decay = -0.5": "weight_decay must be >= 0",
-        "train.momentum = 1": "momentum must be in [0, 1)",
-        "train.momentum = -0.1": "momentum must be in [0, 1)",
+        "train.epochs = 0": "train.epochs: epochs must be >= 1",
+        "train.batch_size = -5": "train.batch_size: batch_size must be >= 1",
+        "train.batch_size = 0": "train.batch_size: batch_size must be >= 1",
+        "train.learning_rate = -1": "train.learning_rate: learning_rate must be >= 0",
+        "train.weight_decay = -0.5": "train.weight_decay: weight_decay must be >= 0",
+        "train.momentum = 1": "train.momentum: momentum must be in [0, 1)",
+        "train.momentum = -0.1": "train.momentum: momentum must be in [0, 1)",
         "workers = -2": "workers must be >= 1",
         "workers = 0": "workers must be >= 1",
         "sap.eta = nan": "sap.eta: not a finite number: 'nan'",
@@ -99,26 +99,31 @@ ROWS = [
         "algorithm.kinds = ,": "algorithm.kinds: no entries",
         "scope = bogus": "scope: 'bogus' is not a valid Scope",
         "seeds = -1": "seeds: negative entry -1",
-        "dataset.seed = -1": "seed must be >= 0",
-        "dataset.n_samples = 2": "n_samples = 2 leaves the 80/20 split with 2 train and 0 test "
-                                 "rows; both sides must be non-empty",
-        "sap.eta = -1": "eta must be >= 0",
-        "sap.gamma = 0": "gamma must be > 0",
-        "sap.beta = 0": "beta must be in (0, 1]",
-        "sap.beta = 1.5": "beta must be in (0, 1]",
-        "dataset.n_features = 0": "n_samples and n_features must be positive",
-        "dataset.n_classes = 1": "n_classes must be >= 2",
-        "dataset.class_separation = -1": "class_separation must be >= 0",
+        "dataset.seed = -1": "dataset.seed: seed must be >= 0",
+        "dataset.n_samples = 2": "dataset.n_samples: n_samples = 2 leaves the 80/20 split "
+                                 "with 2 train and 0 test rows; both sides must be non-empty",
+        "sap.eta = -1": "sap.eta: eta must be >= 0",
+        "sap.gamma = 0": "sap.gamma: gamma must be > 0",
+        "sap.beta = 0": "sap.beta: beta must be in (0, 1]",
+        "sap.beta = 1.5": "sap.beta: beta must be in (0, 1]",
+        "dataset.n_features = 0": "dataset.n_features: n_samples and n_features must be positive",
+        "dataset.n_classes = 1": "dataset.n_classes: n_classes must be >= 2",
+        "dataset.class_separation = -1": "dataset.class_separation: class_separation must be >= 0",
         "dataset.kind = bogus": "unknown dataset.kind 'bogus'",
         "train.nesterov = maybe": "train.nesterov: not a boolean: 'maybe'",
     }.items()),
-    *(run(f"test_run_with_bad_algorithm_exits_2[{line}-{err}]", line, err) for line, err in {
+    *(run(f"test_run_with_bad_algorithm_exits_2[{line}-{reason}]", line,
+          f"{line.split(' = ')[0]}: {reason}") for line, reason in {
         "algorithm.kinds = sap,bogus": "unknown algorithm kind 'bogus'",
         "algorithm.iterations = 0": "iterations must be >= 1",
         "algorithm.ratio = 1.5": "ratio must be in (0, 1)",
     }.items()),
     run("test_run_with_invalid_norm_pair_names_both_keys", "sap.p = 1.5\nsap.q = 2\n",
         "sap.p, sap.q: need 0 < p <= 1 <= q, got p=1.5, q=2.0"),
+    # Keys are applied in field order, so a cross-field check names the later key.
+    run("test_run_with_cross_field_error_names_the_key_applied_last",
+        "dataset.n_samples = 3\ndataset.n_classes = 5\n",
+        "dataset.n_classes: more classes than samples"),
     # Two cells of one name would share one directory.
     run("test_run_with_duplicate_seeds_exits_2", "seeds = 0,0\n", "seeds: duplicate entries 0"),
     run("test_run_with_unknown_model_exits_2", "model = CNN\n",
@@ -202,8 +207,8 @@ ROWS = [
       for id, (text, err) in {
         "missing_field": (record(drop="events"), "has no field 'events'"),
         "truncated": (lambda grid: record()(grid)[:200], "is not valid JSON: …"),
-        "not_an_object": ("[]", f"{SHAPE} …"),
-        "bad_iteration": (record(iterations=[1]), f"{SHAPE} …"),
+        "not_an_object": ("[]", f"{SHAPE} the record must be an object"),
+        "bad_iteration": (record(iterations=[1]), f"{SHAPE} each iteration must be an object"),
         "config_a_list": (record(config=[]), f"{SHAPE} config must be an object"),
         "completed_a_string": (record(completed="no"), f"{SHAPE} completed must be a boolean"),
         "events_a_string": (record(events="abc"), f"{SHAPE} events must be a list of strings"),
@@ -237,33 +242,16 @@ ROWS = [
 ]
 
 
-# Three parametrized tests are still collected under their own names in
-# tests/test_config_cli.py, each running its rows through `check`.
-ELSEWHERE = ("test_run_with_bad_value_exits_2", "test_run_with_bad_algorithm_exits_2",
-             "test_report_damaged_record_exits_2")
-
-
-def cases(name):
-    """The rows of the parametrized test `name`, with its parameter ids."""
-    return [pytest.param(row, id=row.id[len(name) + 1:-1])
-            for row in ROWS if row.id.startswith(name + "[")]
-
-
-@pytest.mark.parametrize("row", [pytest.param(row, id=row.id) for row in ROWS
-                                 if row.id.split("[")[0] not in ELSEWHERE])
+@pytest.mark.parametrize("row", [pytest.param(row, id=row.id) for row in ROWS])
 def test_exit(row, run_root, tmp_path, monkeypatch, capsys):
-    check(row, tmp_path, monkeypatch, capsys, run_root / "out")
-
-
-def check(row, tmp_path, monkeypatch, capsys, grid=None):
     def fill(text):
-        return text.replace("{tmp}", str(tmp_path)).replace("{grid}", str(grid))
+        return text.replace("{tmp}", str(tmp_path)).replace("{grid}", str(run_root / "out"))
 
     monkeypatch.chdir(tmp_path)
     for name, content in row.files.items():
         path = tmp_path / name
         path.parent.mkdir(exist_ok=True)
-        content = content(grid) if callable(content) else content
+        content = content(run_root / "out") if callable(content) else content
         path.write_bytes(content if isinstance(content, bytes) else fill(content).encode())
     inputs = sorted(tmp_path.rglob("*"))
     try:
