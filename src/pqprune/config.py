@@ -49,6 +49,27 @@ class ExperimentConfig:
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2, 3])
     workers: int = field(default_factory=lambda: len(os.sched_getaffinity(0)))
 
+    def check(self) -> None:
+        """Raise ValueError, as `<key>: <reason>`, if the grid breaks a rule
+        that no single setting checks: an unknown model, an empty or repeated
+        `algorithm.kinds` or `seeds` (a repeat would give two cells one
+        directory), a negative seed, or workers below 1. `parse_config` and
+        `run_experiment` both call it, so a grid built in code meets the
+        same rules before anything is written."""
+        if self.model not in MODELS:
+            raise ValueError(f"model: model must be {' or '.join(MODELS)}, got {self.model!r}")
+        for key, items in (("algorithm.kinds", [alg.kind for alg in self.algorithms]),
+                           ("seeds", self.seeds)):
+            if not items:
+                raise ValueError(f"{key}: no entries")
+            repeated = sorted({str(x) for x in items if items.count(x) > 1})
+            if repeated:
+                raise ValueError(f"{key}: duplicate entries {', '.join(repeated)}")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds: negative entry {min(self.seeds)}")
+        if self.workers < 1:
+            raise ValueError("workers: workers must be >= 1")
+
 
 def _parse_bool(s: str) -> bool:
     if s.lower() in ("true", "1", "yes", "on"):
@@ -93,15 +114,8 @@ def _replace_fields(kv: dict[str, str], prefix: str, obj):
 
 def _entries(kv: dict[str, str], key: str, parse, default: list) -> list:
     """The comma-separated entries of `kv[key]`, each parsed, or `default` if
-    absent. An empty list would run no cell, and a repeated entry would give
-    two cells one directory; both are rejected."""
-    items = _pop(kv, key, lambda text: [parse(x) for x in text.split(",") if x.strip()], default)
-    if not items:
-        raise ValueError(f"{key}: no entries")
-    repeated = sorted({str(x) for x in items if items.count(x) > 1})
-    if repeated:
-        raise ValueError(f"{key}: duplicate entries {', '.join(repeated)}")
-    return items
+    absent; `ExperimentConfig.check` judges the list."""
+    return _pop(kv, key, lambda text: [parse(x) for x in text.split(",") if x.strip()], default)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -119,8 +133,6 @@ def parse_config(text: str) -> ExperimentConfig:
 
     cfg = ExperimentConfig()
     cfg.model = kv.pop("model", cfg.model)
-    if cfg.model not in MODELS:
-        raise ValueError(f"model must be {' or '.join(MODELS)}, got {cfg.model!r}")
     cfg.scope = _pop(kv, "scope", Scope, cfg.scope)
 
     ds_kind = kv.pop("dataset.kind", "synthetic")
@@ -130,10 +142,10 @@ def parse_config(text: str) -> ExperimentConfig:
         keys = [f"dataset.{f.name}" for f in dataclasses.fields(IdxPaths)]
         missing = [key for key in keys if key not in kv]
         if missing:
-            raise ValueError(f"idx dataset requires key {missing[0]}")
+            raise ValueError(f"{missing[0]}: required when dataset.kind = idx")
         cfg.dataset = IdxPaths(*(kv.pop(key) for key in keys))
     else:
-        raise ValueError(f"unknown dataset.kind {ds_kind!r}")
+        raise ValueError(f"dataset.kind: unknown dataset kind {ds_kind!r}")
 
     kinds = _entries(kv, "algorithm.kinds", str.strip, [alg.kind for alg in cfg.algorithms])
     # Every algorithm shares the iteration count and ratio; SAP alone takes
@@ -149,11 +161,7 @@ def parse_config(text: str) -> ExperimentConfig:
     sap = _replace_fields(kv, "sap", dataclasses.replace(template.sap, norms=norms))
     cfg.train = _replace_fields(kv, "train", cfg.train)
     cfg.seeds = _entries(kv, "seeds", int, cfg.seeds)
-    if min(cfg.seeds) < 0:
-        raise ValueError(f"seeds: negative entry {min(cfg.seeds)}")
     cfg.workers = _pop(kv, "workers", int, cfg.workers)
-    if cfg.workers < 1:
-        raise ValueError("workers must be >= 1")
     if kv:
         raise ValueError(f"unknown config keys: {sorted(kv)}")
     try:
@@ -163,4 +171,5 @@ def parse_config(text: str) -> ExperimentConfig:
         ]
     except ValueError as exc:
         raise ValueError(f"algorithm.kinds: {exc}") from None
+    cfg.check()
     return cfg

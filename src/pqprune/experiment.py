@@ -102,11 +102,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict[str, RunRecord]:
     failed_cells.txt, which a run without failures removes, and summary.csv
     covers the cells that completed.
 
-    The datasets are read once, before the output directory is created, so
-    a bad dataset raises (IdxFormatError for a malformed IDX file) with
-    nothing written; every cell is handed the same pair.
+    The grid is checked (`ExperimentConfig.check`) and the datasets are read
+    once, before the output directory is created, so a grid that breaks a
+    rule raises ValueError, and a bad dataset raises (IdxFormatError for a
+    malformed IDX file), with nothing written; every cell is handed the
+    same pair.
     """
     out_dir = Path(out_dir)
+    cfg.check()
     data = load_datasets(cfg)
     calls = [(cfg, alg, seed, data, out_dir) for alg in cfg.algorithms for seed in cfg.seeds]
     results: dict[str, RunRecord] = {}

@@ -298,9 +298,58 @@ MUTANTS = [
     Mutant(
         "config: empty-list check off",
         CONFIG,
-        "    if not items:\n",
-        "    if False:\n",
+        "            if not items:\n",
+        "            if False:\n",
         ("tests/test_exit_codes.py",),
+    ),
+    Mutant(
+        "ExperimentConfig.check: repeated entries accepted",
+        CONFIG,
+        "            if repeated:\n",
+        "            if False:\n",
+        ("tests/test_exit_codes.py",),
+    ),
+    Mutant(
+        "ExperimentConfig.check: algorithms compared whole, not by kind",
+        CONFIG,
+        '("algorithm.kinds", [alg.kind for alg in self.algorithms])',
+        '("algorithm.kinds", list(self.algorithms))',
+        ("tests/test_config_cli.py",),
+    ),
+    Mutant(
+        "ExperimentConfig.check: an unknown model accepted",
+        CONFIG,
+        "        if self.model not in MODELS:\n",
+        "        if False:\n",
+        ("tests/test_exit_codes.py",),
+    ),
+    Mutant(
+        "ExperimentConfig.check: a negative seed accepted",
+        CONFIG,
+        "        if min(self.seeds) < 0:\n",
+        "        if False:\n",
+        ("tests/test_exit_codes.py",),
+    ),
+    Mutant(
+        "ExperimentConfig.check: workers below 1 accepted",
+        CONFIG,
+        "        if self.workers < 1:\n",
+        "        if False:\n",
+        ("tests/test_exit_codes.py",),
+    ),
+    Mutant(
+        "parse_config: the parsed grid left unchecked",
+        CONFIG,
+        "    cfg.check()\n    return cfg\n",
+        "    return cfg\n",
+        ("tests/test_config_cli.py",),
+    ),
+    Mutant(
+        "run_experiment: a grid built in code left unchecked",
+        EXPERIMENT,
+        "    cfg.check()\n",
+        "",
+        ("tests/test_config_cli.py",),
     ),
     Mutant(
         "config: parse error does not name the key",

@@ -87,7 +87,7 @@ class TestConfig:
     def test_idx_missing_key_named_once(self):
         with pytest.raises(ValueError) as info:
             parse_config("dataset.kind = idx\ndataset.train_images = a\n")
-        assert str(info.value) == "idx dataset requires key dataset.train_labels"
+        assert str(info.value) == "dataset.train_labels: required when dataset.kind = idx"
 
     def test_empty_config_is_default(self):
         assert parse_config("") == ExperimentConfig()
@@ -149,24 +149,30 @@ class TestConfig:
         with pytest.raises(ValueError, match="algorithm.kinds: duplicate entries sap"):
             parse_config("algorithm.kinds = sap, lottery_ticket, sap\n")
 
-    # A bad algorithm line amid a full config; tests/test_exit_codes.py has it alone.
-    @pytest.mark.parametrize(
-        "line, message",
-        [
-            ("algorithm.kinds = sap,bogus", "unknown algorithm kind 'bogus'"),
-            ("algorithm.iterations = 0", "iterations must be >= 1"),
-            ("algorithm.ratio = 1.5", "ratio must be in (0, 1)"),
-        ],
-    )
-    def test_run_with_bad_algorithm_exits_2(self, tmp_path, capsys, line, message):
-        setting = line.split(" = ")[0]
-        kept = [l for l in TINY_CONFIG.splitlines() if not l.startswith(setting + " ")]
-        cfg_path = tmp_path / "bad.cfg"
-        cfg_path.write_text("\n".join(kept + [line]) + "\n")
-        out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {setting}: {message}\n"
-        assert not out.exists()
+    # Each grid rule: the config line that breaks it, and the same break in code.
+    BROKEN_RULES = {
+        "seeds = ": {"seeds": []},
+        "algorithm.kinds = ,": {"algorithms": []},
+        "seeds = 0,0": {"seeds": [0, 0]},
+        "algorithm.kinds = sap,sap":
+            {"algorithms": [AlgorithmSpec("sap", iterations=1), AlgorithmSpec("sap", iterations=2)]},
+        "seeds = -1": {"seeds": [-1]},
+        "model = CNN": {"model": "CNN"},
+        "workers = 0": {"workers": 0},
+        "workers = -2": {"workers": -2},
+    }
+
+    @pytest.mark.parametrize("line, change", BROKEN_RULES.items(), ids=BROKEN_RULES)
+    def test_grid_built_in_code_meets_the_config_rules(self, tmp_path, line, change):
+        with pytest.raises(ValueError) as parsed:
+            parse_config(line + "\n")
+        assert str(parsed.value).startswith(line.split(" = ")[0] + ": ")
+        cfg = dataclasses.replace(tiny_config(SyntheticSpec(n_samples=200, n_features=8)),
+                                  **change)
+        with pytest.raises(ValueError) as built:
+            experiment.run_experiment(cfg, tmp_path / "out")
+        assert str(built.value) == str(parsed.value)
+        assert not (tmp_path / "out").exists()
 
 
 def fail_writes_to(monkeypatch, name):
@@ -184,7 +190,8 @@ def fail_writes_to(monkeypatch, name):
 
 
 def dir_bytes(directory):
-    return {p.name: p.read_bytes() for p in directory.iterdir()}
+    """Every file under `directory`, by its relative path."""
+    return {p.relative_to(directory): p.read_bytes() for p in directory.rglob("*") if p.is_file()}
 
 
 class TestMeasureCommand:
@@ -376,13 +383,14 @@ class TestRunAndReport:
         # 2 algorithms x (T+1) iterations
         assert len(summary) == 1 + 2 * 4
 
-    def test_rerun_identical_bytes(self, run_root, tmp_path):
-        cfg_path = run_root / "exp.cfg"
-        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
-        for cell in ("sap_seed0", "lottery_ticket_seed1"):
-            a = (run_root / "out" / cell / "iterations.csv").read_bytes()
-            b = (tmp_path / cell / "iterations.csv").read_bytes()
-            assert a == b
+    def test_rerun_into_default_runs_repeats_every_byte(self, run_root, tmp_path, monkeypatch):
+        # $PQI_PRUNE_OUT named run's output root once; --out alone names it now.
+        monkeypatch.setenv("PQI_PRUNE_OUT", str(tmp_path / "envout"))
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        assert cli.main(["run", "--config", str(run_root / "exp.cfg")]) == 0
+        assert dir_bytes(tmp_path / "cwd" / "runs") == dir_bytes(run_root / "out")
+        assert not (tmp_path / "envout").exists()
 
     def test_report_panels(self, run_root, tmp_path):
         dirs = [str(run_root / "out" / f"sap_seed{s}") for s in (0, 1)]
@@ -433,25 +441,6 @@ class TestRunAndReport:
             experiment.write_report([], tmp_path)
         assert not any(tmp_path.iterdir())
 
-    # The two record shapes that from_dict names itself; tests/test_exit_codes.py has every damage.
-    @pytest.mark.parametrize(
-        "damage, message",
-        [
-            (lambda rec: [], "the record must be an object"),
-            (lambda rec: {**rec, "iterations": [1]}, "each iteration must be an object"),
-        ],
-        ids=["not_an_object", "bad_iteration"],
-    )
-    def test_report_damaged_record_exits_2(self, run_root, tmp_path, capsys, damage, message):
-        rec = json.loads((run_root / "out" / "sap_seed0" / "run.json").read_text())
-        (tmp_path / "cut").mkdir()
-        (tmp_path / "cut" / "run.json").write_text(json.dumps(damage(rec)))
-        argv = ["report", str(tmp_path / "cut"), "--out", str(tmp_path / "report")]
-        assert cli.main(argv) == 2
-        assert capsys.readouterr().err == (
-            f"error: run record {tmp_path / 'cut' / 'run.json'} has the wrong shape: {message}\n")
-        assert not (tmp_path / "report").exists()
-
     def test_report_leaves_out_incomplete_runs(self, run_root, tmp_path, caplog):
         out = run_root / "out"
         diverged = diverged_copy(out / "sap_seed1", tmp_path / "sap_seed1", at=2)
@@ -481,31 +470,26 @@ class TestRunAndReport:
         assert cli.main(argv) == 0
         assert not (out / "failed_cells.txt").exists()
 
-    def test_dead_children_fail_only_their_cells(self, tmp_path, monkeypatch):
-        # Each seed-1 child exits without returning.
-        fail_cells(monkeypatch, lambda kind, seed: seed == 1)
-        argv, out = run_config(tmp_path, TINY_CONFIG + "workers = 2\n")
+    def test_dead_children_fail_only_their_cells(self, tmp_path, monkeypatch, caplog,
+                                                  child_starts):
+        # The seed-1 sap and lottery_ticket children exit without returning.
+        # Each cell has its own child, so no other cell is lost, the two are
+        # not run again, and the other 10 cells still run two at a time.
+        dead = {"sap_seed1", "lottery_ticket_seed1"}
+        fail_cells(monkeypatch, lambda kind, seed: experiment.cell_name(kind, seed) in dead)
+        argv, out = run_config(tmp_path, TINY_CONFIG
+                               .replace("sap,lottery_ticket", "sap,lottery_ticket,one_shot")
+                               .replace("seeds = 0,1", "seeds = 0,1,2,3")  # 12 cells
+                               + "workers = 2\n")
         assert cli.main(argv) == 1
-        failed = (out / "failed_cells.txt").read_text().splitlines()
-        assert failed == ["sap_seed1", "lottery_ticket_seed1"]
-        cells = {f"{kind}_seed{s}" for kind in ("sap", "lottery_ticket") for s in (0, 1)}
-        completed = {name: read_run_record(out / name) for name in cells - set(failed)}
-        assert all(rec.completed for rec in completed.values())
-        summary = (out / "summary.csv").read_text()
-        assert summary == experiment.summarize_records(completed)
-
-    def test_dead_worker_fails_only_its_own_cell(self, tmp_path, monkeypatch, caplog):
-        # Each cell has its own child, so sap_seed1's death reaches no other cell.
-        fail_cells(monkeypatch, lambda kind, seed: (kind, seed) == ("sap", 1))
-        argv, out = run_config(tmp_path, TINY_CONFIG.replace("seeds = 0,1", "seeds = 0,1,2,3")
-                               + "workers = 2\n")  # 8 cells
-        assert cli.main(argv) == 1
-        assert (out / "failed_cells.txt").read_text() == "sap_seed1\n"
-        assert "cell sap_seed1 failed" in caplog.text
-        assert "RuntimeError: worker died" in caplog.text
-        cells = {f"{kind}_seed{s}" for kind in ("sap", "lottery_ticket") for s in range(4)}
-        assert {p.name for p in out.iterdir() if p.is_dir()} == cells - {"sap_seed1"}
-        completed = {name: read_run_record(out / name) for name in cells - {"sap_seed1"}}
+        assert (out / "failed_cells.txt").read_text() == "sap_seed1\nlottery_ticket_seed1\n"
+        for name in dead:
+            assert f"cell {name} failed\nRuntimeError: worker died" in caplog.text
+        assert child_starts == [("fork", 1)] + [("fork", 2)] * 11
+        cells = {experiment.cell_name(kind, seed)
+                 for kind in ("sap", "lottery_ticket", "one_shot") for seed in range(4)}
+        assert {p.name for p in out.iterdir() if p.is_dir()} == cells - dead
+        completed = {name: read_run_record(out / name) for name in cells - dead}
         assert all(rec.completed for rec in completed.values())
         assert (out / "summary.csv").read_text() == experiment.summarize_records(completed)
 
@@ -523,23 +507,6 @@ class TestRunAndReport:
             argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / f"{kinds}_{seeds}")]
             assert cli.main(argv) == 0
             assert child_starts == [("fork", n) for n in live]
-
-    def test_dead_child_leaves_the_others_running_workers_at_once(self, tmp_path, monkeypatch,
-                                                                  child_starts):
-        # sap_seed1's child dies at once; it is not run again, and the other
-        # 11 cells still run two at a time.
-        fail_cells(monkeypatch, lambda kind, seed: (kind, seed) == ("sap", 1))
-        argv, out = run_config(tmp_path, TINY_CONFIG
-                               .replace("sap,lottery_ticket", "sap,lottery_ticket,one_shot")
-                               .replace("seeds = 0,1", "seeds = 0,1,2,3")  # 12 cells
-                               + "workers = 2\n")
-        assert cli.main(argv) == 1
-        assert (out / "failed_cells.txt").read_text() == "sap_seed1\n"
-        assert child_starts == [("fork", 1)] + [("fork", 2)] * 11
-        cells = {f"{kind}_seed{s}" for kind in ("sap", "lottery_ticket", "one_shot")
-                 for s in range(4)}
-        completed = {name: read_run_record(out / name) for name in cells - {"sap_seed1"}}
-        assert (out / "summary.csv").read_text() == experiment.summarize_records(completed)
 
     def test_no_child_outlives_an_interrupted_run(self, tmp_path, monkeypatch, child_starts):
         def never_return(cfg, alg, seed, data):
@@ -603,16 +570,6 @@ class TestRunAndReport:
             assert "nan" not in path.read_text() and "inf" not in path.read_text()
         assert not (out / "failed_cells.txt").exists()
 
-    def test_default_out_is_runs_and_ignores_env(self, run_root, tmp_path, monkeypatch):
-        # $PQI_PRUNE_OUT named run's output root once; --out alone names it now.
-        monkeypatch.setenv("PQI_PRUNE_OUT", str(tmp_path / "envout"))
-        (tmp_path / "cwd").mkdir()
-        monkeypatch.chdir(tmp_path / "cwd")
-        assert cli.main(["run", "--config", str(run_root / "exp.cfg")]) == 0
-        assert (tmp_path / "cwd" / "runs" / "summary.csv").read_bytes() == (
-            run_root / "out" / "summary.csv").read_bytes()
-        assert not (tmp_path / "envout").exists()
-
 
 class TestGridData:
     def test_idx_grid_reads_its_files_once(self, tmp_path, monkeypatch):
@@ -643,77 +600,47 @@ class TestGridData:
                 assert rec.config["layers"][0]["in"] == 16
         assert len(calls) == 2
 
-    @pytest.mark.parametrize(
-        "model, layers",
-        [
-            ("Linear", [{"in": 8, "out": 2, "activation": "none"}]),
-            ("MLP", [
-                {"in": 8, "out": 128, "activation": "relu"},
-                {"in": 128, "out": 256, "activation": "relu"},
-                {"in": 256, "out": 2, "activation": "none"},
-            ]),
-        ],
-    )
-    def test_layers_echo_follows_the_model(self, model, layers):
-        cfg = ExperimentConfig(
-            model=model,
-            dataset=SyntheticSpec(n_samples=100, n_features=8, n_classes=2),
-            train=TrainConfig(epochs=1, batch_size=50),
-        )
-        rec = experiment.run_cell(cfg, AlgorithmSpec("sap", iterations=1), 0,
-                                  experiment.load_datasets(cfg))
-        assert rec.config["layers"] == layers
-
-    # The full config echo of real cells, key order included, since run.json
-    # holds it in that order.
+    # The full config echo of a cell, key order included, since run.json holds
+    # it in that order: config text, cell kind and seed, echo.
     DESK_TRAIN = {"epochs": 5, "batch_size": 50, "learning_rate": 0.1, "momentum": 0.9,
                   "weight_decay": 0.05, "nesterov": True}
     MLP_LAYERS = [{"in": 20, "out": 128, "activation": "relu"},
                   {"in": 128, "out": 256, "activation": "relu"},
                   {"in": 256, "out": 2, "activation": "none"}]
-
-    @pytest.mark.parametrize(
-        "kind, seed, echo",
-        [
-            ("sap", 0, {
-                "algorithm": "sap", "iterations": 10, "ratio": 0.2,
-                "sap": {"p": 0.5, "q": 1.0, "eta": 0.0, "gamma": 1.0, "beta": 0.9},
-                "scope": "global", "index_p": 0.5, "index_q": 1.0, "seed": 0,
-                "train": DESK_TRAIN, "layers": MLP_LAYERS,
-            }),
-            ("lottery_ticket", 3, {
-                "algorithm": "lottery_ticket", "iterations": 10, "ratio": 0.2, "sap": None,
-                "scope": "global", "index_p": 0.5, "index_q": 1.0, "seed": 3,
-                "train": DESK_TRAIN, "layers": MLP_LAYERS,
-            }),
-        ],
-    )
-    def test_desk_cells_echo_their_config(self, kind, seed, echo):
-        cfg = parse_config("algorithm.kinds = sap,lottery_ticket\n")
-        [alg] = [alg for alg in cfg.algorithms if alg.kind == kind]
-        rec = experiment.run_cell(cfg, alg, seed, experiment.load_datasets(cfg))
-        assert rec.completed
-        assert rec.config == echo
-        assert json.dumps(rec.config) == json.dumps(echo)
-
-    def test_linear_cell_echoes_its_config(self):
-        cfg = parse_config(
+    DESK = "algorithm.kinds = sap,lottery_ticket\n"
+    ECHOES = {
+        "desk_sap_seed0": (DESK, "sap", 0, {
+            "algorithm": "sap", "iterations": 10, "ratio": 0.2,
+            "sap": {"p": 0.5, "q": 1.0, "eta": 0.0, "gamma": 1.0, "beta": 0.9},
+            "scope": "global", "index_p": 0.5, "index_q": 1.0, "seed": 0,
+            "train": DESK_TRAIN, "layers": MLP_LAYERS,
+        }),
+        "desk_lottery_ticket_seed3": (DESK, "lottery_ticket", 3, {
+            "algorithm": "lottery_ticket", "iterations": 10, "ratio": 0.2, "sap": None,
+            "scope": "global", "index_p": 0.5, "index_q": 1.0, "seed": 3,
+            "train": DESK_TRAIN, "layers": MLP_LAYERS,
+        }),
+        "linear_sap_seed2": (
             "model = Linear\nscope = neuron_wise\ndataset.n_features = 6\n"
             "dataset.n_classes = 3\nalgorithm.kinds = sap\nalgorithm.iterations = 2\n"
             "algorithm.ratio = 0.3\nsap.p = 0.7\nsap.q = 2\nsap.eta = 0.5\nsap.gamma = 2\n"
-            "sap.beta = 0.8\ntrain.epochs = 1\ntrain.batch_size = 40\ntrain.nesterov = false\n"
-        )
-        rec = experiment.run_cell(cfg, cfg.algorithms[0], 2, experiment.load_datasets(cfg))
-        echo = {
-            "algorithm": "sap", "iterations": 2, "ratio": 0.3,
-            "sap": {"p": 0.7, "q": 2.0, "eta": 0.5, "gamma": 2.0, "beta": 0.8},
-            "scope": "neuron_wise", "index_p": 0.7, "index_q": 2.0, "seed": 2,
-            "train": {"epochs": 1, "batch_size": 40, "learning_rate": 0.1, "momentum": 0.9,
-                      "weight_decay": 0.05, "nesterov": False},
-            "layers": [{"in": 6, "out": 3, "activation": "none"}],
-        }
-        assert rec.config == echo
-        assert json.dumps(rec.config) == json.dumps(echo)
+            "sap.beta = 0.8\ntrain.epochs = 1\ntrain.batch_size = 40\ntrain.nesterov = false\n",
+            "sap", 2, {
+                "algorithm": "sap", "iterations": 2, "ratio": 0.3,
+                "sap": {"p": 0.7, "q": 2.0, "eta": 0.5, "gamma": 2.0, "beta": 0.8},
+                "scope": "neuron_wise", "index_p": 0.7, "index_q": 2.0, "seed": 2,
+                "train": {"epochs": 1, "batch_size": 40, "learning_rate": 0.1, "momentum": 0.9,
+                          "weight_decay": 0.05, "nesterov": False},
+                "layers": [{"in": 6, "out": 3, "activation": "none"}],
+            }),
+    }
+
+    @pytest.mark.parametrize("text, kind, seed, echo", ECHOES.values(), ids=ECHOES)
+    def test_cell_echo(self, text, kind, seed, echo):
+        cfg = parse_config(text)
+        [alg] = [alg for alg in cfg.algorithms if alg.kind == kind]
+        specs = model_specs(cfg.model, cfg.dataset.n_features, cfg.dataset.n_classes)
+        assert json.dumps(experiment.cell_echo(cfg, alg, seed, specs)) == json.dumps(echo)
 
     @pytest.mark.parametrize("kind", ["sap", "lottery_ticket", "one_shot"])
     @pytest.mark.parametrize("scope", list(Scope))

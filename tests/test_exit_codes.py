@@ -53,6 +53,12 @@ def run(id, text, err, files={}):
                 {"exp.cfg": text, **files})
 
 
+def amid(line):
+    """TINY_CONFIG with `line` in place of the line that sets the same key, if any."""
+    key = line.split(" = ")[0] + " "
+    return "\n".join([l for l in TINY_CONFIG.splitlines() if not l.startswith(key)] + [line, ""])
+
+
 def report(id, dirs, err, files={}):
     return Exit(id, f"report {dirs} --out {{tmp}}/report", 2, f"error: {err}", files)
 
@@ -87,8 +93,8 @@ ROWS = [
         "train.weight_decay = -0.5": "train.weight_decay: weight_decay must be >= 0",
         "train.momentum = 1": "train.momentum: momentum must be in [0, 1)",
         "train.momentum = -0.1": "train.momentum: momentum must be in [0, 1)",
-        "workers = -2": "workers must be >= 1",
-        "workers = 0": "workers must be >= 1",
+        "workers = -2": "workers: workers must be >= 1",
+        "workers = 0": "workers: workers must be >= 1",
         "sap.eta = nan": "sap.eta: not a finite number: 'nan'",
         "sap.gamma = inf": "sap.gamma: not a finite number: 'inf'",
         "train.learning_rate = nan": "train.learning_rate: not a finite number: 'nan'",
@@ -109,10 +115,11 @@ ROWS = [
         "dataset.n_features = 0": "dataset.n_features: n_samples and n_features must be positive",
         "dataset.n_classes = 1": "dataset.n_classes: n_classes must be >= 2",
         "dataset.class_separation = -1": "dataset.class_separation: class_separation must be >= 0",
-        "dataset.kind = bogus": "unknown dataset.kind 'bogus'",
+        "dataset.kind = bogus": "dataset.kind: unknown dataset kind 'bogus'",
         "train.nesterov = maybe": "train.nesterov: not a boolean: 'maybe'",
     }.items()),
-    *(run(f"test_run_with_bad_algorithm_exits_2[{line}-{reason}]", line,
+    # test_run_with_bad_algorithm_exits_2: the line amid a full config.
+    *(run(f"test_run_with_bad_algorithm_exits_2[{line}-{reason}]", amid(line),
           f"{line.split(' = ')[0]}: {reason}") for line, reason in {
         "algorithm.kinds = sap,bogus": "unknown algorithm kind 'bogus'",
         "algorithm.iterations = 0": "iterations must be >= 1",
@@ -127,7 +134,7 @@ ROWS = [
     # Two cells of one name would share one directory.
     run("test_run_with_duplicate_seeds_exits_2", "seeds = 0,0\n", "seeds: duplicate entries 0"),
     run("test_run_with_unknown_model_exits_2", "model = CNN\n",
-        "model must be Linear or MLP, got 'CNN'"),
+        "model: model must be Linear or MLP, got 'CNN'"),
     run("test_run_with_line_without_equals_exits_2", TINY_CONFIG + "workers 2\n",
         f"line {len(TINY_CONFIG.splitlines()) + 1}: expected 'key = value', got 'workers 2'"),
     # --out is the one way to name the output root.
