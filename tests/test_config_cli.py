@@ -149,6 +149,25 @@ class TestConfig:
         with pytest.raises(ValueError, match="algorithm.kinds: duplicate entries sap"):
             parse_config("algorithm.kinds = sap, lottery_ticket, sap\n")
 
+    # A bad algorithm line amid a full config; tests/test_exit_codes.py has it alone.
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("algorithm.kinds = sap,bogus", "unknown algorithm kind 'bogus'"),
+            ("algorithm.iterations = 0", "iterations must be >= 1"),
+            ("algorithm.ratio = 1.5", "ratio must be in (0, 1)"),
+        ],
+    )
+    def test_run_with_bad_algorithm_exits_2(self, tmp_path, capsys, line, message):
+        setting = line.split(" = ")[0]
+        kept = [l for l in TINY_CONFIG.splitlines() if not l.startswith(setting + " ")]
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text("\n".join(kept + [line]) + "\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {setting}: {message}\n"
+        assert not out.exists()
+
     # Each grid rule: the config line that breaks it, and the same break in code.
     BROKEN_RULES = {
         "seeds = ": {"seeds": []},
@@ -441,6 +460,25 @@ class TestRunAndReport:
             experiment.write_report([], tmp_path)
         assert not any(tmp_path.iterdir())
 
+    # The two record shapes that from_dict names itself; tests/test_exit_codes.py has every damage.
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda rec: [], "the record must be an object"),
+            (lambda rec: {**rec, "iterations": [1]}, "each iteration must be an object"),
+        ],
+        ids=["not_an_object", "bad_iteration"],
+    )
+    def test_report_damaged_record_exits_2(self, run_root, tmp_path, capsys, damage, message):
+        rec = json.loads((run_root / "out" / "sap_seed0" / "run.json").read_text())
+        (tmp_path / "cut").mkdir()
+        (tmp_path / "cut" / "run.json").write_text(json.dumps(damage(rec)))
+        argv = ["report", str(tmp_path / "cut"), "--out", str(tmp_path / "report")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: run record {tmp_path / 'cut' / 'run.json'} has the wrong shape: {message}\n")
+        assert not (tmp_path / "report").exists()
+
     def test_report_leaves_out_incomplete_runs(self, run_root, tmp_path, caplog):
         out = run_root / "out"
         diverged = diverged_copy(out / "sap_seed1", tmp_path / "sap_seed1", at=2)
@@ -599,6 +637,27 @@ class TestGridData:
                 assert rec.completed
                 assert rec.config["layers"][0]["in"] == 16
         assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "model, layers",
+        [
+            ("Linear", [{"in": 8, "out": 2, "activation": "none"}]),
+            ("MLP", [
+                {"in": 8, "out": 128, "activation": "relu"},
+                {"in": 128, "out": 256, "activation": "relu"},
+                {"in": 256, "out": 2, "activation": "none"},
+            ]),
+        ],
+    )
+    def test_layers_echo_follows_the_model(self, model, layers):
+        cfg = ExperimentConfig(
+            model=model,
+            dataset=SyntheticSpec(n_samples=100, n_features=8, n_classes=2),
+            train=TrainConfig(epochs=1, batch_size=50),
+        )
+        rec = experiment.run_cell(cfg, AlgorithmSpec("sap", iterations=1), 0,
+                                  experiment.load_datasets(cfg))
+        assert rec.config["layers"] == layers
 
     # The full config echo of a cell, key order included, since run.json holds
     # it in that order: config text, cell kind and seed, echo.

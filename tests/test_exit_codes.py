@@ -53,12 +53,6 @@ def run(id, text, err, files={}):
                 {"exp.cfg": text, **files})
 
 
-def amid(line):
-    """TINY_CONFIG with `line` in place of the line that sets the same key, if any."""
-    key = line.split(" = ")[0] + " "
-    return "\n".join([l for l in TINY_CONFIG.splitlines() if not l.startswith(key)] + [line, ""])
-
-
 def report(id, dirs, err, files={}):
     return Exit(id, f"report {dirs} --out {{tmp}}/report", 2, f"error: {err}", files)
 
@@ -118,8 +112,7 @@ ROWS = [
         "dataset.kind = bogus": "dataset.kind: unknown dataset kind 'bogus'",
         "train.nesterov = maybe": "train.nesterov: not a boolean: 'maybe'",
     }.items()),
-    # test_run_with_bad_algorithm_exits_2: the line amid a full config.
-    *(run(f"test_run_with_bad_algorithm_exits_2[{line}-{reason}]", amid(line),
+    *(run(f"test_run_with_bad_algorithm_exits_2[{line}-{reason}]", line,
           f"{line.split(' = ')[0]}: {reason}") for line, reason in {
         "algorithm.kinds = sap,bogus": "unknown algorithm kind 'bogus'",
         "algorithm.iterations = 0": "iterations must be >= 1",

@@ -310,6 +310,33 @@ class TestTrainMemory:
         assert peak < 2 * params.flat.nbytes + batch + 256 * 1024
 
 
+class TestGradients:
+    def test_matches_central_differences(self):
+        # 5-4-3-2 toy network, 47 parameters total. Seed chosen so no
+        # pre-activation sits at the ReLU kink, where a central difference
+        # straddles the nondifferentiability.
+        params = nn.init_network(toy_specs(), seed=2)
+        data = separable_data(n=16, seed=2)
+        X, y = data.inputs, data.labels
+        grads = nn.NetworkParams(params.specs, np.empty_like(params.flat))
+        scratch = nn.NetworkParams(params.specs, np.empty_like(params.flat))
+        nn.loss_and_grads(params, X, y, grads)
+        step = 1e-5
+        # `grads` has the layout of `params`, so entry i of each flat vector
+        # is the same weight or bias.
+        for i in range(params.flat.size):
+            orig = params.flat[i]
+            params.flat[i] = orig + step
+            up = nn.loss_and_grads(params, X, y, scratch)
+            params.flat[i] = orig - step
+            down = nn.loss_and_grads(params, X, y, scratch)
+            params.flat[i] = orig
+            numeric = (up - down) / (2 * step)
+            analytic = grads.flat[i]
+            denom = max(abs(numeric), abs(analytic), 1e-8)
+            assert abs(numeric - analytic) / denom < 1e-4
+
+
 class TestFlatten:
     def test_mlp_length(self):
         params = nn.init_network(nn.model_specs("MLP", 784, 10), seed=0)
