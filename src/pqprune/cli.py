@@ -22,7 +22,7 @@ from .audit import (
 )
 from .config import parse_config
 from .data_io import write_text_atomic
-from .experiment import run_experiment, write_report
+from .experiment import cells, run_experiment, write_report
 from .records import csv_text, format_value
 from .sparsity import (
     DEFAULT_NORMS,
@@ -100,8 +100,7 @@ def cmd_run(args) -> int:
     summary_path = Path(args.out) / "summary.csv"
     print(f"wrote {len(results)} run directories under {args.out}")
     print(summary_path.read_text(), end="")
-    expected = len(cfg.algorithms) * len(cfg.seeds)
-    return EXIT_OK if len(results) == expected else EXIT_RUNTIME
+    return EXIT_OK if len(results) == len(cells(cfg)) else EXIT_RUNTIME
 
 
 def cmd_report(args) -> int:

@@ -12,8 +12,8 @@ Example:
     seeds = 0,1,2,3
     workers = 2
 
-`workers` defaults to the number of CPUs this process may use; `workers = 1`
-runs every cell in this process.
+`workers` defaults to the CPUs this process may use (all of them where the
+platform cannot tell); `workers = 1` runs every cell in this process.
 """
 
 from __future__ import annotations
@@ -47,13 +47,14 @@ class ExperimentConfig:
     algorithms: list[AlgorithmSpec] = field(default_factory=lambda: [AlgorithmSpec("sap")])
     train: TrainConfig = TrainConfig()
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2, 3])
-    workers: int = field(default_factory=lambda: len(os.sched_getaffinity(0)))
+    workers: int = field(default_factory=lambda: len(os.sched_getaffinity(0))
+                         if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
     def check(self) -> None:
         """Raise ValueError, as `<key>: <reason>`, if the grid breaks a rule
         that no single setting checks: an unknown model, an empty or repeated
         `algorithm.kinds` or `seeds` (a repeat would give two cells one
-        directory), a negative seed, or workers below 1. `parse_config` and
+        `Cell.name`), a negative seed, or workers below 1. `parse_config` and
         `run_experiment` both call it, so a grid built in code meets the
         same rules before anything is written."""
         if self.model not in MODELS:

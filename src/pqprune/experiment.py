@@ -8,7 +8,7 @@ import logging
 import math
 import traceback
 from collections.abc import Iterator
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +23,9 @@ from .data_io import (
     write_run_record,
     write_text_atomic,
 )
-from .pruning import AlgorithmSpec, run_pruning
+from .pruning import AlgorithmSpec, SapHyperParams, Scope, run_pruning
 from .records import RunRecord, csv_text
+from .sparsity import NormPair
 
 log = logging.getLogger(__name__)
 
@@ -37,8 +38,64 @@ SUMMARY_FIELDS = (
 )
 
 
-def cell_name(kind: str, seed: int) -> str:
+def cell_name(kind: str, seed: int) -> str:  # `Cell.name` from its parts, for perfbench
     return f"{kind}_seed{seed}"
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One (algorithm, seed) cell of a grid, with the grid's settings it runs under."""
+
+    alg: AlgorithmSpec
+    seed: int
+    scope: Scope
+    model: str  # a key of nn.MODELS
+    train: nn.TrainConfig
+
+    @property
+    def name(self) -> str:
+        """The cell's directory under the grid's output root."""
+        return f"{self.alg.kind}_seed{self.seed}"
+
+    def echo(self, specs: list[nn.LayerSpec]) -> dict:
+        """The `config` of run.json for this cell over the dense layers
+        `specs`, in file order; it needs no run of the cell."""
+        hp = self.alg.sap
+        return {
+            "algorithm": self.alg.kind,
+            "iterations": self.alg.iterations,
+            "ratio": self.alg.ratio,
+            "sap": None if hp is None else {"p": hp.norms.p, "q": hp.norms.q, "eta": hp.eta,
+                                            "gamma": hp.gamma, "beta": hp.beta},
+            "scope": self.scope.value,
+            "index_p": self.alg.index_norms.p,
+            "index_q": self.alg.index_norms.q,
+            "seed": self.seed,
+            "train": asdict(self.train),
+            "layers": [  # a ReLU follows every layer but the last, which emits logits
+                {"in": s.in_size, "out": s.out_size,
+                 "activation": "relu" if l < len(specs) - 1 else "none"}
+                for l, s in enumerate(specs)
+            ],
+        }
+
+    @classmethod
+    def from_echo(cls, echo: dict) -> Cell:
+        """The cell whose `echo` is `echo`; the model is the one whose hidden
+        widths the echoed layers have."""
+        hidden = tuple(layer["out"] for layer in echo["layers"][:-1])
+        [model] = [name for name, widths in nn.MODELS.items() if widths == hidden]
+        sap = echo["sap"]
+        hp = None if sap is None else SapHyperParams(
+            NormPair(sap["p"], sap["q"]), eta=sap["eta"], gamma=sap["gamma"], beta=sap["beta"])
+        alg = AlgorithmSpec(echo["algorithm"], echo["iterations"], echo["ratio"], hp)
+        return cls(alg, echo["seed"], Scope(echo["scope"]), model, nn.TrainConfig(**echo["train"]))
+
+
+def cells(cfg: ExperimentConfig) -> list[Cell]:
+    """The cells of `cfg` in run order: algorithm outer, seed inner."""
+    return [Cell(alg, seed, cfg.scope, cfg.model, cfg.train)
+            for alg in cfg.algorithms for seed in cfg.seeds]
 
 
 Datasets = tuple[nn.Dataset, nn.Dataset]  # a grid's (train, test) pair
@@ -54,37 +111,14 @@ def load_datasets(cfg: ExperimentConfig) -> Datasets:
     )
 
 
-def cell_echo(cfg: ExperimentConfig, alg: AlgorithmSpec, seed: int, specs: list[nn.LayerSpec]):
-    """The `config` of run.json for the (`alg`, `seed`) cell of `cfg` over the
-    dense layers `specs`, in file order; it needs no run of the cell."""
-    hp = alg.sap
-    return {
-        "algorithm": alg.kind,
-        "iterations": alg.iterations,
-        "ratio": alg.ratio,
-        "sap": None if hp is None else {"p": hp.norms.p, "q": hp.norms.q, "eta": hp.eta,
-                                        "gamma": hp.gamma, "beta": hp.beta},
-        "scope": cfg.scope.value,
-        "index_p": alg.index_norms.p,
-        "index_q": alg.index_norms.q,
-        "seed": seed,
-        "train": asdict(cfg.train),
-        "layers": [  # a ReLU follows every layer but the last, which emits logits
-            {"in": s.in_size, "out": s.out_size,
-             "activation": "relu" if l < len(specs) - 1 else "none"}
-            for l, s in enumerate(specs)
-        ],
-    }
-
-
-def run_cell(cfg: ExperimentConfig, alg: AlgorithmSpec, seed: int, data: Datasets) -> RunRecord:
-    """Execute one (algorithm, seed) cell end to end on the datasets `data`:
-    the record of `run_pruning`, with `cell_echo` as its config."""
+def run_cell(cell: Cell, data: Datasets) -> RunRecord:
+    """Execute one cell end to end on the datasets `data`: the record of
+    `run_pruning`, with `cell.echo` as its config."""
     train_data, test_data = data
     n_classes = int(max(train_data.labels.max(), test_data.labels.max())) + 1
-    specs = nn.model_specs(cfg.model, train_data.inputs.shape[1], n_classes)
-    record = run_pruning(alg, cfg.scope, specs, cfg.train, seed, train_data, test_data)
-    record.config = cell_echo(cfg, alg, seed, specs)
+    specs = nn.model_specs(cell.model, train_data.inputs.shape[1], n_classes)
+    record = run_pruning(cell.alg, cell.scope, specs, cell.train, cell.seed, train_data, test_data)
+    record.config = cell.echo(specs)
     return record
 
 
@@ -111,19 +145,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict[str, RunRecord]:
     out_dir = Path(out_dir)
     cfg.check()
     data = load_datasets(cfg)
-    calls = [(cfg, alg, seed, data, out_dir) for alg in cfg.algorithms for seed in cfg.seeds]
+    calls = [(cell, data, out_dir) for cell in cells(cfg)]
     results: dict[str, RunRecord] = {}
     failed: list[str] = []
     out_dir.mkdir(parents=True, exist_ok=True)
     workers = min(cfg.workers, len(calls))
     outcomes = _forked(calls, workers) if workers > 1 else itertools.starmap(_outcome, calls)
-    for (_, alg, seed, _, _), outcome in zip(calls, outcomes):
-        name = cell_name(alg.kind, seed)
+    for (cell, _, _), outcome in zip(calls, outcomes):
         if isinstance(outcome, RunRecord):
-            results[name] = outcome
+            results[cell.name] = outcome
         else:
-            log.error("cell %s failed\n%s", name, outcome)
-            failed.append(name)
+            log.error("cell %s failed\n%s", cell.name, outcome)
+            failed.append(cell.name)
     failed_path = out_dir / "failed_cells.txt"
     if failed:
         log.warning("failed cells: %s", ", ".join(failed))
@@ -134,12 +167,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict[str, RunRecord]:
     return results
 
 
-def _outcome(cfg: ExperimentConfig, alg: AlgorithmSpec, seed: int, data: Datasets,
-             out_dir) -> RunRecord | str:
+def _outcome(cell: Cell, data: Datasets, out_dir) -> RunRecord | str:
     """Run one cell and persist its record: the record, or the traceback it raised."""
     try:
-        record = run_cell(cfg, alg, seed, data)
-        write_run_record(record, out_dir / cell_name(alg.kind, seed))
+        record = run_cell(cell, data)
+        write_run_record(record, out_dir / cell.name)
         return record
     except Exception:
         return traceback.format_exc().rstrip()

@@ -187,7 +187,7 @@ def run_pruning(
     test_data: nn.Dataset,
 ) -> RunRecord:
     """Run one pruning experiment and return its iteration record; its
-    `config` is left empty, for the caller's `experiment.cell_echo`.
+    `config` is left empty, for the caller's `experiment.Cell.echo`.
 
     Produces iterations t = 0..T inclusive; row t holds metrics of the model
     under mask m_t ("retrained") and under m_{t+1} ("pruned", no retraining).

@@ -90,7 +90,12 @@ def gini_index(w) -> float | np.ndarray:
     ((d - k + 1/2)/d) with w ascending; 0 for uniform, 1 - 1/d one-hot.
     """
     rows, one = _magnitude_rows(w)
-    total = rows.sum(axis=1, keepdims=True)  # in the given order, before the sort
+    with np.errstate(over="ignore"):
+        total = rows.sum(axis=1, keepdims=True)  # in the given order, before the sort
+    big = ~np.isfinite(total[:, 0])  # an L1 sum past the float range: scale by the max first
+    if big.any():
+        rows[big] /= rows[big].max(axis=1, keepdims=True)
+        total[big] = rows[big].sum(axis=1, keepdims=True)
     if not total.all():
         raise UndefinedIndexError("index undefined for all-zero vector")
     d = rows.shape[1]

@@ -260,7 +260,8 @@ MUTANTS = [
     Mutant(
         "config: workers default to 1",
         CONFIG,
-        "field(default_factory=lambda: len(os.sched_getaffinity(0)))",
+        "field(default_factory=lambda: len(os.sched_getaffinity(0))\n"
+        '                         if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)',
         "1",
         ("tests/test_config_cli.py",),
     ),
@@ -464,11 +465,18 @@ MUTANTS = [
         ("tests/test_exit_codes.py",),
     ),
     Mutant(
-        "cell_echo: index_p taken from the norm pair's q",
+        "Cell.echo: index_p taken from the norm pair's q",
         EXPERIMENT,
-        '"index_p": alg.index_norms.p,',
-        '"index_p": alg.index_norms.q,',
+        '"index_p": self.alg.index_norms.p,',
+        '"index_p": self.alg.index_norms.q,',
         ("tests/test_config_cli.py",),
+    ),
+    Mutant(
+        "Cell.from_echo: eta and gamma swapped",
+        EXPERIMENT,
+        'eta=sap["eta"], gamma=sap["gamma"],',
+        'eta=sap["gamma"], gamma=sap["eta"],',
+        ("tests/test_guard.py",),
     ),
     Mutant(
         "write_run_record: no newline after the record",
@@ -516,7 +524,7 @@ MUTANTS = [
         "run_cell: loads the data itself instead of using data",
         EXPERIMENT,
         "    train_data, test_data = data\n",
-        "    train_data, test_data = load_datasets(cfg)\n",
+        "    train_data, test_data = gen_synthetic(SyntheticSpec())\n",
         ("tests/test_config_cli.py",),
     ),
     Mutant(

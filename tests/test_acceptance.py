@@ -16,6 +16,7 @@ from pqprune.audit import audit_measure, gini_measure, pq_measure
 from pqprune.config import ExperimentConfig
 from pqprune.data_io import read_run_record
 from pqprune.experiment import (
+    Cell,
     load_datasets,
     run_cell,
     run_experiment,
@@ -171,12 +172,7 @@ def test_criterion_6_sap_replay(desk_run):
     # The desk SAP cells, re-read from disk.
     for seed in range(4):
         rec = read_run_record(out / f"sap_seed{seed}")
-        hp = SapHyperParams(
-            norms=NormPair(rec.config["sap"]["p"], rec.config["sap"]["q"]),
-            eta=rec.config["sap"]["eta"],
-            gamma=rec.config["sap"]["gamma"],
-            beta=rec.config["sap"]["beta"],
-        )
+        hp = Cell.from_echo(rec.config).alg.sap
         for it in rec.iterations:
             for entry in it.groups:
                 if replay_count(entry, hp) != entry["c"]:
@@ -189,7 +185,7 @@ def test_criterion_6_sap_replay(desk_run):
         for eta in (0.0, 1.0):
             hp = SapHyperParams(norms=NormPair(0.5, 1.0), eta=eta, gamma=gamma, beta=0.9)
             alg = AlgorithmSpec(kind="sap", iterations=5, sap=hp)
-            rec = run_cell(cfg, alg, 0, data)
+            rec = run_cell(Cell(alg, 0, cfg.scope, cfg.model, cfg.train), data)
             for it in rec.iterations:
                 for entry in it.groups:
                     if replay_count(entry, hp) != entry["c"]:

@@ -65,6 +65,14 @@ class TestConfig:
     def test_workers_default_to_the_usable_cpus(self):
         assert ExperimentConfig().workers == len(os.sched_getaffinity(0))
 
+    @pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
+    def test_workers_default_without_sched_getaffinity(self, monkeypatch, cpus, workers):
+        # As on macOS, where os has no sched_getaffinity; os.cpu_count may give None.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert ExperimentConfig().workers == workers
+        assert parse_config("workers = 2\n").workers == 2
+
     def test_parse_builds_expected_config(self):
         assert parse_config(TINY_CONFIG) == tiny_config(
             SyntheticSpec(n_samples=200, n_features=8, n_classes=2,
@@ -349,13 +357,13 @@ def run_config(tmp_path, text):
 
 
 def fail_cells(monkeypatch, doomed, error=None):
-    """Make each cell that `doomed(kind, seed)` names raise a RuntimeError of
+    """Make each cell for which `doomed(cell)` holds raise a RuntimeError of
     `error` or, if None, end its process without returning, as an OOM kill would."""
     run_cell = experiment.run_cell
 
-    def run_or_fail(cfg, alg, seed, data):
-        if not doomed(alg.kind, seed):
-            return run_cell(cfg, alg, seed, data)
+    def run_or_fail(cell, data):
+        if not doomed(cell):
+            return run_cell(cell, data)
         if error is None:
             os._exit(1)
         raise RuntimeError(error)
@@ -493,7 +501,7 @@ class TestRunAndReport:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_clean_rerun_removes_failed_cells(self, tmp_path, monkeypatch, caplog, workers):
         argv, out = run_config(tmp_path, TINY_CONFIG + f"workers = {workers}\n")
-        fail_cells(monkeypatch, lambda kind, seed: seed == 1, "injected failure")
+        fail_cells(monkeypatch, lambda cell: cell.seed == 1, "injected failure")
         assert cli.main(argv) == 1
         failed = (out / "failed_cells.txt").read_text()
         assert failed == "sap_seed1\nlottery_ticket_seed1\n"
@@ -514,7 +522,7 @@ class TestRunAndReport:
         # Each cell has its own child, so no other cell is lost, the two are
         # not run again, and the other 10 cells still run two at a time.
         dead = {"sap_seed1", "lottery_ticket_seed1"}
-        fail_cells(monkeypatch, lambda kind, seed: experiment.cell_name(kind, seed) in dead)
+        fail_cells(monkeypatch, lambda cell: cell.name in dead)
         argv, out = run_config(tmp_path, TINY_CONFIG
                                .replace("sap,lottery_ticket", "sap,lottery_ticket,one_shot")
                                .replace("seeds = 0,1", "seeds = 0,1,2,3")  # 12 cells
@@ -524,7 +532,7 @@ class TestRunAndReport:
         for name in dead:
             assert f"cell {name} failed\nRuntimeError: worker died" in caplog.text
         assert child_starts == [("fork", 1)] + [("fork", 2)] * 11
-        cells = {experiment.cell_name(kind, seed)
+        cells = {f"{kind}_seed{seed}"
                  for kind in ("sap", "lottery_ticket", "one_shot") for seed in range(4)}
         assert {p.name for p in out.iterdir() if p.is_dir()} == cells - dead
         completed = {name: read_run_record(out / name) for name in cells - dead}
@@ -547,7 +555,7 @@ class TestRunAndReport:
             assert child_starts == [("fork", n) for n in live]
 
     def test_no_child_outlives_an_interrupted_run(self, tmp_path, monkeypatch, child_starts):
-        def never_return(cfg, alg, seed, data):
+        def never_return(cell, data):
             time.sleep(60)
 
         def interrupted(*args, **kwargs):
@@ -653,10 +661,12 @@ class TestGridData:
         cfg = ExperimentConfig(
             model=model,
             dataset=SyntheticSpec(n_samples=100, n_features=8, n_classes=2),
+            algorithms=[AlgorithmSpec("sap", iterations=1)],
             train=TrainConfig(epochs=1, batch_size=50),
+            seeds=[0],
         )
-        rec = experiment.run_cell(cfg, AlgorithmSpec("sap", iterations=1), 0,
-                                  experiment.load_datasets(cfg))
+        [cell] = experiment.cells(cfg)
+        rec = experiment.run_cell(cell, experiment.load_datasets(cfg))
         assert rec.config["layers"] == layers
 
     # The full config echo of a cell, key order included, since run.json holds
@@ -697,9 +707,9 @@ class TestGridData:
     @pytest.mark.parametrize("text, kind, seed, echo", ECHOES.values(), ids=ECHOES)
     def test_cell_echo(self, text, kind, seed, echo):
         cfg = parse_config(text)
-        [alg] = [alg for alg in cfg.algorithms if alg.kind == kind]
+        [cell] = [c for c in experiment.cells(cfg) if (c.alg.kind, c.seed) == (kind, seed)]
         specs = model_specs(cfg.model, cfg.dataset.n_features, cfg.dataset.n_classes)
-        assert json.dumps(experiment.cell_echo(cfg, alg, seed, specs)) == json.dumps(echo)
+        assert json.dumps(cell.echo(specs)) == json.dumps(echo)
 
     @pytest.mark.parametrize("kind", ["sap", "lottery_ticket", "one_shot"])
     @pytest.mark.parametrize("scope", list(Scope))
@@ -709,9 +719,9 @@ class TestGridData:
             f"dataset.n_classes = 3\nalgorithm.kinds = {kind}\nalgorithm.iterations = 1\n"
             "train.epochs = 1\nseeds = 5\n"
         )
-        [alg] = cfg.algorithms
-        echo = experiment.cell_echo(cfg, alg, 5, model_specs(cfg.model, 8, 3))
-        rec = experiment.run_cell(cfg, alg, 5, experiment.load_datasets(cfg))
+        [cell] = experiment.cells(cfg)
+        echo = cell.echo(model_specs(cfg.model, 8, 3))
+        rec = experiment.run_cell(cell, experiment.load_datasets(cfg))
         assert rec.completed
         assert json.dumps(rec.config) == json.dumps(echo)
 

@@ -20,7 +20,7 @@ from pqprune.data_io import (
     read_run_record,
     write_run_record,
 )
-from pqprune.experiment import load_datasets, run_cell
+from pqprune.experiment import cells, load_datasets, run_cell
 from pqprune.nn import Dataset
 from pqprune.records import CSV_FIELDS, IterationMetrics, RunRecord
 
@@ -467,8 +467,8 @@ class TestStreamedRecord:
     @pytest.mark.parametrize("scope", ["global", "layer_wise", "neuron_wise"])
     def test_equals_the_whole_string_encoding(self, tmp_path, scope, kind):
         cfg = parse_config(GRID_CONFIG + f"scope = {scope}\n")
-        [alg] = [a for a in cfg.algorithms if a.kind == kind]
-        rec = run_cell(cfg, alg, 0, load_datasets(cfg))
+        [cell] = [c for c in cells(cfg) if c.alg.kind == kind and c.seed == 0]
+        rec = run_cell(cell, load_datasets(cfg))
         assert rec.completed and rec.iterations[1].groups
         write_run_record(rec, tmp_path)
         assert (tmp_path / "run.json").read_bytes() == reference_run_json(rec).encode()

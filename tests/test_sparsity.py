@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -95,6 +96,15 @@ class TestGiniIndex:
     def test_all_zero_undefined(self):
         with pytest.raises(UndefinedIndexError):
             gini_index([0.0, 0.0, 0.0])
+
+    def test_l1_sum_past_the_float_range(self):
+        # The plain sum of [1e308, 1e308] overflows to inf; the row is scaled
+        # by its max instead, and a row whose sum is finite keeps its value.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gini_index([1e308, 1e308]) == 0.0
+            rows = gini_index([[1e308, 1e308], [1.0, 2.0]])
+        assert rows[1] == gini_index([1.0, 2.0])
 
 
 class TestEtaR:
