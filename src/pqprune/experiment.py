@@ -38,7 +38,7 @@ SUMMARY_FIELDS = (
 )
 
 
-def cell_name(kind: str, seed: int) -> str:  # `Cell.name` from its parts, for perfbench
+def cell_name(kind: str, seed: int) -> str:  # a cell's directory; `Cell.name` and perfbench call it
     return f"{kind}_seed{seed}"
 
 
@@ -55,7 +55,7 @@ class Cell:
     @property
     def name(self) -> str:
         """The cell's directory under the grid's output root."""
-        return f"{self.alg.kind}_seed{self.seed}"
+        return cell_name(self.alg.kind, self.seed)
 
     def echo(self, specs: list[nn.LayerSpec]) -> dict:
         """The `config` of run.json for this cell over the dense layers

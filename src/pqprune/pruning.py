@@ -110,39 +110,32 @@ def partition(params: nn.NetworkParams, scope: Scope) -> list[tuple[list[str], i
 
 
 def magnitude_prune(mags: np.ndarray, keep: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Row-major positions, within the (rows, cols) block `mags`, of the
-    `counts[r]` smallest magnitudes that `keep` marks in each row r.
+    """Row-major positions, in increasing order, within the (rows, cols)
+    block `mags`, of the `counts[r]` smallest magnitudes that `keep` marks
+    in each row r.
 
     Ties break toward the lowest position. Each count must lie in
-    [0, survivors of its row]. A one-row block (global and layer_wise
-    scopes) is pruned by selection rather than a sort of the whole row.
+    [0, survivors of its row]. Every block is pruned by one selection: a
+    copy is partitioned along its rows to find each row's count-th
+    smallest survivor `kth`; the row drops its survivors below `kth` and,
+    of those equal to it, the first by position.
     """
     counts = np.asarray(counts)
     if np.any(counts < 0) or np.any(counts > np.count_nonzero(keep, axis=1)):
         raise ValueError("each count must be in [0, survivors of its row]")
-    if mags.shape[0] == 1:
-        return _select_smallest(mags[0], keep[0], int(counts[0]))
-    # Dropped entries sort after every survivor; the stable sort keeps equal
-    # magnitudes in position order.
-    order = np.argsort(np.where(keep, mags, np.inf), axis=1, kind="stable")
-    first = np.arange(mags.shape[1]) < counts[:, None]
-    return np.nonzero(first)[0] * mags.shape[1] + order[first]
-
-
-def _select_smallest(mags: np.ndarray, keep: np.ndarray, count: int) -> np.ndarray:
-    """`magnitude_prune` of one row by selection: the work scales with the
-    row's survivors, and only the `count` picked ones are sorted."""
-    survivors = np.flatnonzero(keep)
-    if count == 0:
-        return survivors[:0]
-    values = mags[keep]
-    kth = np.partition(values, count - 1)[count - 1]
-    picked = values < kth
-    # Of the survivors equal to the count-th smallest, the first in position.
-    tied = np.flatnonzero(values == kth)[: count - np.count_nonzero(picked)]
-    picked[tied] = True
-    chosen = np.flatnonzero(picked)
-    return survivors[chosen[np.argsort(values[chosen], kind="stable")]]
+    # Dropped entries rank after every survivor.
+    ranked = np.where(keep, mags, np.inf)
+    kths = {c - 1 for c in counts.tolist() if c > 0}
+    if kths:
+        ranked.partition(list(kths), axis=1)
+    # A row that drops nothing has kth = -inf, which no magnitude lies below.
+    kth = np.where(counts > 0, ranked[np.arange(len(counts)), counts - 1], -np.inf)
+    picked = keep & (mags < kth[:, None])
+    need = counts - np.count_nonzero(picked, axis=1)
+    for r in np.flatnonzero(need).tolist():
+        tied = np.flatnonzero(keep[r] & (mags[r] == kth[r]))[: need[r]]
+        picked[r, tied] = True
+    return np.flatnonzero(picked)
 
 
 def sap_decision(d: int, pqi: float, hp: SapHyperParams) -> dict:

@@ -57,13 +57,6 @@ EXPERIMENT = "src/pqprune/experiment.py"
 
 MUTANTS = [
     Mutant(
-        "magnitude_prune: unstable sort",
-        PRUNING,
-        'np.where(keep, mags, np.inf), axis=1, kind="stable")',
-        'np.where(keep, mags, np.inf), axis=1, kind="quicksort")',
-        ("tests/test_pruning.py",),
-    ),
-    Mutant(
         "magnitude_prune: -inf for dropped entries",
         PRUNING,
         "np.where(keep, mags, np.inf)",
@@ -71,17 +64,24 @@ MUTANTS = [
         ("tests/test_pruning.py",),
     ),
     Mutant(
-        "magnitude_prune: wrong column positions",
+        "magnitude_prune: survivors equal to kth all picked",
         PRUNING,
-        "* mags.shape[1] + order[first]",
-        "* mags.shape[1] + np.nonzero(first)[1]",
+        "keep & (mags < kth[:, None])",
+        "keep & (mags <= kth[:, None])",
+        ("tests/test_pruning.py",),
+    ),
+    Mutant(
+        "magnitude_prune: kth read one rank too high",
+        PRUNING,
+        "ranked[np.arange(len(counts)), counts - 1]",
+        "ranked[np.arange(len(counts)), np.minimum(counts, ranked.shape[1] - 1)]",
         ("tests/test_pruning.py",),
     ),
     Mutant(
         "magnitude_prune: selection keeps the last tied survivors",
         PRUNING,
-        "tied = np.flatnonzero(values == kth)[:",
-        "tied = np.flatnonzero(values == kth)[::-1][:",
+        "tied = np.flatnonzero(keep[r] & (mags[r] == kth[r]))[:",
+        "tied = np.flatnonzero(keep[r] & (mags[r] == kth[r]))[::-1][:",
         ("tests/test_pruning.py",),
     ),
     Mutant(

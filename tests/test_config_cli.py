@@ -62,6 +62,8 @@ class TestConfig:
         assert (cfg.train.epochs, cfg.train.batch_size, cfg.train.weight_decay) == (5, 50, 0.05)
         assert cfg.seeds == [0, 1, 2, 3]
 
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="covered by test_workers_default_without_sched_getaffinity")
     def test_workers_default_to_the_usable_cpus(self):
         assert ExperimentConfig().workers == len(os.sched_getaffinity(0))
 

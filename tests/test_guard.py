@@ -5,7 +5,7 @@ import json
 import guard
 from pqprune.config import parse_config
 from pqprune.data_io import SyntheticSpec
-from pqprune.experiment import Cell, cell_name, cells, load_datasets
+from pqprune.experiment import Cell, cells, load_datasets
 from pqprune.nn import model_specs
 
 
@@ -33,7 +33,6 @@ def test_every_guard_cell_is_read_back_from_its_echo():
         specs = model_specs(cfg.model, *shape)
         for cell in cells(cfg):
             assert Cell.from_echo(json.loads(json.dumps(cell.echo(specs)))) == cell
-            assert cell_name(cell.alg.kind, cell.seed) == cell.name
 
 
 def test_idx_grid_reads_the_files_the_guard_writes(tmp_path, monkeypatch):

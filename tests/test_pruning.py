@@ -82,7 +82,7 @@ class TestPartition:
 
     def test_masked_entries_excluded(self):
         keep = [True, False, True, True]
-        assert list(single_row_prune([0.5, 0.1, 0.3, 0.7], keep, 3)) == [2, 0, 3]
+        assert list(single_row_prune([0.5, 0.1, 0.3, 0.7], keep, 3)) == [0, 2, 3]
         with pytest.raises(ValueError):
             single_row_prune([0.5, 0.1, 0.3, 0.7], keep, 4)  # 3 survivors
 
@@ -197,7 +197,8 @@ class TestMagnitudePrune:
 
 def argsort_prune(mags, keep, counts):
     """`magnitude_prune` as one stable sort along the rows, with dropped
-    entries sorted last: the reference for pruning a row by selection."""
+    entries sorted last, each row's positions in magnitude order: the
+    reference for the selection."""
     order = np.argsort(np.where(keep, mags, np.inf), axis=1, kind="stable")
     first = np.arange(mags.shape[1]) < np.asarray(counts)[:, None]
     return np.nonzero(first)[0] * mags.shape[1] + order[first]
@@ -207,15 +208,18 @@ def argsort_prune(mags, keep, counts):
 def test_selection_matches_stable_argsort(density):
     rng = np.random.default_rng(int(density * 100))
     for trial in range(150):
-        d = int(rng.integers(1, 2000))
+        rows = (1, 3, 17)[trial % 3]
+        d = int(rng.integers(1, 2000 // rows + 1))
         # Quarter steps tie often; a fifth of the entries are zero.
-        mags = rng.integers(0, 8, d) / 4 if trial % 2 else rng.random(d)
-        mags[rng.random(d) < 0.2] = 0.0
-        keep = rng.random((1, d)) < density
-        survivors = int(keep.sum())
-        for count in (0, survivors, int(rng.integers(0, survivors + 1))):
-            got = magnitude_prune(mags[None], keep, [count])
-            np.testing.assert_array_equal(got, argsort_prune(mags[None], keep, [count]))
+        mags = rng.integers(0, 8, (rows, d)) / 4 if trial % 2 else rng.random((rows, d))
+        mags[rng.random((rows, d)) < 0.2] = 0.0
+        keep = rng.random((rows, d)) < density
+        survivors = np.count_nonzero(keep, axis=1)
+        # Each row its own count: 0, every survivor, or one in between.
+        mixed = [int(rng.choice([0, s, rng.integers(0, s + 1)])) for s in survivors]
+        for counts in (np.zeros(rows, int), survivors, rng.integers(0, survivors + 1), mixed):
+            got = magnitude_prune(mags, keep, counts)
+            np.testing.assert_array_equal(got, np.sort(argsort_prune(mags, keep, counts)))
 
 
 class TestSapCount:
@@ -325,7 +329,7 @@ class TestRunPruning:
         self, kind, scope, iterations, monkeypatch
     ):
         specs, cfg, train, test = tiny_run_setup()
-        trained, evaluations, decisions, rounds, sorted_in = [], [], [], [], []
+        trained, evaluations, decisions, rounds, selected_in = [], [], [], [], []
         train_fn, evaluate, count = nn.train, nn.evaluate, pruning.sap_count
         prune_round, prune = pruning._prune_round, pruning.magnitude_prune
 
@@ -340,7 +344,7 @@ class TestRunPruning:
         monkeypatch.setattr(pruning, "_prune_round",
                             lambda *a: rounds.append(1) or prune_round(*a))
         monkeypatch.setattr(pruning, "magnitude_prune",
-                            lambda *a: sorted_in.append(len(rounds) - 1) or prune(*a))
+                            lambda *a: selected_in.append(len(rounds) - 1) or prune(*a))
         alg = AlgorithmSpec(kind=kind, iterations=iterations)
         rec = run_pruning(alg, scope, specs, cfg, 0, train, test)
         for a, b in zip(rec.iterations, rec.iterations[1:]):
@@ -353,9 +357,9 @@ class TestRunPruning:
         assert pruned == [True] * k + [False] * (iterations + 1 - k)
         assert len(trained) == k + 1
         assert len(evaluations) == 2 * k + 1
-        # Each pruning round sorts some block; the stalled round sorts none.
+        # Each pruning round selects in some block; the stalled round in none.
         assert len(rounds) == k + 1
-        assert sorted(set(sorted_in)) == list(range(k))
+        assert sorted(set(selected_in)) == list(range(k))
         # SAP decides each surviving row once per round up to the first
         # round that prunes nothing; later rounds repeat its decisions.
         rows_with_survivors = sum(
