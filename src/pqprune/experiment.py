@@ -84,7 +84,9 @@ class Cell:
         """The cell whose `echo` is `echo`; the model is the one whose hidden
         widths the echoed layers have."""
         hidden = tuple(layer["out"] for layer in echo["layers"][:-1])
-        [model] = [name for name, widths in nn.MODELS.items() if widths == hidden]
+        model = {widths: name for name, widths in nn.MODELS.items()}.get(hidden)
+        if model is None:
+            raise ValueError(f"layers: hidden widths {list(hidden)} match no model")
         sap = echo["sap"]
         hp = None if sap is None else SapHyperParams(
             NormPair(sap["p"], sap["q"]), eta=sap["eta"], gamma=sap["gamma"], beta=sap["beta"])

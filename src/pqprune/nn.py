@@ -150,18 +150,24 @@ def init_network(specs: list[LayerSpec], seed: int) -> NetworkParams:
 EVAL_ROWS = 250
 
 
-def _forward(params: NetworkParams, X: np.ndarray):
-    """Returns (logits, activations): the input, then each layer's output."""
+def _layer_buffers(specs: list[LayerSpec], rows: int) -> list[np.ndarray]:
+    """One (rows, out) block per layer, for `_forward` to write that layer's
+    output into."""
+    return [np.empty((rows, s.out_size)) for s in specs]
+
+
+def _forward(params: NetworkParams, X: np.ndarray, bufs: list[np.ndarray]):
+    """[X, then each layer's output], each layer's written into the first
+    rows of its block of `bufs`; the last is the logits."""
     acts = [X]
-    a = X
     last = len(params.specs) - 1
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        a = a @ w.T
+    for l, (w, b, buf) in enumerate(zip(params.weights, params.biases, bufs)):
+        a = np.matmul(acts[-1], w.T, out=buf[: X.shape[0]])
         a += b
         if l < last:
             np.maximum(a, 0.0, out=a)
         acts.append(a)
-    return a, acts
+    return acts
 
 
 def _log_softmax_parts(logits: np.ndarray, labels: np.ndarray):
@@ -185,20 +191,28 @@ def _softmax_xent(logits: np.ndarray, labels: np.ndarray):
 
 
 def loss_and_grads(
-    params: NetworkParams, X: np.ndarray, labels: np.ndarray, grads: NetworkParams
+    params: NetworkParams, X: np.ndarray, labels: np.ndarray, grads: NetworkParams,
+    bufs: list[np.ndarray] | None = None,
 ) -> float:
     """Cross-entropy loss; the analytic gradient of every weight and bias is
-    written into the matching view of `grads`, in the layout of `params`."""
-    logits, acts = _forward(params, X)
-    loss, delta = _softmax_xent(logits, labels)
-    last = len(params.specs) - 1
-    for l in reversed(range(last + 1)):
-        if l < last:
-            delta *= acts[l + 1] > 0.0
+    written into the matching view of `grads`, in the layout of `params`.
+
+    `bufs`, `_layer_buffers` of at least X's rows (allocated here if not
+    given), hold each layer's activations and then the deltas: once a hidden
+    layer's activations have given their weight gradient and ReLU mask, the
+    delta propagated back to that layer is written over them.
+    """
+    if bufs is None:
+        bufs = _layer_buffers(params.specs, X.shape[0])
+    acts = _forward(params, X, bufs)
+    loss, delta = _softmax_xent(acts[-1], labels)
+    for l in reversed(range(len(params.specs))):
         np.matmul(delta.T, acts[l], out=grads.weights[l])
         np.add.reduce(delta, axis=0, out=grads.biases[l])
         if l > 0:
-            delta = delta @ params.weights[l]
+            live = acts[l] > 0.0
+            delta = np.matmul(delta, params.weights[l], out=acts[l])
+            delta *= live
     return loss
 
 
@@ -228,9 +242,11 @@ def train(net: NetworkParams, mask, data: Dataset, cfg: TrainConfig, seed: int) 
     exactly zero. The shuffle order for epoch e is drawn from a generator
     keyed on (`seed`, e), making runs reproducible.
 
-    Besides `net`, the call holds the gradient, the velocity and one work
-    vector: each step's batch is gathered into it, and once the gradient
-    is taken, the update is built in it.
+    Besides `net`, the call holds the gradient, the velocity, one work
+    vector and one set of `_layer_buffers` for a batch, all allocated once:
+    each step's batch is gathered into the work vector, `loss_and_grads`
+    writes the activations and deltas into the layer buffers, and once the
+    gradient is taken, the update is built in the work vector.
     """
     apply_mask(net, mask)
     grads = NetworkParams(net.specs, np.empty_like(net.flat))
@@ -241,6 +257,7 @@ def train(net: NetworkParams, mask, data: Dataset, cfg: TrainConfig, seed: int) 
     work = np.empty(max(batch * features, net.flat.size))
     rows = work[: batch * features].reshape(batch, features)
     update = work[: net.flat.size]
+    bufs = _layer_buffers(net.specs, batch)
     for epoch in range(cfg.epochs):
         lr = cosine_lr(cfg.learning_rate, epoch, cfg.epochs)
         order = np.random.default_rng([seed, epoch]).permutation(n)
@@ -249,7 +266,7 @@ def train(net: NetworkParams, mask, data: Dataset, cfg: TrainConfig, seed: int) 
             # `order` is a permutation, so no index is clipped; "raise" would
             # gather into a temporary batch first.
             X = np.take(data.inputs, idx, axis=0, out=rows[: idx.size], mode="clip")
-            loss = loss_and_grads(net, X, data.labels[idx], grads)
+            loss = loss_and_grads(net, X, data.labels[idx], grads, bufs)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch offset {start}"
@@ -278,22 +295,23 @@ def evaluate(net: NetworkParams, data: Dataset) -> tuple[float, float]:
     """(accuracy, mean cross-entropy) of `net` as it stands, pruned to its
     current mask. The call holds no copy of the network.
 
-    The rows pass through the network `EVAL_ROWS` at a time, so the call
-    holds one block's activations, never the whole split's. Each row's
-    log-likelihood and correctness land in one vector each, reduced once,
-    so the results equal those of one pass over every row bit for bit.
-    Argmax ties resolve to the lowest class id. A non-finite loss raises
-    TrainingDivergedError, with no numpy warning: training checks its loss
-    only before each update, so its last update can leave finite weights
-    that overflow on the test split.
+    The rows pass through the network `EVAL_ROWS` at a time, each block's
+    activations written into one set of `_layer_buffers` allocated once per
+    call, so the call holds one block's activations, never the whole
+    split's. Each row's log-likelihood and correctness land in one vector
+    each, reduced once, so the results equal those of one pass over every
+    row bit for bit. Argmax ties resolve to the lowest class id. A
+    non-finite loss raises TrainingDivergedError, with no numpy warning:
+    training checks its loss only before each update, so its last update
+    can leave finite weights that overflow on the test split.
     """
     n = len(data)
     loglik = np.empty(n)
     correct = np.empty(n, dtype=bool)
+    bufs = _layer_buffers(net.specs, min(n, EVAL_ROWS))
     for start in range(0, n, EVAL_ROWS):
         rows = slice(start, start + EVAL_ROWS)
-        # Only the logits outlive the call, not the block's hidden activations.
-        logits = _forward(net, data.inputs[rows])[0]
+        logits = _forward(net, data.inputs[rows], bufs)[-1]
         labels = data.labels[rows]
         loglik[rows] = _log_softmax_parts(logits, labels)[0]
         correct[rows] = logits.argmax(axis=1) == labels

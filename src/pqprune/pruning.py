@@ -190,14 +190,22 @@ def run_pruning(
     `seed` draws the initial network and each training's shuffle order.
     Each training round trains, in place, the one network it is handed.
     Rewinding to the initial weights rebuilds them with `nn.init_network`
-    from `seed`, bit for bit, once the last round's network and magnitudes
-    have gone, so no copy of the initial network is held while a round
-    trains. One shot hands over its only network at t=0. The cell holds
-    one mask, which `_prune_round` shrinks to m_{t+1} in place, deciding
-    and pruning each block in one pass. The network stands pruned to it:
-    masks only shrink, so `nn.apply_mask` prunes it to m_{t+1} in place
-    before the pruned evaluation. A non-finite training or test loss ends
-    the cell as diverged.
+    from `seed`, bit for bit, once the last round's network has gone, so no
+    copy of the initial network is held while a round trains. One shot
+    hands over its only network at t=0. The cell holds one mask, which
+    `_prune_round` shrinks to m_{t+1} in place, deciding and pruning each
+    block in one pass. The network stands pruned to it: masks only shrink,
+    so `nn.apply_mask` prunes it to m_{t+1} in place before the pruned
+    evaluation. A non-finite training or test loss ends the cell as
+    diverged.
+
+    A round holds the flat magnitudes (`nn.flatten_prunable`, one float per
+    weight) only while it decides: they are taken after the retrained
+    evaluation, or, for one shot past t=0, from the network pruned in
+    place, and dropped once the round's indices are taken, before the
+    pruned evaluation. Survivors' weights do not change between the two,
+    so every decision and index is the same as if they were held
+    throughout.
     """
     model = nn.init_network(layer_specs, seed)
     mask = PruningMask(np.ones(model.n_weights, dtype=bool))
@@ -209,25 +217,29 @@ def run_pruning(
         for t in range(alg.iterations + 1):
             if t == 0 or alg.kind != "one_shot":
                 if t > 0:
-                    # Rewind: the last round's network and magnitudes go before
-                    # the initial network is rebuilt, so a round holds one.
-                    model = mags = None
+                    # Rewind: the last round's network goes before the initial
+                    # network is rebuilt, so a round holds one.
+                    model = None
                     model = nn.init_network(layer_specs, seed)
                 model = nn.train(model, mask, train_data, cfg, seed)
+                acc_loss = nn.evaluate(model, test_data)
                 mags = nn.flatten_prunable(model)
-                retrained = (*nn.evaluate(model, test_data),
-                             *_surviving_index(mags, mask, alg.index_norms))
+                retrained = (*acc_loss, *_surviving_index(mags, mask, alg.index_norms))
             else:
                 # One shot never retrains: this round's weights and mask are the
-                # ones last round's pruned metrics were taken under.
+                # ones last round's pruned metrics were taken under. The network
+                # stands pruned to the mask, so a dropped weight's magnitude
+                # reads 0, but no decision or index reads a dropped entry.
+                mags = nn.flatten_prunable(model)
                 retrained = pruned
 
             group_logs, skipped = _prune_round(alg, blocks, mags, mask)
             record.events.extend(f"iteration {t}: {event}" for event in skipped)
             c_total = sum(entry["c"] for entry in group_logs)
             if c_total > 0:
-                pruned = (*nn.evaluate(nn.apply_mask(model, mask), test_data),
-                          *_surviving_index(mags, mask, alg.index_norms))
+                index_p = _surviving_index(mags, mask, alg.index_norms)
+                mags = None  # the round has decided
+                pruned = (*nn.evaluate(nn.apply_mask(model, mask), test_data), *index_p)
             else:  # the mask stays as it is, and so does every metric
                 pruned = retrained
 

@@ -11,7 +11,12 @@ and an IDX image set for one grid. It then prints, for every output of
 either side, its sha256 and whether the two sides agree. The outputs are
 every file a command writes, its stdout and its exit code. For a
 `run.json` that differs, it names the top-level keys that differ, so a
-deliberate change to the config echo reads "differs in: config".
+deliberate change to the config echo reads "differs in: config". Below
+the digests it prints each command's peak RSS on both sides, taken with
+`os.wait4`; the peaks are not outputs and never count as a difference.
+Linux carries a process's peak RSS across fork and exec, so a command
+whose own peak is below the guard's RSS when it started reads the
+guard's RSS instead (about 48 MB on the first side, 50 MB on the second).
 
 It exits 0 when every output is the same, 1 otherwise. OpenBLAS kernels
 differ between CPUs, so the guard holds no golden digests: it compares two
@@ -107,9 +112,22 @@ def write_idx(root: Path) -> None:
         (root / f"{split}-labels.idx").write_bytes(struct.pack(">II", 0x801, n) + labels.tobytes())
 
 
-def run_side(src: Path, root: Path) -> dict[str, str]:
-    """Run COMMANDS with `src` on the path, inside `root`; every output's
-    label and digest (sha256 of its bytes; "exit N" for an exit code)."""
+def run_command(argv: list[str], cwd: Path, env: dict[str, str]) -> tuple[int, bytes, float]:
+    """(exit code, stdout, peak RSS in MB) of one child, its rusage taken
+    with os.wait4 as perfbench's `run_child` takes it; the peak is at least
+    the guard's RSS when the child started."""
+    with tempfile.TemporaryFile() as out:
+        proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=out, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        return proc.returncode, out.read(), usage.ru_maxrss / 1024.0  # Linux reports kB
+
+
+def run_side(src: Path, root: Path) -> tuple[dict[str, str], dict[str, float]]:
+    """Run COMMANDS with `src` on the path, inside `root`. Returns every
+    output's label and digest (sha256 of its bytes; "exit N" for an exit
+    code), and each command's peak RSS in MB."""
     root.mkdir()
     values = np.random.default_rng(0).laplace(size=100_000)
     (root / VECTOR).write_text("".join(f"{x!r}\n" for x in values.tolist()))
@@ -117,20 +135,20 @@ def run_side(src: Path, root: Path) -> dict[str, str]:
     # Without PQI_PRUNE_OUT, which older revisions read as run's output root.
     env = {**{k: v for k, v in os.environ.items() if k != "PQI_PRUNE_OUT"}, **PINNED_ENV,
            "PYTHONPATH": str(src)}
-    outputs = {}
+    outputs, peaks = {}, {}
     for cmd in COMMANDS:
         if cmd.config is not None:
             (root / f"{cmd.name}.cfg").write_text(cmd.config)
-        done = subprocess.run([sys.executable, "-m", "pqprune.cli", *cmd.argv], cwd=root,
-                              env=env, capture_output=True)
-        outputs[f"{cmd.name} exit code"] = f"exit {done.returncode}"
-        outputs[f"{cmd.name} stdout"] = hashlib.sha256(done.stdout).hexdigest()
+        code, stdout, peaks[cmd.name] = run_command(
+            [sys.executable, "-m", "pqprune.cli", *cmd.argv], root, env)
+        outputs[f"{cmd.name} exit code"] = f"exit {code}"
+        outputs[f"{cmd.name} stdout"] = hashlib.sha256(stdout).hexdigest()
         out_dir = root / cmd.name
         for path in sorted(out_dir.rglob("*")) if out_dir.is_dir() else []:
             if path.is_file():
                 label = str(path.relative_to(root))
                 outputs[label] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return outputs
+    return outputs, peaks
 
 
 def differing_keys(a: Path, b: Path) -> list[str]:
@@ -155,10 +173,10 @@ def main(argv: list[str]) -> int:
         subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
                         str(checkout), rev], check=True)
         try:
-            sides = {}
+            sides, peaks = {}, {}
             for side, src in (("rev", checkout / "src"), ("tree", ROOT / "src")):
                 start = time.perf_counter()
-                sides[side] = run_side(src, tmp / f"out_{side}")
+                sides[side], peaks[side] = run_side(src, tmp / f"out_{side}")
                 print(f"ran {len(COMMANDS)} commands on {side} in "
                       f"{time.perf_counter() - start:.1f} s", flush=True)
         finally:
@@ -176,6 +194,10 @@ def main(argv: list[str]) -> int:
             if label.endswith("run.json") and "missing" not in (a, b):
                 keys = differing_keys(tmp / "out_rev" / label, tmp / "out_tree" / label)
                 print(f"        differs in: {', '.join(keys)}")
+    print("peak RSS of each command, rev -> tree (not compared):")
+    for cmd in COMMANDS:
+        rev_mb, tree_mb = peaks["rev"][cmd.name], peaks["tree"][cmd.name]
+        print(f"  {rev_mb:8.2f} -> {tree_mb:8.2f} MB ({tree_mb - rev_mb:+.2f})  {cmd.name}")
     print(f"{len(sides['rev'].keys() | sides['tree'].keys())} outputs, {differ} differ")
     return 1 if differ else 0
 

@@ -101,7 +101,14 @@ MUTANTS = [
     Mutant(
         "run_pruning: the last round's network kept alive while retraining",
         PRUNING,
-        "                    model = mags = None\n",
+        "                    model = None\n",
+        "",
+        ("tests/test_pruning.py",),
+    ),
+    Mutant(
+        "run_pruning: magnitudes held through the pruned evaluation",
+        PRUNING,
+        "                mags = None  # the round has decided\n",
         "",
         ("tests/test_pruning.py",),
     ),
@@ -511,6 +518,15 @@ MUTANTS = [
         NN,
         "np.add.reduce(delta, axis=0, out=grads.biases[l])",
         "np.mean(delta, axis=0, out=grads.biases[l])",
+        ("tests/test_nn.py",),
+    ),
+    Mutant(
+        "loss_and_grads: ReLU mask taken after the delta overwrites the activations",
+        NN,
+        "            live = acts[l] > 0.0\n"
+        "            delta = np.matmul(delta, params.weights[l], out=acts[l])\n",
+        "            delta = np.matmul(delta, params.weights[l], out=acts[l])\n"
+        "            live = acts[l] > 0.0\n",
         ("tests/test_nn.py",),
     ),
     Mutant(

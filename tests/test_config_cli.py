@@ -713,6 +713,13 @@ class TestGridData:
         specs = model_specs(cfg.model, cfg.dataset.n_features, cfg.dataset.n_classes)
         assert json.dumps(cell.echo(specs)) == json.dumps(echo)
 
+    def test_echo_of_no_model_is_named(self):
+        _, _, _, echo = self.ECHOES["desk_sap_seed0"]
+        layers = [{"in": 20, "out": 64, "activation": "relu"},
+                  {"in": 64, "out": 2, "activation": "none"}]
+        with pytest.raises(ValueError, match=r"^layers: hidden widths \[64\] match no model$"):
+            experiment.Cell.from_echo({**echo, "layers": layers})
+
     @pytest.mark.parametrize("kind", ["sap", "lottery_ticket", "one_shot"])
     @pytest.mark.parametrize("scope", list(Scope))
     def test_echo_needs_no_run_of_the_cell(self, kind, scope):

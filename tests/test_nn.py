@@ -224,7 +224,7 @@ def single_pass_evaluate(params, mask, data):
     """`evaluate` as one forward pass over every row at once: the reference
     that the row blocks must match bit for bit."""
     net = nn.apply_mask(nn.NetworkParams(params.specs, params.flat.copy()), mask)
-    logits, _ = nn._forward(net, data.inputs)
+    logits = nn._forward(net, data.inputs, nn._layer_buffers(net.specs, len(data)))[-1]
     shifted = logits - logits.max(axis=1, keepdims=True)
     total = np.exp(shifted).sum(axis=1, keepdims=True)
     rows = np.arange(len(data))
@@ -308,6 +308,17 @@ class TestTrainMemory:
         # casting the boolean mask; a copy of the network (320 kB) and a
         # gathered batch beside the work vector would exceed it.
         assert peak < 2 * params.flat.nbytes + batch + 256 * 1024
+
+    def test_mlp_peak_holds_one_set_of_layer_buffers(self):
+        params, mask, data = mnist_shaped(500)
+        cfg = nn.TrainConfig(epochs=1, batch_size=250)
+        work = max(cfg.batch_size * 784, params.flat.size) * 8
+        buffers = cfg.batch_size * sum(s.out_size for s in params.specs) * 8
+        peak = traced_peak(nn.train, params, mask, data, cfg, 0)
+        # The activations of a step and then its deltas share one set of
+        # layer buffers (788 kB). Fresh activations or deltas every step
+        # beside them would add about 780 kB.
+        assert peak < 2 * params.flat.nbytes + work + buffers + 256 * 1024
 
 
 class TestGradients:

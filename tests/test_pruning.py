@@ -386,6 +386,10 @@ class TestRunPruning:
         initial = init(specs, 0).flat
 
         def recording_init(layer_specs, seed):
+            gc.collect()
+            # The last round's network and magnitudes have gone before the
+            # initial network is rebuilt.
+            assert all(ref() is None for ref in made)
             params = init(layer_specs, seed)
             made.extend([weakref.ref(params), weakref.ref(params.flat)])
             return params
@@ -414,6 +418,34 @@ class TestRunPruning:
                           specs, cfg, 0, train, test)
         assert all(it.c_total > 0 for it in rec.iterations)
         assert trainings == ([2] if kind == "one_shot" else [2, 5, 8, 11])
+
+    @pytest.mark.parametrize("kind", ["sap", "lottery_ticket", "one_shot"])
+    def test_no_magnitudes_are_held_while_evaluating(self, kind, monkeypatch):
+        specs, cfg, train, test = tiny_run_setup()
+        taken = []  # weak references to every magnitude vector taken
+        evaluations = []  # how many had been taken at each evaluation
+        flatten, evaluate = nn.flatten_prunable, nn.evaluate
+
+        def recording_flatten(model):
+            mags = flatten(model)
+            taken.append(weakref.ref(mags))
+            return mags
+
+        def checking_evaluate(net, data):
+            gc.collect()
+            assert all(ref() is None for ref in taken)
+            evaluations.append(len(taken))
+            return evaluate(net, data)
+
+        monkeypatch.setattr(nn, "flatten_prunable", recording_flatten)
+        monkeypatch.setattr(nn, "evaluate", checking_evaluate)
+        rec = run_pruning(AlgorithmSpec(kind=kind, iterations=3), Scope.LAYER_WISE,
+                          specs, cfg, 0, train, test)
+        assert all(it.c_total > 0 for it in rec.iterations)
+        # Each round takes its magnitudes after its retrained evaluation, if
+        # it has one, and drops them before its pruned evaluation.
+        assert evaluations == ([0, 1, 2, 3, 4] if kind == "one_shot"
+                               else [0, 1, 1, 2, 2, 3, 3, 4])
 
     @pytest.mark.parametrize("kind", ["sap", "lottery_ticket", "one_shot"])
     def test_each_round_is_evaluated_under_its_own_masks(self, kind, monkeypatch):

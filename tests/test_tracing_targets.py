@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from pqprune import cli
+from pqprune.data_io import read_run_record
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -38,4 +39,12 @@ def test_probes_read_live_values(scope, tmp_path):
     assert metrics["pruning.partition.groups"] > 0
     assert metrics["nn.loss_and_grads.gflop"] > 0
     assert metrics["nn.train.calls"] > 0
-    assert metrics["nn.flatten_prunable.calls"] == metrics["nn.train.calls"]
+    # Every round takes its magnitudes when it decides, one shot's rounds too;
+    # the rounds after the first that prunes nothing repeat it undecided.
+    decided = 0
+    for kind in ("sap", "one_shot"):
+        rec = read_run_record(tmp_path / "out" / f"{kind}_seed0")
+        assert rec.completed
+        pruned = [it.c_total > 0 for it in rec.iterations]
+        decided += pruned.index(False) + 1 if False in pruned else len(pruned)
+    assert metrics["nn.flatten_prunable.calls"] == decided
